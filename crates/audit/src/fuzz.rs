@@ -274,7 +274,7 @@ fn base_snapshot() -> Vec<u8> {
         seed: 21,
         ..IamConfig::default()
     };
-    let mut est = IamEstimator::fit(&table, cfg);
+    let est = IamEstimator::fit(&table, cfg);
     let mut bytes = Vec::new();
     est.save_framed(&mut bytes).expect("vec write cannot fail");
     bytes

@@ -62,7 +62,8 @@ pub fn registry() -> Vec<Rule> {
         Rule {
             id: "fused-forward",
             description: "no direct layer-1 Linear::forward in fused inference paths \
-                          (canonical summation order requires the grouped kernels)",
+                          (canonical summation order requires the grouped kernels), \
+                          no plain column forward in core's inference code",
             check: fused_forward,
         },
         Rule {
@@ -232,9 +233,13 @@ fn loop_instant(relpath: &str, lines: &[Line], st: &Structure) -> Vec<RawFinding
 // --- fused-forward ---------------------------------------------------------
 
 fn fused_forward(relpath: &str, lines: &[Line], st: &Structure) -> Vec<RawFinding> {
-    // (file, pattern, message): the canonical-summation-order policy — the
-    // fused inference path must route layer 1 through the grouped kernels
-    // so estimates stay bit-identical between fused and unfused paths
+    // (file, pattern, message): the one-forward-path policy — production
+    // inference reaches the network only through the fused layer-1 tables,
+    // and layer 1 itself stays on the grouped kernels whose canonical
+    // summation order the tables replay bit for bit
+    const PLAIN_FORWARD_MSG: &str = "production inference must not call the plain \
+         (unfused) column forward — it is iam-nn's test reference; go through \
+         forward_column_fused and the estimator's fused tables";
     let checks: &[(&str, &str, &str)] = &[
         (
             "crates/nn/src/made.rs",
@@ -249,23 +254,10 @@ fn fused_forward(relpath: &str, lines: &[Line], st: &Structure) -> Vec<RawFindin
             "the inference hot path must not call the network's forward \
              directly; go through the fused layer-1 tables (prepare_inference)",
         ),
-    ];
-    // quantized-table choke points: the SlotTable storage variants (and the
-    // f16 bit-shuffle helpers) may only be touched inside the grouped
-    // dequantize-on-accumulate kernel and the build/quantize helpers.
-    // Ad-hoc indexing of quantized tables anywhere else could bypass the
-    // canonical per-slot summation order that keeps quantized estimates a
-    // values-only (never order) deviation from the f32 golden path.
-    const QUANT_PATTERNS: &[&str] =
-        &["SlotTable::F16", "SlotTable::Int8", "f16_bits_to_f32(", "f32_to_f16_bits("];
-    const QUANT_FNS: &[&str] = &[
-        "accumulate_row",
-        "accumulate_row_scalar",
-        "accumulate_row_avx2",
-        "size_bytes",
-        "quantize_slot",
-        "f32_to_f16_bits",
-        "f16_bits_to_f32",
+        ("crates/core/src/infer.rs", "forward_column(", PLAIN_FORWARD_MSG),
+        ("crates/core/src/infer.rs", "forward_column_into(", PLAIN_FORWARD_MSG),
+        ("crates/core/src/aqp.rs", "forward_column(", PLAIN_FORWARD_MSG),
+        ("crates/core/src/aqp.rs", "forward_column_into(", PLAIN_FORWARD_MSG),
     ];
 
     let mut out = Vec::new();
@@ -284,30 +276,6 @@ fn fused_forward(relpath: &str, lines: &[Line], st: &Structure) -> Vec<RawFindin
                 line: i,
                 snippet: line.code.trim().to_string(),
                 message: msg.to_string(),
-            });
-        }
-    }
-    if relpath == "crates/nn/src/made.rs" {
-        for (i, line) in lines.iter().enumerate() {
-            if !QUANT_PATTERNS.iter().any(|p| line.code.contains(p)) {
-                continue;
-            }
-            // enum/type declarations carry no table access; only code
-            // inside a non-allowlisted function is a bypass
-            let Some(f) = st.enclosing_fn(i) else { continue };
-            if f.is_test || QUANT_FNS.contains(&f.name.as_str()) {
-                continue;
-            }
-            out.push(RawFinding {
-                line: i,
-                snippet: line.code.trim().to_string(),
-                message: format!(
-                    "quantized fused-table storage touched in `{}`; all reads must \
-                     route through the grouped-summation choke point \
-                     (SlotTable::accumulate_row) or the quantize/build helpers so \
-                     the canonical per-slot summation order survives quantization",
-                    f.name
-                ),
             });
         }
     }

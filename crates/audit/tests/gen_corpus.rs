@@ -105,7 +105,7 @@ fn regenerate_seed_corpus() {
         seed: 13,
         ..IamConfig::default()
     };
-    let mut est = IamEstimator::fit(&table, cfg);
+    let est = IamEstimator::fit(&table, cfg);
     let mut framed = Vec::new();
     est.save_framed(&mut framed).unwrap();
     let keep = 12 + (framed.len() - 20) * 3 / 5;

@@ -82,7 +82,7 @@ fn write_json(rows: &[SweepRow], nrows: usize) {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"dataset_rows\": {nrows},\n"));
     s.push_str(&format!("  \"host_cores\": {cores},\n"));
-    // same honesty marker BENCH_inference/BENCH_cluster carry: numbers are
+    // same honesty marker BENCH_cluster carries: numbers are
     // only comparable across runs on hosts with the same parallelism, and
     // a simulated (oversubscribed) sweep is flagged as such
     s.push_str(&format!("  \"host_parallelism\": {cores},\n"));

@@ -16,6 +16,7 @@
 //! (closed form via the standard truncated-normal identity).
 
 use crate::estimator::IamEstimator;
+use crate::infer::{sample_range, sample_weighted};
 use crate::schema::{ColumnHandler, SlotConstraint, SlotRole};
 use iam_data::{Interval, RangeQuery};
 use iam_gmm::math::{std_normal_cdf, std_normal_pdf};
@@ -151,10 +152,9 @@ impl IamEstimator {
     /// Draw `n` tuples from the model restricted to `plan`, returning slot
     /// values and importance weights (wildcard slots are *sampled from the
     /// full conditional* here, since the aggregate's target column may be
-    /// unconstrained). Immutable: forwards run through
-    /// [`iam_nn::MadeNet::forward_column_into`] with local scratch, so the
-    /// fused inference tables survive and concurrent callers never
-    /// contend.
+    /// unconstrained). Forwards run through the estimator's fused tables
+    /// with local scratch, and draws use the selectivity sampler's
+    /// reference samplers, so concurrent callers never contend.
     fn sample_region(
         &self,
         plan: &[SlotConstraint],
@@ -175,7 +175,8 @@ impl IamEstimator {
             })
             .collect();
         let nslots = self.schema.nslots();
-        let net = self.net_ref();
+        let net = self.net();
+        let tables = self.fused();
         let mut scratch = InferScratch::new();
         let mut inputs: Vec<usize> = (0..n)
             .flat_map(|_| (0..nslots).map(|s| net.mask_token(s)).collect::<Vec<_>>())
@@ -189,7 +190,7 @@ impl IamEstimator {
             let width = net.domain_size(slot);
             // gather inputs (all rows still alive)
             let batch_inputs = inputs.clone();
-            net.forward_column_into(&mut scratch, &batch_inputs, n, slot, &mut logits);
+            net.forward_column_fused(tables, &mut scratch, &batch_inputs, n, slot, &mut logits);
             for row in 0..n {
                 if weights[row] <= 0.0 {
                     continue;
@@ -197,14 +198,12 @@ impl IamEstimator {
                 net.row_softmax(&logits, row, width, &mut probs);
                 let pick = match &full_plan[slot] {
                     SlotConstraint::Range(a, b) => {
-                        weighted.clear();
-                        weighted.extend(probs[*a..=*b].iter().map(|&p| p as f64));
-                        draw(&weighted, &mut weights[row], rng).map(|j| a + j)
+                        sample_range(&probs, *a, *b, &mut weights[row], rng)
                     }
                     SlotConstraint::Weights(w) => {
                         weighted.clear();
                         weighted.extend(probs.iter().zip(w).map(|(&p, &m)| p as f64 * m));
-                        draw(&weighted, &mut weights[row], rng)
+                        sample_weighted(&weighted, &mut weights[row], rng)
                     }
                     SlotConstraint::FactorLo { lo_idx, hi_idx, base } => {
                         let hi_s = inputs[row * nslots + slot - 1];
@@ -215,9 +214,7 @@ impl IamEstimator {
                             weights[row] = 0.0;
                             None
                         } else {
-                            weighted.clear();
-                            weighted.extend(probs[a..=b].iter().map(|&p| p as f64));
-                            draw(&weighted, &mut weights[row], rng).map(|j| a + j)
+                            sample_range(&probs, a, b, &mut weights[row], rng)
                         }
                     }
                     SlotConstraint::Wildcard => unreachable!("wildcards replaced above"),
@@ -265,34 +262,6 @@ impl IamEstimator {
     }
 }
 
-/// Draw an index from an unnormalised weight slice, folding the mass into
-/// the running importance weight. Zero-weight entries are unpickable
-/// (matching `infer::pick_in_window`): prefix-table mass vectors carry
-/// exact `0.0` entries clamped from tiny-negative CDF differences, and a
-/// boundary draw (`u == 0.0`) or a round-off fallback must never land on
-/// one — that would condition every later slot on an impossible prefix.
-fn draw(weighted: &[f64], weight: &mut f64, rng: &mut StdRng) -> Option<usize> {
-    let mass: f64 = weighted.iter().sum();
-    if mass <= 0.0 {
-        *weight = 0.0;
-        return None;
-    }
-    *weight *= mass.min(1.0);
-    let u = rng.random::<f64>() * mass;
-    let mut acc = 0.0;
-    let mut last_nonzero = None;
-    for (j, &p) in weighted.iter().enumerate() {
-        if p > 0.0 {
-            acc += p;
-            last_nonzero = Some(j);
-            if u <= acc {
-                return Some(j);
-            }
-        }
-    }
-    last_nonzero
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,24 +270,6 @@ mod tests {
     use iam_data::query::{Op, Predicate, Query};
     use iam_data::Table;
     use rand::SeedableRng;
-
-    #[test]
-    fn draw_never_picks_a_zero_weight_index() {
-        // zero entries (including exact 0.0 from clamped prefix-table
-        // differences) must be unpickable for every draw, and the
-        // round-off fallback must land on the last NONZERO entry rather
-        // than the window's last index
-        let weighted = vec![0.0f64, 0.3, 0.0, 0.7, 0.0];
-        for seed in 0..300 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut w = 1.0;
-            let v = draw(&weighted, &mut w, &mut rng).unwrap();
-            assert!(weighted[v] > 0.0, "seed {seed} picked zero-weight index {v}");
-        }
-        let mut w = 1.0;
-        assert!(draw(&[0.0, 0.0], &mut w, &mut StdRng::seed_from_u64(1)).is_none());
-        assert_eq!(w, 0.0);
-    }
 
     fn table(n: usize, seed: u64) -> Table {
         let mut rng = StdRng::seed_from_u64(seed);

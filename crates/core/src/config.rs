@@ -1,7 +1,5 @@
 //! Configuration of the IAM estimator.
 
-pub use iam_nn::TablePrecision;
-
 /// Which domain-reduction family to use for large-domain continuous
 /// attributes (§6.6 compares all four).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,28 +88,6 @@ pub struct IamConfig {
     /// in a fixed order — only wall time (see
     /// `MadeNet::train_batch_sharded`).
     pub train_threads: usize,
-    /// Use the fused embedding→layer-1 inference path: after training,
-    /// precompute `T[slot][token] = W₁-block × embed[slot][token]` so each
-    /// forward row's first hidden layer is a sum of cached vectors instead
-    /// of an embedding gather plus a matrix multiply. Estimates are bitwise
-    /// identical either way — this trades `Σ_s domain(s) × hidden[0]`
-    /// floats of memory for inference speed. Runtime-only (not persisted);
-    /// toggle with `IamEstimator::set_fused_layer1`.
-    pub fused_layer1: bool,
-    /// Storage precision of the fused token tables (only meaningful with
-    /// [`Self::fused_layer1`]). `F32` (the default) keeps estimates
-    /// bitwise identical to the non-fused path; `F16`/`Int8` shrink the
-    /// tables 2×/~4× and trade a bounded, bench-gated q-error delta for
-    /// speed. Persisted as a trailer byte; the f32 golden path can always
-    /// be rebuilt via `IamEstimator::set_table_precision`.
-    pub table_precision: TablePrecision,
-    /// Cache per-component CDF prefix tables over each reduced column's
-    /// token grid at model-prepare time, making `P̂_GMM(R)` mass vectors
-    /// two CDF lookups per component instead of two `erf` evaluations.
-    /// Cached entries are the exact values `normal_mass` would compute,
-    /// so results are bitwise identical with tables on or off (only
-    /// applies to [`RangeMassMode::Exact`]; runtime-only, not persisted).
-    pub gmm_prefix_tables: bool,
     /// RNG seed (training shuffles, sampling).
     pub seed: u64,
 }
@@ -136,9 +112,6 @@ impl Default for IamConfig {
             samples: 512,
             range_mass: RangeMassMode::Exact,
             train_threads: 1,
-            fused_layer1: true,
-            table_precision: TablePrecision::F32,
-            gmm_prefix_tables: true,
             seed: 42,
         }
     }
@@ -180,13 +153,5 @@ mod tests {
         assert_eq!(c.hidden, vec![256, 128, 128, 256]);
         assert_eq!(c.factorize_threshold, 2048);
         assert_eq!(c.reducer.name(), "GMM");
-    }
-
-    #[test]
-    fn speed_knobs_default_to_the_golden_path() {
-        let c = IamConfig::default();
-        assert_eq!(c.table_precision, TablePrecision::F32);
-        assert!(c.gmm_prefix_tables);
-        assert_eq!(IamConfig::small().table_precision, TablePrecision::F32);
     }
 }

@@ -7,9 +7,9 @@ use crate::schema::IamSchema;
 use crate::train::{self, EpochStats};
 use iam_data::{RangeQuery, SelectivityEstimator, Table};
 use iam_gmm::GmmSgdTrainer;
-use iam_nn::{Adam, AdamConfig, FusedTables, MadeConfig, MadeNet, Parameters};
+use iam_nn::{Adam, AdamConfig, FusedTables, MadeConfig, MadeNet};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 /// The IAM selectivity estimator (GMMs + ResMADE + unbiased progressive
 /// sampling). With [`IamConfig::reduce_continuous`] = false it degrades to
@@ -25,7 +25,9 @@ pub struct IamEstimator {
     gmm_trainers: Vec<Option<GmmSgdTrainer>>,
     nrows: usize,
     rng: StdRng,
-    fused: Option<FusedTables>,
+    /// Fused embedding→layer-1 token tables of `net`'s *current*
+    /// parameters: rebuilt wherever the parameters change, never absent.
+    fused: FusedTables,
     pool: infer::ScratchPool,
     name: String,
     /// Loss curve, one entry per trained epoch.
@@ -47,37 +49,13 @@ impl IamEstimator {
             IamSchema::build(table, &cfg)
         };
         debug_assert!(train::check_slot_layout(&schema));
-        let net = MadeNet::new(MadeConfig {
-            domain_sizes: schema.slot_domains.clone(),
-            hidden: cfg.hidden.clone(),
-            embed_dim: cfg.embed_dim,
-            residual: true,
-            seed: cfg.seed,
-        });
-        let opt = Adam::new(AdamConfig { lr: cfg.lr, ..Default::default() });
-        let gmm_trainers = train::make_gmm_trainers(&schema, &cfg);
-        let name = name
-            .map(str::to_owned)
-            .unwrap_or_else(|| if cfg.reduce_continuous { "IAM" } else { "Neurocard" }.into());
-        IamEstimator {
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0xD1CE),
-            schema,
-            net,
-            opt,
-            gmm_trainers,
-            nrows: table.nrows(),
-            fused: None,
-            pool: infer::ScratchPool::new(),
-            name,
-            stats: Vec::new(),
-            cfg,
-        }
+        let name = name.unwrap_or(if cfg.reduce_continuous { "IAM" } else { "Neurocard" });
+        Self::from_parts(cfg, schema, table.nrows(), name)
     }
 
     /// Train for `epochs` additional epochs (resumable — Figure 6 evaluates
     /// the model between calls).
     pub fn train_epochs(&mut self, table: &Table, epochs: usize) {
-        self.fused = None; // parameters are about to change
         for _ in 0..epochs {
             let s = train::train_epoch(
                 table,
@@ -104,63 +82,22 @@ impl IamEstimator {
         self.prepare_inference();
     }
 
-    /// (Re)build inference-only acceleration state: when
-    /// [`IamConfig::fused_layer1`] is on, precompute the per-(slot, token)
-    /// embedding→layer-1 contribution tables used by the fused forward
-    /// path, at [`IamConfig::table_precision`]. Called automatically after
-    /// training and after loading a persisted model; harmless to call
-    /// again. At the default `F32` precision estimates are bitwise
-    /// identical with or without the tables; `F16`/`Int8` trade a
-    /// bench-gated q-error delta for table size and speed. Because tables
-    /// are always quantized from a fresh f32 build, the golden f32 path
-    /// can always be rebuilt here — quantization never loses the source
-    /// parameters.
+    /// Rebuild the inference tables now: precompute the per-(slot, token)
+    /// embedding→layer-1 contribution tables the forward path sums instead
+    /// of running an embedding gather plus a matrix multiply (bitwise
+    /// identical to that plain forward, see [`FusedTables`]). Called
+    /// wherever the parameters change — construction, the end of
+    /// [`Self::train_epochs`], [`Self::with_net_mut`], snapshot load — so
+    /// the tables are never stale; harmless to call again.
     pub fn prepare_inference(&mut self) {
-        let bytes = if self.cfg.fused_layer1 {
-            let tables = self.net.build_fused_tables_with(self.cfg.table_precision);
-            let bytes = tables.size_bytes();
-            self.fused = Some(tables);
-            bytes
-        } else {
-            self.fused = None;
-            0
-        };
-        probes::infer().table_bytes.set(bytes as i64);
+        self.fused = build_tables(&self.net);
     }
 
-    /// Toggle the fused embedding→layer-1 inference path at runtime
-    /// (rebuilds or drops the token tables immediately). A pure
-    /// speed/memory trade-off: estimates never change (tables are rebuilt
-    /// at the configured precision; the default `F32` is bit-exact).
-    pub fn set_fused_layer1(&mut self, on: bool) {
-        self.cfg.fused_layer1 = on;
-        self.prepare_inference();
-    }
-
-    /// Switch the fused-table storage precision at runtime and rebuild
-    /// the tables immediately. `TablePrecision::F32` always restores the
-    /// golden bit-exact path — quantization is applied to a fresh f32
-    /// build on every rebuild, so no precision round-trip can degrade it.
-    pub fn set_table_precision(&mut self, precision: crate::config::TablePrecision) {
-        self.cfg.table_precision = precision;
-        self.prepare_inference();
-    }
-
-    /// The storage precision of the live fused tables (`None` when the
-    /// fused path is off).
-    pub fn table_precision(&self) -> Option<crate::config::TablePrecision> {
-        self.fused.as_ref().map(|t| t.precision())
-    }
-
-    /// Rebuild an estimator from persisted parts (see `persist`): the
-    /// network is reconstructed deterministically from the config and
-    /// schema; the caller then overwrites its parameters.
-    pub(crate) fn from_parts(
-        cfg: IamConfig,
-        schema: IamSchema,
-        nrows: usize,
-        name: &str,
-    ) -> Result<Self, crate::persist::PersistError> {
+    /// Assemble an estimator around a fitted schema: the network is
+    /// constructed deterministically from the config and schema. `persist`
+    /// rebuilds loaded models through this and then overwrites the
+    /// parameters via [`Self::with_net_mut`].
+    pub(crate) fn from_parts(cfg: IamConfig, schema: IamSchema, nrows: usize, name: &str) -> Self {
         let net = MadeNet::new(MadeConfig {
             domain_sizes: schema.slot_domains.clone(),
             hidden: cfg.hidden.clone(),
@@ -170,19 +107,19 @@ impl IamEstimator {
         });
         let opt = Adam::new(AdamConfig { lr: cfg.lr, ..Default::default() });
         let gmm_trainers = train::make_gmm_trainers(&schema, &cfg);
-        Ok(IamEstimator {
+        IamEstimator {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xD1CE),
             schema,
+            fused: build_tables(&net),
             net,
             opt,
             gmm_trainers,
             nrows,
-            fused: None,
             pool: infer::ScratchPool::new(),
             name: name.to_string(),
             stats: Vec::new(),
             cfg,
-        })
+        }
     }
 
     /// Number of rows of the table the model was trained on.
@@ -207,23 +144,11 @@ impl IamEstimator {
 
     /// Batched inference: one progressive-sampling run answering many
     /// queries in shared forward passes (§5.3, "Batch Query Inference").
+    /// Draws one sampling seed per query from the estimator's own RNG, so
+    /// repeated calls give independent Monte-Carlo runs.
     pub fn estimate_batch(&mut self, queries: &[RangeQuery]) -> Vec<f64> {
-        if self.fused.is_none() && self.cfg.fused_layer1 {
-            self.prepare_inference();
-        }
-        let plans: Vec<_> = queries.iter().map(|q| self.schema.query_plan(q)).collect();
-        let mut scratch = self.pool.take();
-        let out = infer::estimate_batch(
-            &self.net,
-            &self.schema,
-            &plans,
-            self.cfg.samples,
-            &mut self.rng,
-            self.fused.as_ref(),
-            &mut scratch,
-        );
-        self.pool.put(scratch);
-        out
+        let seeds: Vec<u64> = queries.iter().map(|_| self.rng.random::<u64>()).collect();
+        self.estimate_seeded(queries, &seeds, 1)
     }
 
     /// Deterministic, shareable batched inference: `&self`, so a single
@@ -237,18 +162,22 @@ impl IamEstimator {
     /// bitwise-reproducible responses and a coherent result cache.
     ///
     /// `threads > 1` fans the batch out with `std::thread::scope`
-    /// (see [`infer::estimate_batch_parallel`]).
+    /// (see [`infer::estimate_batch`]).
     pub fn estimate_batch_shared(&self, queries: &[RangeQuery], threads: usize) -> Vec<f64> {
-        let plans: Vec<_> = queries.iter().map(|q| self.schema.query_plan(q)).collect();
         let salt = self.sampling_salt();
         let seeds: Vec<u64> = queries.iter().map(|q| salt ^ q.canonical_key()).collect();
-        infer::estimate_batch_parallel(
+        self.estimate_seeded(queries, &seeds, threads)
+    }
+
+    fn estimate_seeded(&self, queries: &[RangeQuery], seeds: &[u64], threads: usize) -> Vec<f64> {
+        let plans: Vec<_> = queries.iter().map(|q| self.schema.query_plan(q)).collect();
+        infer::estimate_batch(
             &self.net,
             &self.schema,
             &plans,
             self.cfg.samples,
-            &seeds,
-            self.fused.as_ref(),
+            seeds,
+            &self.fused,
             threads,
             &self.pool,
         )
@@ -274,18 +203,30 @@ impl IamEstimator {
     }
 
     /// Number of trainable scalar parameters.
-    pub fn num_params(&mut self) -> usize {
-        self.net.num_params()
+    pub fn num_params(&self) -> usize {
+        let mut n = 0;
+        self.net.for_each_param(&mut |p| n += p.len());
+        n
     }
 
-    /// Mutable access to the underlying AR network (testing/diagnostics:
-    /// e.g. exhaustively enumerating the model's implied distribution).
-    /// Invalidates the fused inference tables — callers may mutate
-    /// parameters, and stale tables would silently change estimates; the
-    /// tables are rebuilt lazily on the next estimate call.
-    pub fn net_mut(&mut self) -> &mut MadeNet {
-        self.fused = None;
-        &mut self.net
+    /// Shared read access to the underlying AR network (diagnostics: e.g.
+    /// exhaustively enumerating the model's implied distribution).
+    pub fn net(&self) -> &MadeNet {
+        &self.net
+    }
+
+    /// The fused inference tables of the current parameters.
+    pub(crate) fn fused(&self) -> &FusedTables {
+        &self.fused
+    }
+
+    /// Scoped mutable access to the AR network: `f` may change parameters,
+    /// and the fused inference tables are rebuilt from them before this
+    /// returns — `&self` estimates can never observe stale tables.
+    pub fn with_net_mut<R>(&mut self, f: impl FnOnce(&mut MadeNet) -> R) -> R {
+        let out = f(&mut self.net);
+        self.prepare_inference();
+        out
     }
 
     /// Mutable access to the sampling RNG (used by the AQP extension).
@@ -293,17 +234,17 @@ impl IamEstimator {
         &mut self.rng
     }
 
-    /// Shared read access to the AR network — the `&self` counterpart of
-    /// [`Self::net_mut`] for deterministic concurrent paths (no fused-table
-    /// invalidation, no parameter mutation).
-    pub(crate) fn net_ref(&self) -> &MadeNet {
-        &self.net
-    }
-
     /// Effective per-query sample budget (used by the AQP extension).
     pub(crate) fn samples(&self) -> usize {
         self.cfg.samples
     }
+}
+
+/// Build `net`'s fused tables and publish their size.
+fn build_tables(net: &MadeNet) -> FusedTables {
+    let tables = net.build_fused_tables();
+    probes::infer().table_bytes.set(tables.size_bytes() as i64);
+    tables
 }
 
 impl SelectivityEstimator for IamEstimator {
@@ -318,8 +259,7 @@ impl SelectivityEstimator for IamEstimator {
     fn model_size_bytes(&self) -> usize {
         // network parameters (f32) + reducer parameters; ordinal
         // dictionaries are excluded for every estimator alike (see DESIGN.md)
-        let mut net = self.net.clone();
-        net.num_params() * 4 + self.schema.reducers_size_bytes()
+        self.num_params() * 4 + self.schema.reducers_size_bytes()
     }
 }
 
@@ -518,30 +458,26 @@ mod tests {
     }
 
     #[test]
-    fn quantized_precisions_stay_close_and_f32_restores_golden_bits() {
-        use crate::config::TablePrecision;
-        let t = corr_table(3000, 14);
-        let mut est = IamEstimator::fit(&t, quick_cfg());
-        let mut gen = WorkloadGenerator::new(&t, WorkloadConfig::default(), 31);
+    fn scoped_net_mutation_leaves_tables_matching_the_parameters() {
+        use iam_nn::Parameters;
+        let t = corr_table(2000, 15);
+        let mut est = IamEstimator::fit(&t, IamConfig { epochs: 1, ..quick_cfg() });
+        let mut gen = WorkloadGenerator::new(&t, WorkloadConfig::default(), 41);
         let rqs: Vec<RangeQuery> =
-            gen.gen_queries(10).iter().map(|q| q.normalize(2).unwrap().0).collect();
-        assert_eq!(est.table_precision(), Some(TablePrecision::F32));
-        let golden = est.estimate_batch_shared(&rqs, 1);
-        for prec in [TablePrecision::F16, TablePrecision::Int8] {
-            est.set_table_precision(prec);
-            assert_eq!(est.table_precision(), Some(prec));
-            let got = est.estimate_batch_shared(&rqs, 1);
-            for (i, (g, q)) in golden.iter().zip(&got).enumerate() {
-                let qerr = iam_data::q_error(*g, *q, t.nrows());
-                assert!(qerr < 1.5, "{prec:?} query {i}: {g} vs {q} (q-error {qerr})");
-            }
-        }
-        // the f32 golden path is always rebuildable, bit for bit
-        est.set_table_precision(TablePrecision::F32);
-        let back = est.estimate_batch_shared(&rqs, 1);
-        for (a, b) in golden.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits(), "f32 rebuild lost golden bits");
-        }
+            gen.gen_queries(8).iter().map(|q| q.normalize(2).unwrap().0).collect();
+        let bits = |e: &IamEstimator| -> Vec<u64> {
+            e.estimate_batch_shared(&rqs, 1).iter().map(|v| v.to_bits()).collect()
+        };
+        let before = bits(&est);
+        est.with_net_mut(|net| net.visit_params(&mut |p, _| p.iter_mut().for_each(|w| *w *= 0.5)));
+        let after = bits(&est);
+        assert_ne!(before, after, "the parameter change must reach `&self` estimates");
+        // a reloaded snapshot builds its tables from the saved parameters:
+        // equal bits mean the mutator left no stale table behind
+        let mut framed = Vec::new();
+        est.save_framed(&mut framed).unwrap();
+        let loaded = IamEstimator::load_framed(&mut framed.as_slice()).unwrap();
+        assert_eq!(after, bits(&loaded));
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //!
 //! # Determinism and parallelism
 //!
-//! Every query draws from its **own** RNG stream ([`estimate_batch_seeded`]
-//! takes one seed per query), and a query's draws happen in a fixed
+//! Every query draws from its **own** RNG stream ([`estimate_batch`] takes
+//! one seed per query), and a query's draws happen in a fixed
 //! (slot, sample) order regardless of which other queries share the batch.
 //! Consequently a query's estimate depends only on the model and its seed —
 //! **not** on batch composition, chunking, or thread count. That invariant
 //! is what lets the serving layer coalesce arbitrary requests into
-//! micro-batches ([`estimate_batch_parallel`]) while staying bitwise
-//! reproducible, and lets cached results be reused safely.
+//! micro-batches while staying bitwise reproducible, and lets cached
+//! results be reused safely.
 //!
 //! The forward passes still run batched across all of a chunk's queries at
 //! each slot — the shared-GEMM amortisation of §5.3 ("Batch Query
@@ -71,7 +71,7 @@ impl std::hash::Hasher for PrefixHasher {
 type PrefixBuildHasher = std::hash::BuildHasherDefault<PrefixHasher>;
 
 /// Hoisted sampling state for one (query, unique-prefix) pair at one slot
-/// step of the batched sampling pass in [`estimate_batch_seeded_into`].
+/// step of the batched sampling pass in [`sample_chunk`].
 #[derive(Debug, Clone, Copy)]
 enum Hoisted {
     /// One-token window at the index (`sample_point` fast path).
@@ -86,7 +86,7 @@ enum Hoisted {
 
 /// Reusable per-worker buffers for progressive-sampling runs: the network
 /// scratch plus every gather/dedup/softmax buffer of the slot loop. One
-/// scratch serves one [`estimate_batch_seeded_into`] call at a time;
+/// scratch serves one chunk of an [`estimate_batch`] call at a time;
 /// [`ScratchPool`] recycles them across micro-batches so the serving hot
 /// path allocates nothing beyond first-use growth.
 #[derive(Debug, Default)]
@@ -150,57 +150,76 @@ impl ScratchPool {
     }
 }
 
-/// Batched progressive-sampling estimator (sequential, caller-provided RNG).
+/// Batched progressive-sampling estimator — the one inference entry point.
 ///
 /// `plans[q]` is the slot-constraint plan for query `q` (`None` → provably
-/// empty, estimate 0). Returns one selectivity per query. Per-query seeds
-/// are drawn up-front from `rng`, so results are a deterministic function
-/// of the RNG state at entry.
+/// empty, estimate 0) and `seeds[q]` its RNG seed: `results[q]` depends
+/// only on `(net, schema, plans[q], samples_per_query, seeds[q])` — never
+/// on the other queries in the batch. `tables` must have been built from
+/// `net`'s current parameters.
+///
+/// Queries are split into `threads` contiguous chunks, one
+/// `std::thread::scope` worker per chunk (none for `threads <= 1`), all
+/// sharing the model immutably. Workers write straight into disjoint
+/// chunks of one result buffer and check their [`QueryScratch`] out of
+/// `pool`, so steady-state micro-batches reuse grown buffers across calls.
+/// Because of the per-query seeding invariant (see module docs), the
+/// result is bitwise identical for every `threads` value.
+#[allow(clippy::too_many_arguments)]
 pub fn estimate_batch(
     net: &MadeNet,
     schema: &IamSchema,
     plans: &[Option<Vec<SlotConstraint>>],
     samples_per_query: usize,
-    rng: &mut StdRng,
-    fused: Option<&FusedTables>,
-    scratch: &mut QueryScratch,
-) -> Vec<f64> {
-    let seeds: Vec<u64> = plans.iter().map(|_| rng.random::<u64>()).collect();
-    estimate_batch_seeded(net, schema, plans, samples_per_query, &seeds, fused, scratch)
-}
-
-/// Like [`estimate_batch`], but with one explicit RNG seed per query:
-/// `results[q]` depends only on `(net, schema, plans[q], samples_per_query,
-/// seeds[q])` — never on the other queries in the batch.
-pub fn estimate_batch_seeded(
-    net: &MadeNet,
-    schema: &IamSchema,
-    plans: &[Option<Vec<SlotConstraint>>],
-    samples_per_query: usize,
     seeds: &[u64],
-    fused: Option<&FusedTables>,
-    scratch: &mut QueryScratch,
+    tables: &FusedTables,
+    threads: usize,
+    pool: &ScratchPool,
 ) -> Vec<f64> {
+    assert_eq!(plans.len(), seeds.len(), "one seed per query");
     let mut results = vec![0.0f64; plans.len()];
-    estimate_batch_seeded_into(
-        net,
-        schema,
-        plans,
-        samples_per_query,
-        seeds,
-        fused,
-        scratch,
-        &mut results,
+    let run = |pc: &[Option<Vec<SlotConstraint>>], sc: &[u64], rc: &mut [f64]| {
+        let mut scratch = pool.take();
+        sample_chunk(net, schema, pc, samples_per_query, sc, tables, &mut scratch, rc);
+        pool.put(scratch);
+    };
+    let threads = threads.clamp(1, plans.len().max(1));
+    if threads == 1 {
+        run(plans, seeds, &mut results);
+        return results;
+    }
+    let chunk = plans.len().div_ceil(threads);
+    // the chunk decomposition must cover every query, tail chunk included:
+    // `chunks`/`chunks_mut` both emit ⌈len/chunk⌉ pieces whose lengths sum
+    // to len, and zipping three decompositions of equal-length slices keeps
+    // them aligned offset for offset
+    assert_eq!(
+        plans.chunks(chunk).map(<[_]>::len).sum::<usize>(),
+        results.len(),
+        "chunk decomposition must cover the tail chunk"
     );
+    // the trace context is thread-local; hand each fan-out thread a child
+    // context so infer spans still stitch into the caller's trace tree
+    let ctx = iam_obs::tracetree::child_ctx();
+    std::thread::scope(|s| {
+        for ((pc, sc), rc) in
+            plans.chunks(chunk).zip(seeds.chunks(chunk)).zip(results.chunks_mut(chunk))
+        {
+            let run = &run;
+            s.spawn(move || {
+                let _ctx = ctx.map(iam_obs::tracetree::install);
+                run(pc, sc, rc);
+            });
+        }
+    });
     results
 }
 
-/// [`estimate_batch_seeded`] writing into a caller-provided result slice —
-/// the kernel behind [`estimate_batch_parallel`]'s shared result buffer.
+/// The per-chunk kernel behind [`estimate_batch`], writing into its slice
+/// of the shared result buffer.
 ///
-/// When `fused` is `Some`, forwards run through the precomputed
-/// embedding→layer-1 token tables; estimates are bitwise identical either
-/// way (see [`iam_nn::FusedTables`]). Within each slot step, sample rows
+/// Forwards run through the precomputed embedding→layer-1 token tables
+/// (see [`iam_nn::FusedTables`]). Within each slot step, sample rows
 /// with identical sampled prefixes are deduplicated and forwarded once
 /// (logits are scattered back); at the first constrained slot every live
 /// row still carries the all-MASK prefix, so the whole chunk shares a
@@ -219,13 +238,13 @@ pub fn estimate_batch_seeded(
 /// stream are never read again, so the draw and pick are skipped and only
 /// the (identical) mass factor is applied.
 #[allow(clippy::too_many_arguments)]
-pub fn estimate_batch_seeded_into(
+fn sample_chunk(
     net: &MadeNet,
     schema: &IamSchema,
     plans: &[Option<Vec<SlotConstraint>>],
     samples_per_query: usize,
     seeds: &[u64],
-    fused: Option<&FusedTables>,
+    tables: &FusedTables,
     scratch: &mut QueryScratch,
     results: &mut [f64],
 ) {
@@ -344,13 +363,8 @@ pub fn estimate_batch_seeded_into(
         dedup_hits += (gather_rows.len() - nuniq) as u64;
 
         // compact forward over just the unique prefixes
-        match fused {
-            Some(tables) => {
-                net.forward_column_fused(tables, nn, gather_inputs, nuniq, slot, logits);
-                skipped_flops += tables.skipped_layer1_flops(nuniq);
-            }
-            None => net.forward_column_into(nn, gather_inputs, nuniq, slot, logits),
-        }
+        net.forward_column_fused(tables, nn, gather_inputs, nuniq, slot, logits);
+        skipped_flops += tables.skipped_layer1_flops(nuniq);
         let width = net.domain_size(slot);
 
         // one softmax per unique prefix, reused by every duplicate row
@@ -553,82 +567,6 @@ pub fn estimate_batch_seeded_into(
     p.layer1_skipped_flops.add(skipped_flops);
 }
 
-/// Parallel batched inference: queries are split into contiguous chunks,
-/// one `std::thread::scope` worker per chunk, all sharing the model
-/// immutably. Workers write straight into disjoint chunks of one shared
-/// result buffer (no per-worker result vectors, no final copy) and check
-/// their [`QueryScratch`] out of `pool`, so steady-state micro-batches
-/// reuse grown buffers across calls.
-///
-/// Because of the per-query seeding invariant (see module docs), the
-/// result is bitwise identical to [`estimate_batch_seeded`] with the same
-/// seeds, for every `threads` value.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_batch_parallel(
-    net: &MadeNet,
-    schema: &IamSchema,
-    plans: &[Option<Vec<SlotConstraint>>],
-    samples_per_query: usize,
-    seeds: &[u64],
-    fused: Option<&FusedTables>,
-    threads: usize,
-    pool: &ScratchPool,
-) -> Vec<f64> {
-    assert_eq!(plans.len(), seeds.len(), "one seed per query");
-    let mut results = vec![0.0f64; plans.len()];
-    let threads = threads.clamp(1, plans.len().max(1));
-    if threads == 1 {
-        let mut scratch = pool.take();
-        estimate_batch_seeded_into(
-            net,
-            schema,
-            plans,
-            samples_per_query,
-            seeds,
-            fused,
-            &mut scratch,
-            &mut results,
-        );
-        pool.put(scratch);
-        return results;
-    }
-    let chunk = plans.len().div_ceil(threads);
-    // the chunk decomposition must cover every query, tail chunk included:
-    // `chunks`/`chunks_mut` both emit ⌈len/chunk⌉ pieces whose lengths sum
-    // to len, and zipping three decompositions of equal-length slices keeps
-    // them aligned offset for offset
-    assert_eq!(
-        plans.chunks(chunk).map(<[_]>::len).sum::<usize>(),
-        results.len(),
-        "chunk decomposition must cover the tail chunk"
-    );
-    // the trace context is thread-local; hand each fan-out thread a child
-    // context so infer spans still stitch into the caller's trace tree
-    let ctx = iam_obs::tracetree::child_ctx();
-    std::thread::scope(|s| {
-        for ((pc, sc), rc) in
-            plans.chunks(chunk).zip(seeds.chunks(chunk)).zip(results.chunks_mut(chunk))
-        {
-            s.spawn(move || {
-                let _ctx = ctx.map(iam_obs::tracetree::install);
-                let mut scratch = pool.take();
-                estimate_batch_seeded_into(
-                    net,
-                    schema,
-                    pc,
-                    samples_per_query,
-                    sc,
-                    fused,
-                    &mut scratch,
-                    rc,
-                );
-                pool.put(scratch);
-            });
-        }
-    });
-    results
-}
-
 /// Append one window's `pick_in_window` accumulator to `arena`: entry `j`
 /// holds the running sum after including window value `j`, computed with
 /// the same skip-zeros sequential adds as [`pick_in_window`] — so a scan
@@ -687,12 +625,11 @@ fn pick_in_window(window: impl Iterator<Item = f64>, u: f64) -> Option<usize> {
 /// index. Returns `None` (and kills the sample) on zero mass.
 ///
 /// Reference implementation: the batched sampling pass in
-/// [`estimate_batch_seeded_into`] hoists this window's mass sum and
-/// cumulative walk per (query, unique prefix) via [`push_cum`] and must
-/// stay bitwise-equivalent — the equivalence tests below compare against
-/// this function.
-#[cfg_attr(not(test), allow(dead_code))]
-fn sample_range(
+/// [`sample_chunk`] hoists this window's mass sum and cumulative walk per
+/// (query, unique prefix) via [`push_cum`] and must stay
+/// bitwise-equivalent — the equivalence tests below compare against this
+/// function. The AQP sampler (`aqp::sample_region`) draws with it directly.
+pub(crate) fn sample_range(
     probs: &[f32],
     a: usize,
     b: usize,
@@ -730,8 +667,11 @@ fn sample_point(probs: &[f32], a: usize, p_hat: &mut f64, rng: &mut StdRng) -> O
 
 /// Same, but over an already bias-corrected weight vector (`p_AR × P̂_GMM`).
 /// Reference implementation for the batched pass, like [`sample_range`].
-#[cfg_attr(not(test), allow(dead_code))]
-fn sample_weighted(weighted: &[f64], p_hat: &mut f64, rng: &mut StdRng) -> Option<usize> {
+pub(crate) fn sample_weighted(
+    weighted: &[f64],
+    p_hat: &mut f64,
+    rng: &mut StdRng,
+) -> Option<usize> {
     let mass: f64 = weighted.iter().sum();
     if mass <= 0.0 {
         *p_hat = 0.0;
@@ -917,20 +857,16 @@ mod tests {
 
     #[test]
     fn prefix_difference_clamped_zeros_are_never_selected() {
-        // regression (prefix-table fallout): a CDF prefix difference in a
-        // far tail can go tiny-negative from round-off before the
-        // `.max(0.0)` clamp, leaving *exact* 0.0 entries in the P̂_GMM
-        // mass vector. Those zeros must be unpickable under both the
-        // reference sampler and the batched hoisted pick, for boundary
-        // draws included.
+        // regression: a CDF difference in a far tail can go tiny-negative
+        // from round-off before `normal_mass`'s `.max(0.0)` clamp, leaving
+        // *exact* 0.0 entries in the P̂_GMM mass vector. Those zeros must
+        // be unpickable under both the reference sampler and the batched
+        // hoisted pick, for boundary draws included.
         let gmm =
             iam_gmm::Gmm1d::new(vec![0.4, 0.3, 0.3], vec![-50.0, 0.0, 50.0], vec![0.5, 1.0, 0.5]);
-        let grid: Vec<f64> = (-60..=60).map(|v| v as f64).collect();
-        let table = iam_gmm::CdfPrefixTable::build(&gmm, &grid);
-        let mut mass = Vec::new();
         // an interval deep in component 2's territory: components 0 and 1
         // have (clamped) zero mass there
-        table.mass_into(49.0, 51.0, &mut mass);
+        let mass = gmm.range_mass_exact(49.0, 51.0);
         assert_eq!(mass[0], 0.0, "far-tail mass must clamp to exactly 0.0");
         assert!(mass[2] > 0.0);
         // a plausible softmax row times that mass vector

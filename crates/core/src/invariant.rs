@@ -9,7 +9,7 @@
 //! builds compiled with the `invariants` feature) and **compiles to
 //! nothing** otherwise — every release-mode function body below is an
 //! empty `#[inline(always)]` stub, so the serving hot path pays zero
-//! instructions for them (verified against `BENCH_inference.json`).
+//! instructions for them.
 //!
 //! Callers in other crates that need to *prepare* data for a check (e.g.
 //! the coordinator's answer-coverage bitmap) should gate that work on

@@ -42,6 +42,6 @@ pub mod reduce;
 pub mod schema;
 pub mod train;
 
-pub use config::{IamConfig, RangeMassMode, ReducerKind, TablePrecision};
+pub use config::{IamConfig, RangeMassMode, ReducerKind};
 pub use estimator::{neurocard_lite, IamEstimator};
 pub use schema::{ColumnHandler, IamSchema, SlotConstraint};

@@ -261,7 +261,7 @@ fn read_reducer<R: Read>(
 
 impl IamEstimator {
     /// Serialise a trained estimator.
-    pub fn save<W: Write>(&mut self, w: &mut W) -> Result<(), PersistError> {
+    pub fn save<W: Write>(&self, w: &mut W) -> Result<(), PersistError> {
         w.write_all(MAGIC)?;
         // config (everything needed to rebuild the net + inference behaviour)
         let c = &self.cfg;
@@ -317,17 +317,9 @@ impl IamEstimator {
         }
 
         // network parameters, flat
-        let precision = self.cfg.table_precision;
         let mut flat: Vec<f32> = Vec::new();
-        self.net_mut().visit_params(&mut |p, _| flat.extend_from_slice(p));
+        self.net().for_each_param(&mut |p| flat.extend_from_slice(p));
         w_vec_f32(w, &flat)?;
-        // fused-table precision: an OPTIONAL trailer byte after the flat
-        // params — pre-PR readers consumed exactly the fields above, and
-        // pre-PR payloads simply end here, which the loader treats as F32
-        w.write_all(&[precision.tag()])?;
-        // net_mut invalidated the fused tables (it must assume mutation);
-        // saving only read them, so rebuild right away
-        self.prepare_inference();
         Ok(())
     }
 
@@ -457,36 +449,33 @@ impl IamEstimator {
         if flat.iter().any(|x| !x.is_finite()) {
             return Err(bad("non-finite network parameter"));
         }
-        // optional fused-table precision trailer: snapshots written before
-        // the precision knob end right after the flat params (EOF → F32);
-        // unknown tags are rejected, a short garbage byte is not silently
-        // reinterpreted
-        let mut cfg = cfg;
+        // older snapshots end with one trailer byte: the fused-table
+        // precision tag (0/1/2) they were served at. They hold the full f32
+        // parameters either way and tables are rebuilt from those, so the
+        // tag is validated and dropped; any other byte is garbage, not
+        // silently accepted
         let mut trailer = [0u8; 1];
-        match r.read(&mut trailer)? {
-            0 => cfg.table_precision = crate::config::TablePrecision::F32,
-            _ => {
-                cfg.table_precision = crate::config::TablePrecision::from_tag(trailer[0])
-                    .ok_or(bad("bad table-precision tag"))?;
-            }
+        if r.read(&mut trailer)? != 0 && trailer[0] > 2 {
+            return Err(bad("bad snapshot trailer byte"));
         }
-        let mut est = IamEstimator::from_parts(cfg, schema, nrows, &name)?;
+        let mut est = IamEstimator::from_parts(cfg, schema, nrows, &name);
         let mut cursor = 0usize;
         let mut overflow = false;
-        est.net_mut().visit_params(&mut |p, _| {
-            if cursor + p.len() <= flat.len() {
-                p.copy_from_slice(&flat[cursor..cursor + p.len()]);
-            } else {
-                overflow = true;
-            }
-            cursor += p.len();
+        // the scoped mutator rebuilds the fused inference tables from the
+        // loaded parameters on exit (they are never persisted)
+        est.with_net_mut(|net| {
+            net.visit_params(&mut |p, _| {
+                if cursor + p.len() <= flat.len() {
+                    p.copy_from_slice(&flat[cursor..cursor + p.len()]);
+                } else {
+                    overflow = true;
+                }
+                cursor += p.len();
+            })
         });
         if overflow || cursor != flat.len() {
             return Err(PersistError::BadFormat("parameter tensor size mismatch"));
         }
-        // rebuild the fused inference tables from the loaded parameters
-        // (net_mut above invalidated them; they are never persisted)
-        est.prepare_inference();
         Ok(est)
     }
 
@@ -497,7 +486,7 @@ impl IamEstimator {
     /// complete, uncorrupted snapshot from a torn or bit-flipped one
     /// *before* attempting to install it (see `iam-dist` snapshot
     /// shipping).
-    pub fn save_framed<W: Write>(&mut self, w: &mut W) -> Result<(), PersistError> {
+    pub fn save_framed<W: Write>(&self, w: &mut W) -> Result<(), PersistError> {
         let mut payload = Vec::new();
         self.save(&mut payload)?;
         w.write_all(FRAME_MAGIC)?;
@@ -564,30 +553,39 @@ mod tests {
     }
 
     #[test]
-    fn table_precision_round_trips_and_old_payloads_default_to_f32() {
-        use crate::config::TablePrecision;
+    fn legacy_trailer_byte_is_validated_and_ignored() {
         let table = Dataset::Twi.generate(2500, 3);
-        let mut est = IamEstimator::fit(&table, cfg());
-        est.set_table_precision(TablePrecision::Int8);
+        let est = IamEstimator::fit(&table, cfg());
         let mut buf = Vec::new();
         est.save(&mut buf).unwrap();
-        let loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.cfg.table_precision, TablePrecision::Int8);
-        assert_eq!(loaded.table_precision(), Some(TablePrecision::Int8));
+        let mut gen = WorkloadGenerator::new(&table, WorkloadConfig::default(), 8);
+        let queries: Vec<_> =
+            gen.gen_queries(6).iter().map(|q| q.normalize(2).unwrap().0).collect();
+        let bits = |e: &IamEstimator| -> Vec<u64> {
+            e.estimate_batch_shared(&queries, 1).iter().map(|v| v.to_bits()).collect()
+        };
+        // the writer emits no trailer
+        let bare = IamEstimator::load(&mut buf.as_slice()).unwrap();
+        assert_eq!(bits(&bare), bits(&est));
 
-        // a payload without the trailer byte (the pre-precision format)
-        // must load as the F32 golden path
-        let legacy = &buf[..buf.len() - 1];
-        let loaded = IamEstimator::load(&mut &*legacy).unwrap();
-        assert_eq!(loaded.cfg.table_precision, TablePrecision::F32);
+        // a snapshot the previous format wrote at any precision (tag 0/1/2)
+        // holds the same f32 parameters and loads to the same bits
+        for tag in 0..=2u8 {
+            let mut legacy = buf.clone();
+            legacy.push(tag);
+            let loaded = IamEstimator::load(&mut legacy.as_slice()).unwrap();
+            assert_eq!(bits(&loaded), bits(&bare), "trailer tag {tag}");
+        }
 
-        // unknown tags are rejected, not misread
-        let mut bad = buf.clone();
-        *bad.last_mut().unwrap() = 7;
-        assert!(matches!(
-            IamEstimator::load(&mut bad.as_slice()),
-            Err(PersistError::BadFormat("bad table-precision tag"))
-        ));
+        // any other byte after the parameters is rejected, not misread
+        for junk in [3u8, 7, 0xFF] {
+            let mut bad = buf.clone();
+            bad.push(junk);
+            assert!(matches!(
+                IamEstimator::load(&mut bad.as_slice()),
+                Err(PersistError::BadFormat("bad snapshot trailer byte"))
+            ));
+        }
     }
 
     #[test]
@@ -616,7 +614,7 @@ mod tests {
     #[test]
     fn loaded_model_can_resume_training() {
         let table = Dataset::Twi.generate(3000, 2);
-        let mut est = IamEstimator::fit(&table, cfg());
+        let est = IamEstimator::fit(&table, cfg());
         let mut buf = Vec::new();
         est.save(&mut buf).unwrap();
         let mut loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
@@ -635,7 +633,7 @@ mod tests {
     fn framed_round_trip_and_corruption_detection() {
         let table = Dataset::Twi.generate(1200, 4);
         let small = IamConfig { epochs: 1, samples: 80, ..cfg() };
-        let mut est = IamEstimator::fit(&table, small);
+        let est = IamEstimator::fit(&table, small);
         let mut framed = Vec::new();
         est.save_framed(&mut framed).unwrap();
 

@@ -4,7 +4,7 @@ use super::DomainReducer;
 use crate::config::RangeMassMode;
 use iam_data::Interval;
 use iam_gmm::model::ComponentSamples;
-use iam_gmm::{CdfPrefixTable, Gmm1d};
+use iam_gmm::Gmm1d;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -17,28 +17,12 @@ pub struct GmmReducer {
     /// exact mode. Rebuilt whenever the mixture is updated.
     samples: Option<ComponentSamples>,
     sample_seed: u64,
-    /// Sorted distinct column values captured at schema-build time — the
-    /// token grid the CDF prefix table is computed over. Empty for models
-    /// reconstructed from a snapshot (no column data): those fall back to
-    /// direct `erf` evaluation, which yields bit-identical masses.
-    value_grid: Vec<f64>,
-    /// Cached per-component CDFs over `value_grid` (exact mode only).
-    /// Invalidated with the MC cache on every mixture update and rebuilt
-    /// by [`DomainReducer::finalize`].
-    prefix: Option<CdfPrefixTable>,
 }
 
 impl GmmReducer {
     /// Wrap a fitted mixture.
     pub fn new(gmm: Gmm1d, mode: RangeMassMode, sample_seed: u64) -> Self {
-        let mut r = GmmReducer {
-            gmm,
-            mode,
-            samples: None,
-            sample_seed,
-            value_grid: Vec::new(),
-            prefix: None,
-        };
+        let mut r = GmmReducer { gmm, mode, samples: None, sample_seed };
         r.rebuild_samples();
         r
     }
@@ -51,49 +35,20 @@ impl GmmReducer {
                 Some(ComponentSamples::new(&self.gmm, samples_per_component, &mut rng))
             }
         };
-        self.prefix = match self.mode {
-            RangeMassMode::Exact if !self.value_grid.is_empty() => {
-                let table = CdfPrefixTable::build(&self.gmm, &self.value_grid);
-                for c in 0..table.k() {
-                    crate::invariant::check_cdf_monotone(
-                        table.component_cdf(c),
-                        "GMM CDF prefix table",
-                    );
-                }
-                Some(table)
-            }
-            _ => None,
-        };
-    }
-
-    /// Attach the column's token grid (sorted, duplicate-free distinct
-    /// values) and precompute the CDF prefix table over it. Cached CDF
-    /// entries store exactly what `normal_mass` evaluates at those
-    /// bounds, so [`DomainReducer::range_mass`] stays bit-identical with
-    /// or without the table.
-    pub fn set_value_grid(&mut self, grid: Vec<f64>) {
-        self.value_grid = grid;
-        self.rebuild_samples();
     }
 
     /// Replace the mixture (joint training updates it every batch). Any
-    /// Monte-Carlo sample or CDF prefix cache is invalidated and lazily
-    /// rebuilt by [`DomainReducer::finalize`]; until then range masses fall
-    /// back to the exact CDF form.
+    /// Monte-Carlo sample cache is invalidated and lazily rebuilt by
+    /// [`DomainReducer::finalize`]; until then range masses fall back to
+    /// the exact CDF form.
     pub fn set_gmm(&mut self, gmm: Gmm1d) {
         self.gmm = gmm;
         self.samples = None;
-        self.prefix = None;
     }
 
     /// Borrow the underlying mixture.
     pub fn gmm(&self) -> &Gmm1d {
         &self.gmm
-    }
-
-    /// Whether the CDF prefix table is live (exact mode with a grid).
-    pub fn has_prefix_table(&self) -> bool {
-        self.prefix.is_some()
     }
 }
 
@@ -112,25 +67,17 @@ impl DomainReducer for GmmReducer {
 
     fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
         // open/closed bounds coincide for a continuous density
-        match (&self.samples, &self.prefix) {
-            (Some(cs), _) => {
-                out.clear();
-                out.extend(cs.range_mass(iv.lo, iv.hi));
-            }
-            // exact mode, grid available: two cached CDF lookups per
-            // component, bit-identical to range_mass_exact
-            (None, Some(table)) => table.mass_into(iv.lo, iv.hi, out),
-            (None, None) => {
-                out.clear();
-                out.extend(self.gmm.range_mass_exact(iv.lo, iv.hi));
-            }
+        out.clear();
+        match &self.samples {
+            Some(cs) => out.extend(cs.range_mass(iv.lo, iv.hi)),
+            None => out.extend(self.gmm.range_mass_exact(iv.lo, iv.hi)),
         }
         crate::invariant::check_mass_vector(out, "GMM range mass");
     }
 
     fn size_bytes(&self) -> usize {
         // only the 3K mixture parameters persist in a serialized model; the
-        // MC sample and CDF prefix caches are query-time scratch structures
+        // MC sample cache is a query-time scratch structure
         self.gmm.size_bytes()
     }
 
@@ -198,47 +145,6 @@ mod tests {
         let mut m = Vec::new();
         r.range_mass(&Interval::full(), &mut m);
         assert!(m.iter().all(|&x| (x - 1.0).abs() < 1e-9));
-    }
-
-    #[test]
-    fn prefix_table_masses_are_bitwise_identical_to_exact() {
-        let (gmm, mut data) = fitted();
-        data.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        data.dedup();
-        let bare = GmmReducer::new(gmm.clone(), RangeMassMode::Exact, 0);
-        let mut cached = GmmReducer::new(gmm, RangeMassMode::Exact, 0);
-        cached.set_value_grid(data.clone());
-        assert!(cached.has_prefix_table());
-        assert!(!bare.has_prefix_table());
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        // on-grid, off-grid, half-open, full, and empty intervals
-        let ivs = [
-            Interval::closed(data[10], data[data.len() / 2]),
-            Interval::closed(-2.123, 3.456),
-            Interval::closed(f64::NEG_INFINITY, data[42]),
-            Interval::full(),
-            Interval::closed(1.0, -1.0),
-        ];
-        for iv in &ivs {
-            bare.range_mass(iv, &mut a);
-            cached.range_mass(iv, &mut b);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a), bits(&b), "[{}, {}]", iv.lo, iv.hi);
-        }
-    }
-
-    #[test]
-    fn set_gmm_invalidates_the_prefix_table_until_finalize() {
-        let (gmm, mut data) = fitted();
-        data.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        data.dedup();
-        let mut r = GmmReducer::new(gmm.clone(), RangeMassMode::Exact, 0);
-        r.set_value_grid(data);
-        assert!(r.has_prefix_table());
-        r.set_gmm(gmm);
-        assert!(!r.has_prefix_table(), "stale table must not survive a mixture swap");
-        r.finalize();
-        assert!(r.has_prefix_table(), "finalize must rebuild the table from the kept grid");
     }
 
     #[test]

@@ -181,16 +181,7 @@ impl IamSchema {
                     } else {
                         iam_gmm::fit_em(&sample, cfg.components, 40, 1e-7).gmm
                     };
-                    let mut r = GmmReducer::new(init, cfg.range_mass, cfg.seed ^ 0x9e3779b9);
-                    if cfg.gmm_prefix_tables {
-                        // token grid for the CDF prefix table: the column's
-                        // sorted distinct values (query bounds land here)
-                        let mut grid = values.clone();
-                        grid.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                        grid.dedup();
-                        r.set_value_grid(grid);
-                    }
-                    Box::new(r)
+                    Box::new(GmmReducer::new(init, cfg.range_mass, cfg.seed ^ 0x9e3779b9))
                 }
                 ReducerKind::Hist => Box::new(HistReducer::fit(&sample, cfg.components)),
                 ReducerKind::Spline => Box::new(SplineReducer::fit(&sample, cfg.components)),

@@ -44,12 +44,13 @@ fn injected_nan_weight_trips_mass_invariant() {
     }
 
     // inject the bug: poison one weight in the middle of the net
-    est.net_mut().visit_params(&mut |p, _| {
-        if !p.is_empty() {
-            p[p.len() / 2] = f32::NAN;
-        }
+    est.with_net_mut(|net| {
+        net.visit_params(&mut |p, _| {
+            if !p.is_empty() {
+                p[p.len() / 2] = f32::NAN;
+            }
+        })
     });
-    est.prepare_inference();
 
     let err = catch_unwind(AssertUnwindSafe(|| {
         for q in &queries {

@@ -40,7 +40,7 @@ proptest! {
             seed: cfg_seed,
             ..IamConfig::default()
         };
-        let mut est = IamEstimator::fit(&table, cfg);
+        let est = IamEstimator::fit(&table, cfg);
 
         let mut buf = Vec::new();
         est.save(&mut buf).unwrap();

@@ -28,7 +28,7 @@ pub mod mlp;
 pub use adam::{Adam, AdamConfig};
 pub use embedding::Embedding;
 pub use linear::Linear;
-pub use made::{FusedTables, InferScratch, MadeConfig, MadeNet, TablePrecision};
+pub use made::{FusedTables, InferScratch, MadeConfig, MadeNet};
 pub use mlp::{Mlp, MlpConfig};
 
 /// Visitor over (parameter, gradient) pairs — the contract between models

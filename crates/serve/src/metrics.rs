@@ -198,7 +198,6 @@ impl Metrics {
             mean_batch: bat.mean(),
             max_batch: bat.max,
             batch_buckets: bat.bounds.iter().zip(&bat.counts).map(|(&b, &c)| (b, c)).collect(),
-            table_precision: "off",
             qerror_reports: 0,
             qerror_unmatched: 0,
             qerror_p50_milli: 0,
@@ -266,11 +265,6 @@ pub struct MetricsSnapshot {
     /// `(upper_bound, count)` per q-error bucket (milli-q); the last bound
     /// is `u64::MAX` (catch-all).
     pub qerror_buckets: Vec<(u64, u64)>,
-    /// Fused-table storage precision of the served model (`f32`, `f16`,
-    /// `int8`, or `off` when the fused path is disabled). Filled in by the
-    /// service, which can see the model; always a single token so the
-    /// `STATS` rendering stays line-oriented.
-    pub table_precision: &'static str,
 }
 
 impl MetricsSnapshot {
@@ -313,7 +307,6 @@ impl MetricsSnapshot {
         line("latency_us_max", self.latency_max_us.to_string());
         line("batch_size_mean", format!("{:.2}", self.mean_batch));
         line("batch_size_max", self.max_batch.to_string());
-        line("table_precision", self.table_precision.to_string());
         // bucket keys are sorted by bound before emit so this view, the
         // Prometheus exposition, and the JSONL snapshot all agree on
         // ordering — cross-exposition consistency asserts depend on it
@@ -400,9 +393,6 @@ mod tests {
         assert!(s.lines().all(|l| l.split(' ').count() == 2));
         assert!(s.contains("requests_total 0"));
         assert!(s.contains("batch_size_bucket_inf 0"));
-        // the bare metrics snapshot can't see the model; the service
-        // overwrites this with the live fused-table precision
-        assert!(s.contains("table_precision off"));
     }
 
     #[test]

@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn successful_load_swaps() {
-        let mut m = tiny_model(5);
+        let m = tiny_model(5);
         let mut buf = Vec::new();
         m.save(&mut buf).unwrap();
         let reg = ModelRegistry::new(tiny_model(6), "v1");

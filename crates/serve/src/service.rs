@@ -132,8 +132,6 @@ impl ServiceInner {
         s.qerror_p95_milli = h.quantile(0.95);
         s.qerror_p99_milli = h.quantile(0.99);
         s.qerror_buckets = h.bounds.iter().zip(&h.counts).map(|(&b, &c)| (b, c)).collect();
-        s.table_precision =
-            self.registry.current().model.table_precision().map_or("off", |p| p.name());
         s
     }
 

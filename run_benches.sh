@@ -2,16 +2,11 @@
 # Regenerates every paper table/figure. Scale via IAM_BENCH_* env vars.
 #
 # Simulation mode: IAM_BENCH_SIMULATE_CORES=N runs the thread-sweeping
-# benches (table7_batch_inference, table8_training_time) with N worker
-# threads even when the host has fewer physical cores. This exercises the
-# N-core sharding/determinism paths, but the wall-clock numbers are NOT
-# comparable to a real N-core host — both benches stamp the simulated
-# count into BENCH_inference.json / BENCH_training.json next to
-# "host_parallelism" so downstream readers can tell the runs apart.
-#
-# Accuracy gates: IAM_BENCH_QUANT_BUDGET bounds the max q-error the
-# quantized (f16/int8) fused tables may show vs f32 in
-# table7_batch_inference; the bench aborts if the budget is exceeded.
+# bench (table8_training_time) with N worker threads even when the host
+# has fewer physical cores. This exercises the N-core sharding/determinism
+# paths, but the wall-clock numbers are NOT comparable to a real N-core
+# host — the bench stamps the simulated count into BENCH_training.json
+# next to "host_parallelism" so downstream readers can tell the runs apart.
 set -eux
 cargo bench -p iam-bench --bench table2_wisdm
 cargo bench -p iam-bench --bench table3_twi
@@ -20,7 +15,6 @@ cargo bench -p iam-bench --bench table5_imdb
 cargo bench -p iam-bench --bench fig4_inference_time
 cargo bench -p iam-bench --bench table6_model_size
 cargo bench -p iam-bench --bench table7_batch
-cargo bench -p iam-bench --bench table7_batch_inference
 cargo bench -p iam-bench --bench fig5_end_to_end
 cargo bench -p iam-bench --bench fig6_training_curve
 cargo bench -p iam-bench --bench table8_training_time

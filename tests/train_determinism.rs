@@ -5,7 +5,6 @@
 
 use iam_core::{IamConfig, IamEstimator};
 use iam_data::synth::Dataset;
-use iam_nn::Parameters;
 
 fn fit(train_threads: usize) -> IamEstimator {
     // batch 150 with 64-row shards gives shards of 64/64/22 rows, so the
@@ -26,22 +25,22 @@ fn fit(train_threads: usize) -> IamEstimator {
     IamEstimator::fit(&table, cfg)
 }
 
-fn weight_bits(est: &mut IamEstimator) -> Vec<u32> {
+fn weight_bits(est: &IamEstimator) -> Vec<u32> {
     let mut bits = Vec::new();
-    est.net_mut().visit_params(&mut |w, _| bits.extend(w.iter().map(|v| v.to_bits())));
+    est.net().for_each_param(&mut |w| bits.extend(w.iter().map(|v| v.to_bits())));
     bits
 }
 
 #[test]
 fn trained_weights_are_bitwise_invariant_to_train_threads() {
-    let mut base = fit(1);
-    let base_bits = weight_bits(&mut base);
+    let base = fit(1);
+    let base_bits = weight_bits(&base);
     assert!(!base_bits.is_empty());
 
     for threads in [2, 4] {
-        let mut est = fit(threads);
+        let est = fit(threads);
         assert_eq!(
-            weight_bits(&mut est),
+            weight_bits(&est),
             base_bits,
             "weights diverged between train_threads=1 and train_threads={threads}"
         );
@@ -62,7 +61,7 @@ fn trained_weights_are_bitwise_invariant_to_train_threads() {
 
 #[test]
 fn train_threads_zero_means_auto_and_stays_invariant() {
-    let mut auto = fit(0); // one worker per available core
-    let mut one = fit(1);
-    assert_eq!(weight_bits(&mut auto), weight_bits(&mut one));
+    let auto = fit(0); // one worker per available core
+    let one = fit(1);
+    assert_eq!(weight_bits(&auto), weight_bits(&one));
 }

@@ -12,6 +12,7 @@ use iam_data::column::{CatColumn, Column, ContColumn};
 use iam_data::query::{Interval, Op, Predicate, Query};
 use iam_data::{RangeQuery, SelectivityEstimator, Table};
 use iam_gmm::Gmm1d;
+use iam_nn::InferScratch;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -44,7 +45,7 @@ fn small_table(n: usize, seed: u64) -> Table {
 /// Exhaustively compute the trained model's implied estimate for `rq`:
 /// enumerate every reduced tuple, chain the AR conditionals, and apply the
 /// same per-slot constraint weights the sampler uses.
-fn exhaustive_model_selectivity(est: &mut IamEstimator, rq: &RangeQuery) -> f64 {
+fn exhaustive_model_selectivity(est: &IamEstimator, rq: &RangeQuery) -> f64 {
     use iam_core::SlotConstraint;
     let plan = match est.schema.query_plan(rq) {
         Some(p) => p,
@@ -54,7 +55,7 @@ fn exhaustive_model_selectivity(est: &mut IamEstimator, rq: &RangeQuery) -> f64 
 
     // recursive enumeration over slot values, carrying prefix probability
     fn recurse(
-        est: &mut IamEstimator,
+        est: &IamEstimator,
         plan: &[iam_core::SlotConstraint],
         prefix: &mut Vec<usize>,
         slot: usize,
@@ -100,9 +101,9 @@ fn exhaustive_model_selectivity(est: &mut IamEstimator, rq: &RangeQuery) -> f64 
     }
 
     /// AR conditional for `slot` given a prefix (usize::MAX = MASK).
-    fn conditional(est: &mut IamEstimator, prefix: &[usize], slot: usize) -> Vec<f64> {
+    fn conditional(est: &IamEstimator, prefix: &[usize], slot: usize) -> Vec<f64> {
         let nslots = est.schema.nslots();
-        let net = est.net_mut();
+        let net = est.net();
         let mut inputs = vec![0usize; nslots];
         for s in 0..nslots {
             inputs[s] = if s < prefix.len() && prefix[s] != usize::MAX {
@@ -112,7 +113,9 @@ fn exhaustive_model_selectivity(est: &mut IamEstimator, rq: &RangeQuery) -> f64 
             };
         }
         let mut logits = Vec::new();
-        net.forward_column(&inputs, 1, slot, &mut logits);
+        // the plain (unfused) forward: the reference the production
+        // sampler's fused path is checked against
+        net.forward_column_into(&mut InferScratch::new(), &inputs, 1, slot, &mut logits);
         let mut probs = Vec::new();
         net.row_softmax(&logits, 0, net.domain_size(slot), &mut probs);
         probs.iter().map(|&p| p as f64).collect()
@@ -123,7 +126,7 @@ fn exhaustive_model_selectivity(est: &mut IamEstimator, rq: &RangeQuery) -> f64 
 }
 
 fn check_unbiased(mut est: IamEstimator, rq: &RangeQuery, runs: usize, tol: f64) {
-    let expected = exhaustive_model_selectivity(&mut est, rq);
+    let expected = exhaustive_model_selectivity(&est, rq);
     let mut total = 0.0;
     for r in 0..runs {
         est.reseed(0xBEEF + r as u64);
