@@ -82,9 +82,9 @@ fn write_json(rows: &[SweepRow], nrows: usize) {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"dataset_rows\": {nrows},\n"));
     s.push_str(&format!("  \"host_cores\": {cores},\n"));
-    // same honesty marker BENCH_cluster carries: numbers are
-    // only comparable across runs on hosts with the same parallelism, and
-    // a simulated (oversubscribed) sweep is flagged as such
+    // honesty marker: numbers are only comparable across runs on hosts
+    // with the same parallelism, and a simulated (oversubscribed) sweep is
+    // flagged as such
     s.push_str(&format!("  \"host_parallelism\": {cores},\n"));
     match simulated_cores() {
         Some(n) => s.push_str(&format!("  \"simulated_cores\": {n},\n")),

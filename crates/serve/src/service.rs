@@ -7,9 +7,10 @@
 //!    on a miss `try_send`s a request into the bounded queue — a full queue
 //!    rejects immediately with [`ServeError::Overloaded`] (backpressure,
 //!    never blocking the caller).
-//! 2. A worker thread pops the first pending request, then keeps popping
-//!    until it has [`ServeConfig::max_batch`] requests or the
-//!    [`ServeConfig::flush_interval`] window closes — the micro-batch.
+//! 2. A worker thread blocks for the first pending request, takes whatever
+//!    else is already queued, and — only while the batch is still short of
+//!    [`ServeConfig::max_batch`] — waits for more until the
+//!    [`ServeConfig::flush_interval`] window closes: the micro-batch.
 //! 3. The batch is deduplicated by canonical key, evaluated in **one**
 //!    batched inference call on the current model version, and each request
 //!    gets its reply through a per-request channel. Results enter the cache
@@ -52,9 +53,6 @@ pub struct ServeConfig {
     /// How long a worker holding a non-full batch waits for more requests
     /// before flushing it.
     pub flush_interval: Duration,
-    /// Threads used *inside* one batched inference call
-    /// (`IamEstimator::estimate_batch_shared`); does not change results.
-    pub inner_threads: usize,
     /// Total result-cache entries (`0` disables the cache).
     pub cache_capacity: usize,
     /// Cache shards (rounded up to a power of two).
@@ -76,7 +74,6 @@ impl Default for ServeConfig {
             max_batch: 32,
             queue_depth: 256,
             flush_interval: Duration::from_millis(2),
-            inner_threads: 1,
             cache_capacity: 4096,
             cache_shards: 8,
             request_timeout: Duration::from_secs(5),
@@ -380,15 +377,14 @@ impl Client {
         }
         for (i, rx) in pending {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(remaining) {
-                Ok(res) => out[i] = Some(res),
-                Err(_) => {
-                    // the worker will find the deadline expired (or reply
-                    // into a dropped channel); count the timeout here, once
-                    inner.metrics.timeout();
-                    out[i] = Some(Err(ServeError::Timeout));
-                }
+            // a timeout is counted here, once, whichever side noticed it:
+            // this wait running out, or the worker finding the deadline
+            // already passed and replying `Err(Timeout)`
+            let res = rx.recv_timeout(remaining).unwrap_or(Err(ServeError::Timeout));
+            if matches!(res, Err(ServeError::Timeout)) {
+                inner.metrics.timeout();
             }
+            out[i] = Some(res);
         }
         out.into_iter().map(|r| r.expect("every slot filled")).collect()
     }
@@ -486,65 +482,53 @@ struct BatchScratch {
     slots: Vec<usize>,
 }
 
+/// Batch assembly, shared by the normal path and the final drain: append
+/// what is already queued to `batch`, up to `max_batch` requests in total,
+/// and only wait — until `flush_at`; `None` never waits — for a batch that
+/// is still short.
+fn collect<T>(rx: &Receiver<T>, batch: &mut Vec<T>, max_batch: usize, flush_at: Option<Instant>) {
+    loop {
+        batch.extend(rx.try_iter().take(max_batch.saturating_sub(batch.len())));
+        if batch.len() >= max_batch {
+            return;
+        }
+        let Some(wait) = flush_at.and_then(|at| at.checked_duration_since(Instant::now())) else {
+            return;
+        };
+        match rx.recv_timeout(wait) {
+            Ok(r) => batch.push(r),
+            Err(_) => return,
+        }
+    }
+}
+
 fn worker_loop(inner: &ServiceInner) {
-    let mut batch: Vec<Request> = Vec::with_capacity(inner.cfg.max_batch.max(1));
+    let max_batch = inner.cfg.max_batch.max(1);
+    let mut batch: Vec<Request> = Vec::with_capacity(max_batch);
     let mut scratch = BatchScratch::default();
     loop {
-        batch.clear();
         {
             // hold the receiver only while assembling the batch, never
             // during inference — other workers collect the next batch
             // while this one computes
             let rx = inner.rx.lock().expect("queue receiver poisoned");
-            match rx.recv_timeout(IDLE_POLL) {
+            let flush_at = match rx.recv_timeout(IDLE_POLL) {
                 Ok(first) => {
                     batch.push(first);
-                    let flush_at = Instant::now() + inner.cfg.flush_interval;
-                    loop {
-                        // natural batching: always take what is already
-                        // queued without waiting …
-                        while batch.len() < inner.cfg.max_batch {
-                            match rx.try_recv() {
-                                Ok(r) => batch.push(r),
-                                Err(_) => break,
-                            }
-                        }
-                        if batch.len() >= inner.cfg.max_batch {
-                            break;
-                        }
-                        // … and only wait out the flush window for a batch
-                        // that is still short
-                        let now = Instant::now();
-                        if now >= flush_at {
-                            break;
-                        }
-                        match rx.recv_timeout(flush_at - now) {
-                            Ok(r) => batch.push(r),
-                            Err(_) => break,
-                        }
-                    }
+                    Some(Instant::now() + inner.cfg.flush_interval)
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    if inner.shutdown.load(Relaxed) {
-                        // final drain: catch any request that slipped past
-                        // the shutdown check concurrently with the flag flip
-                        let mut rest: Vec<Request> = Vec::new();
-                        while let Ok(r) = rx.try_recv() {
-                            rest.push(r);
-                        }
-                        drop(rx);
-                        inner.metrics.dequeued(rest.len());
-                        while !rest.is_empty() {
-                            let take = rest.len().min(inner.cfg.max_batch.max(1));
-                            let mut b: Vec<Request> = rest.drain(..take).collect();
-                            process_batch(inner, &mut b, &mut scratch);
-                        }
-                        return;
-                    }
-                    continue;
-                }
+                Err(RecvTimeoutError::Timeout) if !inner.shutdown.load(Relaxed) => continue,
+                // shutting down and idle — final drain: catch any request
+                // that slipped past the shutdown check concurrently with
+                // the flag flip
+                Err(RecvTimeoutError::Timeout) => None,
                 Err(RecvTimeoutError::Disconnected) => return,
-            }
+            };
+            collect(&rx, &mut batch, max_batch, flush_at);
+        }
+        if batch.is_empty() {
+            // only the final drain can come up empty: nothing is left
+            return;
         }
         inner.metrics.dequeued(batch.len());
         process_batch(inner, &mut batch, &mut scratch);
@@ -564,7 +548,8 @@ fn process_batch(inner: &ServiceInner, batch: &mut Vec<Request>, scratch: &mut B
     queries.clear();
     slots.clear();
 
-    // expire requests whose client has already given up
+    // expire requests whose client has already given up (the client counts
+    // the timeout when it reads this reply)
     for req in batch.drain(..) {
         if now >= req.deadline {
             let _ = req.reply.try_send(Err(ServeError::Timeout));
@@ -596,7 +581,8 @@ fn process_batch(inner: &ServiceInner, batch: &mut Vec<Request>, scratch: &mut B
             slots.push(slot);
         }
 
-        version.model.estimate_batch_shared(queries, inner.cfg.inner_threads)
+        // one thread per batch: parallelism comes from `workers` alone
+        version.model.estimate_batch_shared(queries, 1)
     };
     inner.metrics.batch(live.len(), queries.len());
 
@@ -629,4 +615,33 @@ fn process_batch(inner: &ServiceInner, batch: &mut Vec<Request>, scratch: &mut B
     // replies are sent; drop the request handles now rather than holding
     // them (and their channels) alive until the next batch arrives
     live.clear();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// With k requests queued and `max_batch` m, a batch is the first
+    /// min(k, m) of them and the rest stay queued in order; a full batch
+    /// never consults the clock, and without a flush window a short one
+    /// does not wait for company.
+    #[test]
+    fn collect_takes_what_is_queued() {
+        let (tx, rx) = sync_channel(8);
+        (0..5).for_each(|i| tx.send(i).unwrap());
+        // what `worker_loop` does: block for the first, collect the rest
+        let mut batch = vec![rx.recv().unwrap()];
+        collect(&rx, &mut batch, 3, Some(Instant::now() + Duration::from_secs(60)));
+        assert_eq!(batch, [0, 1, 2]);
+
+        // the final drain's form: no first request in hand, no window
+        batch.clear();
+        collect(&rx, &mut batch, 3, None);
+        assert_eq!(batch, [3, 4]);
+
+        tx.send(5).unwrap();
+        let mut batch = vec![rx.recv().unwrap()];
+        collect(&rx, &mut batch, 3, None);
+        assert_eq!(batch, [5]);
+    }
 }

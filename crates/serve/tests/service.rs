@@ -46,7 +46,6 @@ fn service_matches_direct_inference_bitwise() {
             workers: 2,
             max_batch: 8,
             flush_interval: Duration::from_millis(5),
-            inner_threads: 2,
             ..ServeConfig::default()
         },
     );
@@ -137,6 +136,35 @@ fn overloaded_queue_rejects_without_blocking() {
     let snap = service.shutdown();
     assert_eq!(snap.overloaded, 1);
     assert_eq!(snap.timeouts, 2);
+}
+
+/// `timeouts` counts every `Timeout` a caller received, whichever side
+/// noticed the deadline: the client's own wait running out, or the worker
+/// expiring the request and replying `Err(Timeout)`. One worker answering
+/// one query per batch cannot finish 64 queries inside the shared deadline,
+/// so most of them reach the worker already expired.
+#[test]
+fn timeouts_counts_every_timeout_returned() {
+    let est = tiny_model(8);
+    let queries = workload(8, 64);
+    let direct = est.estimate_batch_shared(&queries, 1);
+    let service = Service::start(
+        est,
+        "v1",
+        ServeConfig { workers: 1, max_batch: 1, cache_capacity: 0, ..ServeConfig::default() },
+    );
+
+    let results = service.client().estimate_many_timeout(&queries, Duration::from_millis(1));
+    let mut timed_out = 0u64;
+    for (i, (res, d)) in results.iter().zip(&direct).enumerate() {
+        match res {
+            Ok(v) => assert_eq!(v.to_bits(), d.to_bits(), "query {i}"),
+            Err(ServeError::Timeout) => timed_out += 1,
+            Err(e) => panic!("query {i}: {e}"),
+        }
+    }
+    let snap = service.shutdown();
+    assert_eq!(snap.timeouts, timed_out, "{snap:?}");
 }
 
 /// Hot-swapping changes which model answers; version-tagged cache entries

@@ -51,7 +51,6 @@ fn main() {
             workers: 2,
             max_batch: 16,
             flush_interval: Duration::from_millis(2),
-            inner_threads: 2,
             ..ServeConfig::default()
         },
     );
