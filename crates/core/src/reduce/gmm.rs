@@ -4,7 +4,7 @@ use super::DomainReducer;
 use crate::config::RangeMassMode;
 use iam_data::Interval;
 use iam_gmm::model::ComponentSamples;
-use iam_gmm::Gmm1d;
+use iam_gmm::{Gmm1d, Scorer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -12,6 +12,9 @@ use rand::SeedableRng;
 #[derive(Clone)]
 pub struct GmmReducer {
     gmm: Gmm1d,
+    /// `gmm`'s scoring kernel (its `ln φ_k`/`ln σ_k` hoisted out of
+    /// [`DomainReducer::reduce`]); refreshed wherever `gmm` is set.
+    scorer: Scorer,
     mode: RangeMassMode,
     /// Pre-drawn per-component samples for the Monte-Carlo mode; `None` in
     /// exact mode. Rebuilt whenever the mixture is updated.
@@ -22,7 +25,8 @@ pub struct GmmReducer {
 impl GmmReducer {
     /// Wrap a fitted mixture.
     pub fn new(gmm: Gmm1d, mode: RangeMassMode, sample_seed: u64) -> Self {
-        let mut r = GmmReducer { gmm, mode, samples: None, sample_seed };
+        let scorer = gmm.scorer();
+        let mut r = GmmReducer { gmm, scorer, mode, samples: None, sample_seed };
         r.rebuild_samples();
         r
     }
@@ -42,6 +46,7 @@ impl GmmReducer {
     /// [`DomainReducer::finalize`]; until then range masses fall back to
     /// the exact CDF form.
     pub fn set_gmm(&mut self, gmm: Gmm1d) {
+        self.scorer = gmm.scorer();
         self.gmm = gmm;
         self.samples = None;
     }
@@ -62,7 +67,7 @@ impl DomainReducer for GmmReducer {
     }
 
     fn reduce(&self, v: f64) -> usize {
-        self.gmm.assign(v)
+        self.scorer.assign(v)
     }
 
     fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
@@ -150,9 +155,15 @@ mod tests {
     #[test]
     fn reduce_is_argmax_assignment() {
         let (gmm, _) = fitted();
-        let r = GmmReducer::new(gmm.clone(), RangeMassMode::Exact, 0);
-        assert_eq!(r.reduce(-3.0), gmm.assign(-3.0));
+        let mut r = GmmReducer::new(gmm.clone(), RangeMassMode::Exact, 0);
         assert_eq!(r.k(), 2);
         assert_eq!(r.size_bytes(), 48);
+        let sweep = || (-600..600).map(|i| i as f64 * 0.0173);
+        assert!(sweep().all(|v| r.reduce(v) == gmm.assign(v)));
+        // the hoisted constants follow the mixture through `set_gmm`
+        let other = Gmm1d::new(vec![0.2, 0.1, 0.7], vec![4.0, -1.0, 0.5], vec![0.3, 2.0, 1.0]);
+        r.set_gmm(other.clone());
+        assert!(sweep().all(|v| r.reduce(v) == other.assign(v)));
+        assert!(sweep().any(|v| other.assign(v) != gmm.assign(v)), "the sweep tells them apart");
     }
 }

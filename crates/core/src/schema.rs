@@ -19,6 +19,7 @@ use crate::config::{IamConfig, ReducerKind};
 use crate::reduce::{DomainReducer, GmmReducer, HistReducer, SplineReducer, UmmReducer};
 use iam_data::{Column, ColumnEncoding, RangeQuery, Table};
 use iam_gmm::VbgmConfig;
+use std::borrow::Cow;
 
 /// How one table column is presented to the AR model.
 pub enum ColumnHandler {
@@ -165,11 +166,11 @@ impl IamSchema {
                 Column::Categorical(_) => unreachable!("reduce only targets continuous"),
             };
             // fit on a bounded sample for speed; the joint loop refines GMMs
-            let sample: Vec<f64> = if values.len() > 20_000 {
+            let sample: Cow<[f64]> = if values.len() > 20_000 {
                 let stride = values.len() / 20_000 + 1;
-                values.iter().copied().step_by(stride).collect()
+                Cow::Owned(values.iter().copied().step_by(stride).collect())
             } else {
-                values.clone()
+                Cow::Borrowed(values)
             };
             let reducer: Box<dyn DomainReducer> = match cfg.reducer {
                 ReducerKind::Gmm => {

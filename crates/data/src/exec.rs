@@ -1,32 +1,29 @@
 //! Exact selectivity computation by columnar scan — the ground truth.
 
+use crate::column::Column;
 use crate::query::{Query, RangeQuery};
 use crate::table::Table;
 
+/// The one columnar narrowing loop: dispatch on the column type once, then
+/// clear `alive` for every row whose value (categorical codes as `f64`, the
+/// shared comparison space) fails `keep` — a branch-free `&=` over the typed
+/// slice.
+fn narrow(col: &Column, alive: &mut [bool], keep: impl Fn(f64) -> bool) {
+    match col {
+        Column::Categorical(c) => {
+            alive.iter_mut().zip(&c.codes).for_each(|(a, &code)| *a &= keep(code as f64))
+        }
+        Column::Continuous(c) => alive.iter_mut().zip(&c.values).for_each(|(a, &v)| *a &= keep(v)),
+    }
+}
+
 /// Count rows of `table` matching the conjunction `q` exactly.
 pub fn exact_count(table: &Table, q: &Query) -> usize {
-    // Columnar evaluation: start from all-true and narrow per predicate,
-    // cheapest-first is unnecessary at our scales.
-    let n = table.nrows();
-    let mut alive: Vec<bool> = vec![true; n];
+    // start from all-true and narrow per predicate; cheapest-first is
+    // unnecessary at our scales
+    let mut alive = vec![true; table.nrows()];
     for p in &q.predicates {
-        let col = &table.columns[p.col];
-        match col {
-            crate::column::Column::Categorical(c) => {
-                for (a, &code) in alive.iter_mut().zip(&c.codes) {
-                    if *a && !p.matches(code as f64) {
-                        *a = false;
-                    }
-                }
-            }
-            crate::column::Column::Continuous(c) => {
-                for (a, &v) in alive.iter_mut().zip(&c.values) {
-                    if *a && !p.matches(v) {
-                        *a = false;
-                    }
-                }
-            }
-        }
+        narrow(&table.columns[p.col], &mut alive, |v| p.matches(v));
     }
     alive.iter().filter(|&&a| a).count()
 }
@@ -45,14 +42,10 @@ pub fn exact_selectivity_ranges(table: &Table, rq: &RangeQuery) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    let mut alive: Vec<bool> = vec![true; n];
+    let mut alive = vec![true; n];
     for (ci, iv) in rq.cols.iter().enumerate() {
-        let Some(iv) = iv else { continue };
-        let col = &table.columns[ci];
-        for (r, a) in alive.iter_mut().enumerate() {
-            if *a && !iv.contains(col.value_as_f64(r)) {
-                *a = false;
-            }
+        if let Some(iv) = iv {
+            narrow(&table.columns[ci], &mut alive, |v| iv.contains(v));
         }
     }
     alive.iter().filter(|&&a| a).count() as f64 / n as f64

@@ -4,7 +4,8 @@
 //! the index of its most probable component, shrinking domains from millions
 //! of distinct values to `K ≈ 30`. This crate provides:
 //!
-//! * the [`Gmm1d`] model — pdf, posteriors, argmax assignment (Eq. 5),
+//! * the [`Gmm1d`] model — pdf, posteriors, argmax assignment (Eq. 5), all
+//!   scored by the one [`Scorer`] kernel that EM and the SGD trainer share,
 //!   per-component range mass `P̂_GMM(R)` both exactly (via `erf`) and by the
 //!   paper's Monte-Carlo scheme, and sampling;
 //! * classic [`em`] fitting (the reference the paper contrasts with);
@@ -23,7 +24,7 @@ pub mod sgd;
 pub mod vbgm;
 
 pub use em::fit_em;
-pub use model::Gmm1d;
+pub use model::{Gmm1d, Scorer};
 pub use prefix::CdfPrefixTable;
 pub use sgd::{GmmSgdTrainer, SgdConfig};
 pub use vbgm::{fit_vbgm, VbgmConfig};

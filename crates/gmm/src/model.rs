@@ -1,7 +1,55 @@
-//! The 1-D Gaussian mixture model and its query-time operations.
+//! The 1-D Gaussian mixture model, its scoring kernel ([`Scorer`]) and its
+//! query-time operations.
 
-use crate::math::{log_sum_exp, normal_log_pdf, normal_mass, normal_pdf};
+use crate::math::{log_sum_exp, normal_mass, normal_pdf};
 use rand::{Rng, RngExt};
+
+/// The one GMM scoring kernel: `[ln φ_k, μ_k, σ_k, ln σ_k]` per component,
+/// both `ln`s taken once per parameter set instead of once per value.
+///
+/// A score is `ln φ_k + ((−½z² − ln σ_k) − ln√2π)` with `z = (x − μ_k)/σ_k`:
+/// the association of `φ_k.ln() + normal_log_pdf(x, μ_k, σ_k)`, so hoisting
+/// the constants (and keeping the division) moves no bit. EM, the SGD
+/// trainer, the reducer and every per-value [`Gmm1d`] method score through
+/// it; whatever loops over values builds it once.
+#[derive(Debug, Clone)]
+pub struct Scorer(Vec<[f64; 4]>);
+
+impl Scorer {
+    /// Hoist the constants of a parameter set, used as given.
+    pub fn new(weights: &[f64], means: &[f64], stds: &[f64]) -> Self {
+        let consts = |k: usize| [weights[k].ln(), means[k], stds[k], stds[k].ln()];
+        Scorer((0..weights.len()).map(consts).collect())
+    }
+
+    #[inline]
+    fn score(&[ln_w, mean, std, ln_std]: &[f64; 4], x: f64) -> f64 {
+        let z = (x - mean) / std;
+        ln_w + (-0.5 * z * z - ln_std - 0.918_938_533_204_672_7) // ln(sqrt(2π))
+    }
+
+    /// Write `ln(φ_k N(x | μ_k, σ_k²))` for each of the `K` components into
+    /// `out` and return their log-sum-exp, the log mixture density at `x`;
+    /// `(out[k] − lse).exp()` is component `k`'s responsibility for `x`.
+    pub fn scores_into(&self, x: f64, out: &mut [f64]) -> f64 {
+        assert_eq!(out.len(), self.0.len(), "one score slot per component");
+        out.iter_mut().zip(&self.0).for_each(|(o, c)| *o = Self::score(c, x));
+        log_sum_exp(out)
+    }
+
+    /// The paper's Eq. 5: index of the (first) component with maximal
+    /// `φ_k N(x | μ_k, σ_k²)` — the *reduced* attribute value `a'`.
+    pub fn assign(&self, x: f64) -> usize {
+        let mut best = (0, f64::NEG_INFINITY);
+        for (k, c) in self.0.iter().enumerate() {
+            let score = Self::score(c, x);
+            if score > best.1 {
+                best = (k, score);
+            }
+        }
+        best.0
+    }
+}
 
 /// A one-dimensional Gaussian mixture with `K` components.
 ///
@@ -42,47 +90,28 @@ impl Gmm1d {
         (0..self.k()).map(|k| self.weights[k] * normal_pdf(x, self.means[k], self.stds[k])).sum()
     }
 
+    /// The scoring kernel over this mixture's parameters. The per-value
+    /// methods below build one per call; loops over values hold their own.
+    pub fn scorer(&self) -> Scorer {
+        Scorer::new(&self.weights, &self.means, &self.stds)
+    }
+
     /// Log mixture density at `x` (log-sum-exp stable).
     pub fn log_pdf(&self, x: f64) -> f64 {
-        let logs: Vec<f64> = (0..self.k())
-            .map(|k| self.weights[k].ln() + normal_log_pdf(x, self.means[k], self.stds[k]))
-            .collect();
-        log_sum_exp(&logs)
+        self.scorer().scores_into(x, &mut vec![0.0; self.k()])
     }
 
-    /// Posterior responsibilities `P(component = k | x)` into `out`.
-    pub fn posteriors_into(&self, x: f64, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            (0..self.k())
-                .map(|k| self.weights[k].ln() + normal_log_pdf(x, self.means[k], self.stds[k])),
-        );
-        let lse = log_sum_exp(out);
-        for v in out.iter_mut() {
-            *v = (*v - lse).exp();
-        }
-    }
-
-    /// Posterior responsibilities as a fresh vector.
+    /// Posterior responsibilities `P(component = k | x)`.
     pub fn posteriors(&self, x: f64) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.k());
-        self.posteriors_into(x, &mut out);
+        let mut out = vec![0.0; self.k()];
+        let lse = self.scorer().scores_into(x, &mut out);
+        out.iter_mut().for_each(|v| *v = (*v - lse).exp());
         out
     }
 
-    /// The paper's Eq. 5: index of the component with maximal
-    /// `φ_k N(x | μ_k, σ_k²)` — the *reduced* attribute value `a'`.
+    /// Argmax assignment of one value, see [`Scorer::assign`].
     pub fn assign(&self, x: f64) -> usize {
-        let mut best = 0;
-        let mut best_score = f64::NEG_INFINITY;
-        for k in 0..self.k() {
-            let score = self.weights[k].ln() + normal_log_pdf(x, self.means[k], self.stds[k]);
-            if score > best_score {
-                best_score = score;
-                best = k;
-            }
-        }
-        best
+        self.scorer().assign(x)
     }
 
     /// Exact per-component range mass: `P̂_GMM^k(R) = P(R | component k)`
@@ -138,7 +167,9 @@ impl Gmm1d {
         if values.is_empty() {
             return 0.0;
         }
-        -values.iter().map(|&v| self.log_pdf(v)).sum::<f64>() / values.len() as f64
+        let (scorer, mut scores) = (self.scorer(), vec![0.0; self.k()]);
+        -values.iter().map(|&v| scorer.scores_into(v, &mut scores)).sum::<f64>()
+            / values.len() as f64
     }
 
     /// Serialized parameter footprint in bytes: `3K` f64 parameters.
@@ -233,10 +264,15 @@ impl ComponentSamples {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Every parameter's bit pattern, for the bit-identity tests.
+    pub(crate) fn param_bits(g: &Gmm1d) -> Vec<u64> {
+        g.weights.iter().chain(&g.means).chain(&g.stds).map(|x| x.to_bits()).collect()
+    }
 
     fn two_comp() -> Gmm1d {
         Gmm1d::new(vec![0.25, 0.75], vec![-2.0, 3.0], vec![0.5, 1.0])
@@ -255,6 +291,34 @@ mod tests {
         for x in [-3.0, 0.0, 3.0, 10.0] {
             assert!((g.pdf(x).ln() - g.log_pdf(x)).abs() < 1e-9, "at {x}");
         }
+    }
+
+    #[test]
+    fn kernel_scores_keep_the_bits_of_normal_log_pdf() {
+        use crate::math::normal_log_pdf;
+        let g = Gmm1d::new(vec![0.1, 0.6, 0.3], vec![-40.0, 0.25, 1e3], vec![1e-3, 2.5, 70.0]);
+        let (scorer, mut scores) = (g.scorer(), vec![0.0; 3]);
+        for i in -400..400 {
+            let x = i as f64 * 3.7;
+            let want: Vec<f64> = (0..3)
+                .map(|k| g.weights[k].ln() + normal_log_pdf(x, g.means[k], g.stds[k]))
+                .collect();
+            let lse = scorer.scores_into(x, &mut scores);
+            let same_bits =
+                |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same_bits(&scores, &want), "scores at {x}");
+            assert_eq!(lse.to_bits(), log_sum_exp(&want).to_bits());
+            assert_eq!(g.log_pdf(x).to_bits(), lse.to_bits());
+            // first maximal score wins, as in the hand-written argmax
+            let first_max = want.iter().position(|&s| s == want.iter().copied().fold(s, f64::max));
+            assert_eq!(Some(g.assign(x)), first_max);
+            let resp: Vec<f64> = want.iter().map(|w| (w - lse).exp()).collect();
+            assert!(same_bits(&g.posteriors(x), &resp), "posteriors at {x}");
+        }
+        assert_eq!(
+            g.nll(&[1.0, 2.0]).to_bits(),
+            (-(g.log_pdf(1.0) + g.log_pdf(2.0)) / 2.0).to_bits()
+        );
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! * `∂L/∂log σ_k  = −r_k ((x − μ_k)²/σ_k² − 1)`
 //! * `∂L/∂logit_k  = −(r_k − π_k)`
 //!
-//! where `r_k` is the posterior responsibility of component `k` for `x`.
+//! where `r_k` is the posterior responsibility of component `k` for `x`,
+//! taken from the crate's scoring kernel ([`Scorer`]) built once per step.
 
-use crate::math::{log_sum_exp, normal_log_pdf};
-use crate::model::Gmm1d;
+use crate::math::log_sum_exp;
+use crate::model::{Gmm1d, Scorer};
 use rand::{Rng, RngExt};
 
 /// Draw a standard normal (Marsaglia polar); shared by model sampling.
@@ -113,16 +114,14 @@ impl GmmSgdTrainer {
         }
         let k = self.k();
         let weights = self.weights();
-        let log_w: Vec<f64> = weights.iter().map(|w| w.ln()).collect();
         let stds: Vec<f64> = self.log_stds.iter().map(|l| l.exp().max(self.cfg.min_std)).collect();
+        // `ln π_k` and `ln σ_k` once per step, not once per value
+        let scorer = Scorer::new(&weights, &self.means, &stds);
 
         self.grad.iter_mut().for_each(|g| *g = 0.0);
         let mut nll = 0.0;
         for &x in batch {
-            for c in 0..k {
-                self.scratch_logp[c] = log_w[c] + normal_log_pdf(x, self.means[c], stds[c]);
-            }
-            let lse = log_sum_exp(&self.scratch_logp);
+            let lse = scorer.scores_into(x, &mut self.scratch_logp);
             nll -= lse;
             for c in 0..k {
                 let r = (self.scratch_logp[c] - lse).exp();
@@ -229,6 +228,74 @@ mod tests {
             let fd = (nll_perturbed(i, h) - nll_perturbed(i, -h)) / (2.0 * h);
             assert!((fd - want).abs() < 1e-4, "param {i}: finite-diff {fd} vs analytic {want}");
         }
+    }
+
+    /// `step` as it was before the scoring kernel, verbatim: `ln π_k`
+    /// hoisted by hand, `ln σ_k` inside `normal_log_pdf` per value.
+    fn reference_step(tr: &mut GmmSgdTrainer, batch: &[f64]) -> f64 {
+        if batch.is_empty() {
+            return 0.0;
+        }
+        let k = tr.k();
+        let weights = tr.weights();
+        let log_w: Vec<f64> = weights.iter().map(|w| w.ln()).collect();
+        let stds: Vec<f64> = tr.log_stds.iter().map(|l| l.exp().max(tr.cfg.min_std)).collect();
+
+        tr.grad.iter_mut().for_each(|g| *g = 0.0);
+        let mut nll = 0.0;
+        for &x in batch {
+            for c in 0..k {
+                tr.scratch_logp[c] =
+                    log_w[c] + crate::math::normal_log_pdf(x, tr.means[c], stds[c]);
+            }
+            let lse = log_sum_exp(&tr.scratch_logp);
+            nll -= lse;
+            for c in 0..k {
+                let r = (tr.scratch_logp[c] - lse).exp();
+                let d = (x - tr.means[c]) / stds[c];
+                // parameter layout: [logits | means | log_stds]
+                tr.grad[c] += -(r - weights[c]);
+                tr.grad[k + c] += -r * d / stds[c];
+                tr.grad[2 * k + c] += -r * (d * d - 1.0);
+            }
+        }
+        let scale = 1.0 / batch.len() as f64;
+        nll *= scale;
+
+        tr.t += 1;
+        let lr = tr.cfg.lr;
+        let (b1, b2, eps) = (tr.cfg.beta1, tr.cfg.beta2, tr.cfg.eps);
+        let bc1 = 1.0 - b1.powi(tr.t as i32);
+        let bc2 = 1.0 - b2.powi(tr.t as i32);
+        for i in 0..3 * k {
+            let g = tr.grad[i] * scale;
+            tr.m[i] = b1 * tr.m[i] + (1.0 - b1) * g;
+            tr.v[i] = b2 * tr.v[i] + (1.0 - b2) * g * g;
+            let mhat = tr.m[i] / bc1;
+            let vhat = tr.v[i] / bc2;
+            let delta = lr * mhat / (vhat.sqrt() + eps);
+            match i / k {
+                0 => tr.logits[i] -= delta,
+                1 => tr.means[i - k] -= delta,
+                _ => tr.log_stds[i - 2 * k] -= delta,
+            }
+        }
+        nll
+    }
+
+    #[test]
+    fn fifty_steps_are_bit_identical_to_the_normal_log_pdf_reference() {
+        let truth = Gmm1d::new(vec![0.2, 0.5, 0.3], vec![-6.0, 0.5, 7.0], vec![0.4, 2.0, 1.1]);
+        let d = data(&truth, 2000, 11);
+        let init = Gmm1d::new(vec![0.3, 0.3, 0.4], vec![-2.0, 0.0, 2.0], vec![3.0, 3.0, 3.0]);
+        let mut kernel = GmmSgdTrainer::from_init(&init, SgdConfig::default());
+        let mut reference = kernel.clone();
+        for batch in d.chunks(40) {
+            let (a, b) = (kernel.step(batch), reference_step(&mut reference, batch));
+            assert_eq!(a.to_bits(), b.to_bits(), "batch NLL");
+        }
+        use crate::model::tests::param_bits;
+        assert_eq!(param_bits(&kernel.snapshot()), param_bits(&reference.snapshot()));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! interval algebra vs. exact scans, encodings, q-error axioms, GMM
 //! numerics and factorised range semantics.
 
-use iam_data::column::{Column, ContColumn};
+use iam_data::column::{CatColumn, Column, ContColumn};
 use iam_data::query::{Interval, Op, Predicate, Query};
 use iam_data::{exact_selectivity, q_error, ColumnEncoding, Table};
 use iam_gmm::Gmm1d;
@@ -11,31 +11,49 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Normalising predicates to intervals preserves exact selectivity.
+    /// Normalising predicates to intervals preserves exact selectivity —
+    /// exactly, on multi-column tables mixing categorical and continuous
+    /// columns, with strict and non-strict bounds that land on stored
+    /// values — and both columnar scans agree with a row-at-a-time scan.
     #[test]
     fn normalisation_preserves_selectivity(
-        values in prop::collection::vec(-100.0f64..100.0, 1..200),
-        ops in prop::collection::vec(0usize..5, 1..5),
-        bounds in prop::collection::vec(-120.0f64..120.0, 5),
+        n in 1usize..200,
+        // half-integers, so bounds drawn from the same grid hit values
+        xs in prop::collection::vec(-20i32..20, 200),
+        ys in prop::collection::vec(-20i32..20, 200),
+        codes in prop::collection::vec(0u32..6, 200),
+        cols in prop::collection::vec(0usize..3, 1..7),
+        ops in prop::collection::vec(0usize..5, 7),
+        bounds in prop::collection::vec(-22i32..22, 7),
     ) {
+        let halves = |v: &[i32]| v[..n].iter().map(|&i| i as f64 * 0.5).collect();
         let table = Table::new(
             "p",
-            vec![Column::Continuous(ContColumn::new("x", values))],
+            vec![
+                Column::Continuous(ContColumn::new("x", halves(&xs))),
+                Column::Categorical(CatColumn::from_codes_dense("c", codes[..n].to_vec(), 6)),
+                Column::Continuous(ContColumn::new("y", halves(&ys))),
+            ],
         ).unwrap();
-        let preds: Vec<Predicate> = ops
+        let preds: Vec<Predicate> = cols
             .iter()
-            .zip(&bounds)
-            .map(|(&o, &v)| Predicate {
-                col: 0,
+            .zip(ops.iter().zip(&bounds))
+            .map(|(&col, (&o, &b))| Predicate {
+                col,
                 op: [Op::Eq, Op::Lt, Op::Le, Op::Gt, Op::Ge][o],
-                value: v,
+                // categorical operands are codes; some fall outside 0..6
+                value: if col == 1 { (b / 3) as f64 } else { b as f64 * 0.5 },
             })
             .collect();
         let q = Query::new(preds);
+        let row_matches =
+            |r: usize| q.predicates.iter().all(|p| p.matches(table.columns[p.col].value_as_f64(r)));
+        let by_row = (0..table.nrows()).filter(|&r| row_matches(r)).count();
+        prop_assert_eq!(iam_data::exec::exact_count(&table, &q), by_row);
         let truth = exact_selectivity(&table, &q);
-        let (rq, _) = q.normalize(1).unwrap();
+        let (rq, _) = q.normalize(3).unwrap();
         let via_ranges = iam_data::exec::exact_selectivity_ranges(&table, &rq);
-        prop_assert!((truth - via_ranges).abs() < 1e-12);
+        prop_assert_eq!(truth, via_ranges);
     }
 
     /// Interval intersection is commutative and conservative.
