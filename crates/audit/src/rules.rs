@@ -61,9 +61,9 @@ pub fn registry() -> Vec<Rule> {
         },
         Rule {
             id: "fused-forward",
-            description: "no direct layer-1 Linear::forward in fused inference paths \
-                          (canonical summation order requires the grouped kernels), \
-                          no plain column forward in core's inference code",
+            description: "no direct layer-1 Linear::forward in iam-nn's forwards \
+                          (canonical summation order requires the grouped kernel), \
+                          no plain full forward in core's inference code",
             check: fused_forward,
         },
         Rule {
@@ -235,29 +235,22 @@ fn loop_instant(relpath: &str, lines: &[Line], st: &Structure) -> Vec<RawFinding
 fn fused_forward(relpath: &str, lines: &[Line], st: &Structure) -> Vec<RawFinding> {
     // (file, pattern, message): the one-forward-path policy — production
     // inference reaches the network only through the fused layer-1 tables,
-    // and layer 1 itself stays on the grouped kernels whose canonical
+    // and layer 1 itself stays on the grouped kernel whose canonical
     // summation order the tables replay bit for bit
     const PLAIN_FORWARD_MSG: &str = "production inference must not call the plain \
-         (unfused) column forward — it is iam-nn's test reference; go through \
-         forward_column_fused and the estimator's fused tables";
+         full forward (MadeNet::forward) — it is the reference the tests pin the \
+         fused path to; go through forward_column_fused and the estimator's \
+         fused tables (prepare_inference)";
     let checks: &[(&str, &str, &str)] = &[
         (
             "crates/nn/src/made.rs",
             "layers[0].forward(",
-            "layer 1 must use forward_grouped / forward_grouped_no_cache: \
-             plain forward changes the summation order and breaks bit-exact \
-             agreement with the fused token tables",
+            "layer 1 must use forward_grouped: plain forward changes the \
+             summation order and breaks bit-exact agreement with the fused \
+             token tables",
         ),
-        (
-            "crates/core/src/infer.rs",
-            ".forward(",
-            "the inference hot path must not call the network's forward \
-             directly; go through the fused layer-1 tables (prepare_inference)",
-        ),
-        ("crates/core/src/infer.rs", "forward_column(", PLAIN_FORWARD_MSG),
-        ("crates/core/src/infer.rs", "forward_column_into(", PLAIN_FORWARD_MSG),
-        ("crates/core/src/aqp.rs", "forward_column(", PLAIN_FORWARD_MSG),
-        ("crates/core/src/aqp.rs", "forward_column_into(", PLAIN_FORWARD_MSG),
+        ("crates/core/src/infer.rs", ".forward(", PLAIN_FORWARD_MSG),
+        ("crates/core/src/aqp.rs", ".forward(", PLAIN_FORWARD_MSG),
     ];
 
     let mut out = Vec::new();

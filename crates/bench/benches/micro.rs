@@ -6,7 +6,7 @@ use iam_core::{IamConfig, IamEstimator};
 use iam_data::synth::Dataset;
 use iam_data::{RangeQuery, SelectivityEstimator, WorkloadConfig, WorkloadGenerator};
 use iam_gmm::Gmm1d;
-use iam_nn::{MadeConfig, MadeNet};
+use iam_nn::{InferScratch, MadeConfig, MadeNet};
 use std::hint::black_box;
 
 fn gmm_ops(c: &mut Criterion) {
@@ -22,19 +22,21 @@ fn gmm_ops(c: &mut Criterion) {
 }
 
 fn made_forward(c: &mut Criterion) {
-    let mut net = MadeNet::new(MadeConfig {
+    let net = MadeNet::new(MadeConfig {
         domain_sizes: vec![51, 18, 30, 30, 30],
         hidden: vec![128, 64, 64, 128],
         embed_dim: 16,
         residual: true,
         seed: 1,
     });
+    let tables = net.build_fused_tables();
+    let mut scratch = InferScratch::new();
     let batch = 256usize;
     let inputs: Vec<usize> = (0..batch * 5).map(|i| i % 18).collect();
     let mut out = Vec::new();
-    c.bench_function("made_forward_column_b256", |b| {
+    c.bench_function("made_forward_column_fused_b256", |b| {
         b.iter(|| {
-            net.forward_column(black_box(&inputs), batch, 4, &mut out);
+            net.forward_column_fused(&tables, &mut scratch, black_box(&inputs), batch, 4, &mut out);
             black_box(out.len())
         })
     });

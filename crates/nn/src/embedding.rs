@@ -14,19 +14,12 @@ pub struct Embedding {
     pub table: Vec<f32>,
     /// Gradients.
     pub grad: Vec<f32>,
-    last_ids: Vec<usize>,
 }
 
 impl Embedding {
     /// New table with small uniform init.
     pub fn new(rows: usize, dim: usize, init: &mut Initializer) -> Self {
-        Embedding {
-            rows,
-            dim,
-            table: init.uniform(rows * dim, 0.1),
-            grad: vec![0.0; rows * dim],
-            last_ids: Vec::new(),
-        }
+        Embedding { rows, dim, table: init.uniform(rows * dim, 0.1), grad: vec![0.0; rows * dim] }
     }
 
     /// The embedding vector of token `id` (used when precomputing fused
@@ -37,49 +30,36 @@ impl Embedding {
         &self.table[id * self.dim..(id + 1) * self.dim]
     }
 
-    /// Gather rows for a batch of ids into `out[offset + b*stride ..]`,
-    /// caching ids for backward. `stride` is the full input row width of the
-    /// downstream layer so multiple embeddings can write into one buffer.
-    pub fn forward_into(&mut self, ids: &[usize], out: &mut [f32], offset: usize, stride: usize) {
-        self.last_ids.clear();
-        self.last_ids.extend_from_slice(ids);
-        self.gather(ids, out, offset, stride);
-    }
-
-    /// Gather without caching (inference).
-    pub fn gather(&self, ids: &[usize], out: &mut [f32], offset: usize, stride: usize) {
-        for (b, &id) in ids.iter().enumerate() {
-            debug_assert!(id < self.rows, "embedding id {id} out of range {}", self.rows);
-            let src = &self.table[id * self.dim..(id + 1) * self.dim];
+    /// Gather the rows of a batch of ids into `out[offset + b*stride ..]`.
+    /// `stride` is the full input row width of the downstream layer so
+    /// multiple embeddings can write into one buffer.
+    pub fn gather(
+        &self,
+        ids: impl Iterator<Item = usize>,
+        out: &mut [f32],
+        offset: usize,
+        stride: usize,
+    ) {
+        for (b, id) in ids.enumerate() {
             let dst = &mut out[b * stride + offset..b * stride + offset + self.dim];
-            dst.copy_from_slice(src);
+            dst.copy_from_slice(self.row(id));
         }
     }
 
-    /// Scatter-accumulate gradients from `dx[offset + b*stride ..]`.
-    pub fn backward_from(&mut self, dx: &[f32], offset: usize, stride: usize) {
-        for (b, &id) in self.last_ids.iter().enumerate() {
-            let src = &dx[b * stride + offset..b * stride + offset + self.dim];
-            let dst = &mut self.grad[id * self.dim..(id + 1) * self.dim];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
-    }
-
-    /// Scatter-accumulate into a caller-provided gradient buffer (`&self`):
-    /// the sharded-training variant of [`Self::backward_from`], with ids
-    /// passed explicitly instead of read from the forward cache.
+    /// Backward of [`Self::gather`]: scatter-accumulate the gradients at
+    /// `dx[offset + b*stride ..]` of the same batch of ids into `grad`, a
+    /// caller-provided buffer shaped like the table (sharded training
+    /// keeps one per shard).
     pub fn scatter_grad(
         &self,
-        ids: &[usize],
+        ids: impl Iterator<Item = usize>,
         dx: &[f32],
         offset: usize,
         stride: usize,
         grad: &mut [f32],
     ) {
         debug_assert_eq!(grad.len(), self.table.len());
-        for (b, &id) in ids.iter().enumerate() {
+        for (b, id) in ids.enumerate() {
             let src = &dx[b * stride + offset..b * stride + offset + self.dim];
             let dst = &mut grad[id * self.dim..(id + 1) * self.dim];
             for (d, s) in dst.iter_mut().zip(src) {
@@ -109,25 +89,25 @@ mod tests {
         let mut e = Embedding::new(4, 3, &mut init);
         e.table = (0..12).map(|i| i as f32).collect();
         let mut buf = vec![0.0; 2 * 5]; // batch 2, stride 5, offset 1
-        e.forward_into(&[2, 0], &mut buf, 1, 5);
+        e.gather([2, 0].into_iter(), &mut buf, 1, 5);
         assert_eq!(&buf[1..4], &[6.0, 7.0, 8.0]);
         assert_eq!(&buf[6..9], &[0.0, 1.0, 2.0]);
         // scatter unit upstream grads
         let dx = vec![1.0; 10];
-        e.backward_from(&dx, 1, 5);
-        assert_eq!(&e.grad[6..9], &[1.0, 1.0, 1.0]); // row 2
-        assert_eq!(&e.grad[0..3], &[1.0, 1.0, 1.0]); // row 0
-        assert_eq!(&e.grad[3..6], &[0.0, 0.0, 0.0]); // untouched row 1
+        let mut grad = vec![0.0; 12];
+        e.scatter_grad([2, 0].into_iter(), &dx, 1, 5, &mut grad);
+        assert_eq!(&grad[6..9], &[1.0, 1.0, 1.0]); // row 2
+        assert_eq!(&grad[0..3], &[1.0, 1.0, 1.0]); // row 0
+        assert_eq!(&grad[3..6], &[0.0, 0.0, 0.0]); // untouched row 1
     }
 
     #[test]
     fn duplicate_ids_accumulate() {
         let mut init = Initializer::new(7);
-        let mut e = Embedding::new(2, 2, &mut init);
-        let mut buf = vec![0.0; 3 * 2];
-        e.forward_into(&[1, 1, 1], &mut buf, 0, 2);
+        let e = Embedding::new(2, 2, &mut init);
         let dx = vec![1.0; 6];
-        e.backward_from(&dx, 0, 2);
-        assert_eq!(&e.grad[2..4], &[3.0, 3.0]);
+        let mut grad = vec![0.0; 4];
+        e.scatter_grad([1, 1, 1].into_iter(), &dx, 0, 2, &mut grad);
+        assert_eq!(grad, [0.0, 0.0, 3.0, 3.0]);
     }
 }

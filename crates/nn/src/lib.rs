@@ -6,8 +6,9 @@
 //! provides exactly the pieces IAM and the deep baselines need, in pure
 //! Rust `f32`:
 //!
-//! * [`linear::Linear`] — (optionally masked) affine layers with cached
-//!   activations and analytic gradients;
+//! * [`linear::Linear`] — (optionally masked) affine layers with analytic
+//!   gradients; layers hold parameters and gradients only, activations
+//!   live in the caller's scratch;
 //! * [`embedding::Embedding`] — learned per-column lookup tables with an
 //!   extra MASK row for wildcard skipping;
 //! * [`adam::Adam`] — the Adam optimiser over a flat parameter visitor;

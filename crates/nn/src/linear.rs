@@ -177,18 +177,25 @@ mod simd {
     }
 }
 
-/// Blocked `out[b][oj] = bias[o] + w[o]·x[b]` over an output-row range.
-/// `out` is `batch × rows.len()`, already sized by the caller.
+/// Blocked `out[b][o - col0] = bias[o] + w[o]·x[b]` for every output unit
+/// `o` that `units` yields; `out` is `batch × width`, already sized by the
+/// caller, and columns no unit maps to are left as they are. One kernel
+/// serves the full forward (`0..out_dim`), a row range and the strided
+/// runs of the degree-filtered inference forward: a unit's value depends
+/// only on its weight row and the input row, never on which other units
+/// run beside it.
+#[allow(clippy::too_many_arguments)]
 fn gemm_bias_rows(
     w: &[f32],
     bias: &[f32],
     in_dim: usize,
-    rows: std::ops::Range<usize>,
+    units: impl Iterator<Item = usize> + Clone,
+    col0: usize,
+    width: usize,
     x: &[f32],
     batch: usize,
     out: &mut [f32],
 ) {
-    let width = rows.len();
     debug_assert_eq!(x.len(), batch * in_dim);
     debug_assert_eq!(out.len(), batch * width);
     let mut b0 = 0;
@@ -199,20 +206,21 @@ fn gemm_bias_rows(
             &x[(b0 + 2) * in_dim..(b0 + 3) * in_dim],
             &x[(b0 + 3) * in_dim..(b0 + 4) * in_dim],
         ];
-        for (oj, o) in rows.clone().enumerate() {
+        units.clone().for_each(|o| {
             let d = dot4_lanes(&w[o * in_dim..(o + 1) * in_dim], xs);
             let bo = bias[o];
             for r in 0..ROW_BLOCK {
-                out[(b0 + r) * width + oj] = bo + d[r];
+                out[(b0 + r) * width + o - col0] = bo + d[r];
             }
-        }
+        });
         b0 += ROW_BLOCK;
     }
     for bi in b0..batch {
         let xrow = &x[bi * in_dim..(bi + 1) * in_dim];
-        for (oj, o) in rows.clone().enumerate() {
-            out[bi * width + oj] = bias[o] + dot_lanes(&w[o * in_dim..(o + 1) * in_dim], xrow);
-        }
+        units.clone().for_each(|o| {
+            out[bi * width + o - col0] =
+                bias[o] + dot_lanes(&w[o * in_dim..(o + 1) * in_dim], xrow);
+        });
     }
 }
 
@@ -326,7 +334,9 @@ fn backward_kernel(
 }
 
 /// A dense affine layer `y = x Wᵀ + b`, optionally constrained by a binary
-/// connectivity mask (MADE-style).
+/// connectivity mask (MADE-style). Holds parameters and their gradient
+/// accumulators only: activations belong to the caller, so every forward
+/// is `&self` and backward takes the layer input it needs.
 ///
 /// Masking is enforced by construction and by masking *gradients*: masked
 /// weights start at zero and Adam updates of an always-zero gradient keep
@@ -347,8 +357,6 @@ pub struct Linear {
     pub gw: Vec<f32>,
     /// Bias gradients.
     pub gb: Vec<f32>,
-    last_input: Vec<f32>,
-    last_batch: usize,
 }
 
 impl Linear {
@@ -362,8 +370,6 @@ impl Linear {
             mask: None,
             gw: vec![0.0; in_dim * out_dim],
             gb: vec![0.0; out_dim],
-            last_input: Vec::new(),
-            last_batch: 0,
         }
     }
 
@@ -384,46 +390,19 @@ impl Linear {
     }
 
     /// Forward for a `batch × in_dim` input; writes `batch × out_dim` into
-    /// `out` (resized as needed) and caches the input for backward.
-    pub fn forward(&mut self, x: &[f32], batch: usize, out: &mut Vec<f32>) {
-        debug_assert_eq!(x.len(), batch * self.in_dim);
-        out.resize(batch * self.out_dim, 0.0);
-        self.last_input.clear();
-        self.last_input.extend_from_slice(x);
-        self.last_batch = batch;
-        self.forward_no_cache(x, batch, out);
-    }
-
-    /// Forward without caching — for inference-only paths and for sharded
-    /// training, where each shard keeps its own activation buffers.
-    pub fn forward_no_cache(&self, x: &[f32], batch: usize, out: &mut Vec<f32>) {
-        out.resize(batch * self.out_dim, 0.0);
-        gemm_bias_rows(&self.w, &self.b, self.in_dim, 0..self.out_dim, x, batch, out);
+    /// `out` (resized as needed).
+    pub fn forward(&self, x: &[f32], batch: usize, out: &mut Vec<f32>) {
+        let width = self.out_dim;
+        out.resize(batch * width, 0.0);
+        gemm_bias_rows(&self.w, &self.b, self.in_dim, 0..width, 0, width, x, batch, out);
     }
 
     /// Grouped forward (see `gemm_bias_grouped`): the input row is
     /// treated as `in_dim / group` contiguous groups and every output is a
     /// fixed-group-order sum of per-group scalar dots plus the bias. Used
-    /// for the MADE input layer (one group per slot embedding) on *every*
-    /// path — training, inference, and the fused token-table path — so the
-    /// three agree bitwise. Caches the input for a backward pass.
-    pub fn forward_grouped(&mut self, x: &[f32], batch: usize, group: usize, out: &mut Vec<f32>) {
-        debug_assert_eq!(x.len(), batch * self.in_dim);
-        out.resize(batch * self.out_dim, 0.0);
-        self.last_input.clear();
-        self.last_input.extend_from_slice(x);
-        self.last_batch = batch;
-        self.forward_grouped_no_cache(x, batch, group, out);
-    }
-
-    /// [`Self::forward_grouped`] without the backward cache.
-    pub fn forward_grouped_no_cache(
-        &self,
-        x: &[f32],
-        batch: usize,
-        group: usize,
-        out: &mut Vec<f32>,
-    ) {
+    /// for the MADE input layer (one group per slot embedding) so the
+    /// fused token-table path can replay it bitwise.
+    pub fn forward_grouped(&self, x: &[f32], batch: usize, group: usize, out: &mut Vec<f32>) {
         out.resize(batch * self.out_dim, 0.0);
         gemm_bias_grouped(&self.w, &self.b, self.in_dim, group, x, batch, out);
     }
@@ -441,12 +420,11 @@ impl Linear {
     /// Forward computing only the output units whose index satisfies
     /// `o % stride < keep`, writing `0.0` for every other unit (full
     /// `batch × out_dim` output). Computed units get exactly the
-    /// [`Self::forward_no_cache`] value — per-unit dots are independent of
-    /// which other units run — so this is safe for inference paths where
+    /// [`Self::forward`] value, so this is safe for inference paths where
     /// the skipped units' *outgoing* weights are exactly zero (MADE's
     /// degree masks: a later-degree unit never feeds an earlier-degree
     /// one). `keep == stride` degenerates to the full forward.
-    pub fn forward_strided_runs_no_cache(
+    pub fn forward_strided_runs(
         &self,
         x: &[f32],
         batch: usize,
@@ -455,44 +433,16 @@ impl Linear {
         out: &mut Vec<f32>,
     ) {
         debug_assert!(stride > 0 && keep <= stride);
-        debug_assert_eq!(x.len(), batch * self.in_dim);
         let width = self.out_dim;
+        out.clear();
         out.resize(batch * width, 0.0);
-        out.fill(0.0);
-        let in_dim = self.in_dim;
-        let mut b0 = 0;
-        while b0 + ROW_BLOCK <= batch {
-            let xs = [
-                &x[b0 * in_dim..(b0 + 1) * in_dim],
-                &x[(b0 + 1) * in_dim..(b0 + 2) * in_dim],
-                &x[(b0 + 2) * in_dim..(b0 + 3) * in_dim],
-                &x[(b0 + 3) * in_dim..(b0 + 4) * in_dim],
-            ];
-            for run in (0..width).step_by(stride) {
-                for o in run..(run + keep).min(width) {
-                    let d = dot4_lanes(&self.w[o * in_dim..(o + 1) * in_dim], xs);
-                    let bo = self.b[o];
-                    for r in 0..ROW_BLOCK {
-                        out[(b0 + r) * width + o] = bo + d[r];
-                    }
-                }
-            }
-            b0 += ROW_BLOCK;
-        }
-        for bi in b0..batch {
-            let xrow = &x[bi * in_dim..(bi + 1) * in_dim];
-            for run in (0..width).step_by(stride) {
-                for o in run..(run + keep).min(width) {
-                    out[bi * width + o] =
-                        self.b[o] + dot_lanes(&self.w[o * in_dim..(o + 1) * in_dim], xrow);
-                }
-            }
-        }
+        let units = (0..width).step_by(stride).flat_map(|run| run..(run + keep).min(width));
+        gemm_bias_rows(&self.w, &self.b, self.in_dim, units, 0, width, x, batch, out);
     }
 
     /// Forward computing only output rows `rows` (inference): writes
     /// `batch × rows.len()` into `out`.
-    pub fn forward_rows_no_cache(
+    pub fn forward_rows(
         &self,
         x: &[f32],
         batch: usize,
@@ -500,41 +450,17 @@ impl Linear {
         out: &mut Vec<f32>,
     ) {
         debug_assert!(rows.end <= self.out_dim);
-        out.resize(batch * rows.len(), 0.0);
-        gemm_bias_rows(&self.w, &self.b, self.in_dim, rows, x, batch, out);
+        let (col0, width) = (rows.start, rows.len());
+        out.resize(batch * width, 0.0);
+        gemm_bias_rows(&self.w, &self.b, self.in_dim, rows, col0, width, x, batch, out);
     }
 
-    /// Backward: given `dL/dy` (`batch × out_dim`), accumulate `gw`/`gb`
-    /// and write `dL/dx` into `dx`.
-    pub fn backward(&mut self, dy: &[f32], dx: &mut Vec<f32>) {
-        let batch = self.last_batch;
-        debug_assert_eq!(dy.len(), batch * self.out_dim);
-        dx.resize(batch * self.in_dim, 0.0);
-        dx.fill(0.0);
-        backward_kernel(
-            &self.w,
-            self.in_dim,
-            self.out_dim,
-            &self.last_input,
-            dy,
-            batch,
-            &mut self.gw,
-            &mut self.gb,
-            dx,
-        );
-        // enforce the connectivity mask on the weight gradients
-        if let Some(mask) = &self.mask {
-            for (g, m) in self.gw.iter_mut().zip(mask) {
-                *g *= m;
-            }
-        }
-    }
-
-    /// Backward into caller-provided gradient buffers (`&self`): the shard
-    /// kernel of data-parallel training, where every shard accumulates into
-    /// its own `gw`/`gb` and the shards are reduced afterwards. The
+    /// Backward into caller-provided gradient buffers: given the layer
+    /// input `x` and `dL/dy` (`batch × out_dim`), accumulate into `gw`/`gb`
+    /// and write `dL/dx` into `dx`. Data-parallel training gives every
+    /// shard its own `gw`/`gb` and reduces them afterwards, so the
     /// connectivity mask is NOT applied here — apply it once after the
-    /// shard reduction (see `MadeNet::train_batch_sharded`).
+    /// reduction (see `MadeNet::train_batch_sharded`).
     pub fn backward_into(
         &self,
         x: &[f32],
@@ -544,9 +470,23 @@ impl Linear {
         gb: &mut [f32],
         dx: &mut Vec<f32>,
     ) {
+        dx.clear();
         dx.resize(batch * self.in_dim, 0.0);
-        dx.fill(0.0);
         backward_kernel(&self.w, self.in_dim, self.out_dim, x, dy, batch, gw, gb, dx);
+    }
+
+    /// [`Self::backward_into`] the layer's own accumulators, connectivity
+    /// mask applied — the whole backward of a model that trains unsharded
+    /// ([`crate::Mlp`]).
+    pub fn backward(&mut self, x: &[f32], dy: &[f32], batch: usize, dx: &mut Vec<f32>) {
+        let (mut gw, mut gb) = (std::mem::take(&mut self.gw), std::mem::take(&mut self.gb));
+        self.backward_into(x, dy, batch, &mut gw, &mut gb, dx);
+        if let Some(mask) = &self.mask {
+            for (g, m) in gw.iter_mut().zip(mask) {
+                *g *= m;
+            }
+        }
+        (self.gw, self.gb) = (gw, gb);
     }
 
     /// Visit (param, grad) pairs.
@@ -561,11 +501,10 @@ impl Linear {
     }
 }
 
-/// ReLU with cached activation pattern.
+/// ReLU. The activation pattern backward needs is recorded into a
+/// caller-held mask, never in the layer.
 #[derive(Debug, Clone, Default)]
-pub struct Relu {
-    active: Vec<bool>,
-}
+pub struct Relu;
 
 impl Relu {
     /// The single activation predicate shared by the training and
@@ -576,13 +515,8 @@ impl Relu {
         v > 0.0
     }
 
-    /// In-place forward, caching which units were active.
-    pub fn forward(&mut self, x: &mut [f32]) {
-        Self::forward_masked(x, &mut self.active);
-    }
-
-    /// In-place forward recording the activation pattern into a
-    /// caller-provided mask (sharded training keeps one mask per shard).
+    /// In-place forward recording the activation pattern into `active`
+    /// (training: one mask per layer per shard).
     pub fn forward_masked(x: &mut [f32], active: &mut Vec<bool>) {
         active.clear();
         active.reserve(x.len());
@@ -595,8 +529,8 @@ impl Relu {
         }
     }
 
-    /// In-place forward without caching (inference).
-    pub fn forward_no_cache(x: &mut [f32]) {
+    /// In-place forward (inference).
+    pub fn forward(x: &mut [f32]) {
         for v in x.iter_mut() {
             if !Self::is_active(*v) {
                 *v = 0.0;
@@ -604,12 +538,8 @@ impl Relu {
         }
     }
 
-    /// In-place backward: zero gradients of inactive units.
-    pub fn backward(&self, dy: &mut [f32]) {
-        Self::backward_masked(dy, &self.active);
-    }
-
-    /// Backward against an externally-held activation mask.
+    /// In-place backward: zero the gradients of units `active` recorded
+    /// as inactive.
     pub fn backward_masked(dy: &mut [f32], active: &[bool]) {
         debug_assert_eq!(dy.len(), active.len());
         for (g, &on) in dy.iter_mut().zip(active) {
@@ -672,10 +602,10 @@ mod tests {
         let l = Linear::new(40, 48, &mut init);
         let x: Vec<f32> = (0..5 * 40).map(|i| ((i * 37 + 11) % 17) as f32 * 0.21 - 1.7).collect();
         let mut full = Vec::new();
-        l.forward_no_cache(&x, 5, &mut full);
+        l.forward(&x, 5, &mut full);
         for (stride, keep) in [(4usize, 0usize), (4, 1), (4, 3), (4, 4), (6, 2), (5, 5)] {
             let mut part = vec![f32::NAN; 3]; // stale garbage must be overwritten
-            l.forward_strided_runs_no_cache(&x, 5, stride, keep, &mut part);
+            l.forward_strided_runs(&x, 5, stride, keep, &mut part);
             for b in 0..5 {
                 for o in 0..48 {
                     let got = part[b * 48 + o];
@@ -704,12 +634,12 @@ mod tests {
         for batch in [1usize, 3, 4, 5, 8, 11] {
             let x: Vec<f32> = row.iter().copied().cycle().take(batch * 37).collect();
             let mut full = Vec::new();
-            l.forward_no_cache(&x, batch, &mut full);
+            l.forward(&x, batch, &mut full);
             for b in 0..batch {
                 assert_eq!(&full[b * 19..(b + 1) * 19], &full[0..19], "batch {batch} row {b}");
             }
             let mut part = Vec::new();
-            l.forward_rows_no_cache(&x, batch, 6..13, &mut part);
+            l.forward_rows(&x, batch, 6..13, &mut part);
             for b in 0..batch {
                 assert_eq!(&part[b * 7..(b + 1) * 7], &full[b * 19 + 6..b * 19 + 13]);
             }
@@ -727,7 +657,7 @@ mod tests {
         let x: Vec<f32> = (0..7 * 24).map(|i| ((i * 17 + 3) % 29) as f32 * 0.11 - 1.2).collect();
         for batch in [1usize, 3, 4, 5, 7] {
             let mut got = Vec::new();
-            l.forward_grouped_no_cache(&x[..batch * 24], batch, 6, &mut got);
+            l.forward_grouped(&x[..batch * 24], batch, 6, &mut got);
             for b in 0..batch {
                 let xrow = &x[b * 24..(b + 1) * 24];
                 for o in 0..9 {
@@ -746,8 +676,8 @@ mod tests {
         // one group spanning the whole row degenerates to the plain kernel
         let mut flat = Vec::new();
         let mut whole = Vec::new();
-        l.forward_no_cache(&x[..5 * 24], 5, &mut flat);
-        l.forward_grouped_no_cache(&x[..5 * 24], 5, 24, &mut whole);
+        l.forward(&x[..5 * 24], 5, &mut flat);
+        l.forward_grouped(&x[..5 * 24], 5, 24, &mut whole);
         assert_eq!(flat, whole);
     }
 
@@ -761,12 +691,12 @@ mod tests {
         l.forward(&x, 2, &mut out);
         let dy = out.clone();
         let mut dx = Vec::new();
-        l.backward(&dy, &mut dx);
+        l.backward(&x, &dy, 2, &mut dx);
 
         let h = 1e-3f32;
         let loss = |layer: &Linear| {
             let mut o = Vec::new();
-            layer.forward_no_cache(&x, 2, &mut o);
+            layer.forward(&x, 2, &mut o);
             o.iter().map(|v| v * v).sum::<f32>() / 2.0
         };
         // check a few weight grads
@@ -791,32 +721,12 @@ mod tests {
         let mut xm = x.clone();
         xm[2] -= h;
         let mut o = Vec::new();
-        l.forward_no_cache(&xp, 2, &mut o);
+        l.forward(&xp, 2, &mut o);
         let up: f32 = o.iter().map(|v| v * v).sum::<f32>() / 2.0;
-        l.forward_no_cache(&xm, 2, &mut o);
+        l.forward(&xm, 2, &mut o);
         let dn: f32 = o.iter().map(|v| v * v).sum::<f32>() / 2.0;
         let fd = (up - dn) / (2.0 * h);
         assert!((fd - dx[2]).abs() < 1e-2, "dx[2]: fd {fd} vs {}", dx[2]);
-    }
-
-    #[test]
-    fn backward_into_matches_cached_backward() {
-        let mut init = Initializer::new(4);
-        let mut l = Linear::new(9, 6, &mut init);
-        let x: Vec<f32> = (0..45).map(|i| (i as f32 * 0.37).sin()).collect();
-        let mut out = Vec::new();
-        l.forward(&x, 5, &mut out);
-        let dy: Vec<f32> = out.iter().map(|v| v * 0.5 - 0.1).collect();
-        let mut dx = Vec::new();
-        l.backward(&dy, &mut dx);
-
-        let mut gw = vec![0.0f32; l.w.len()];
-        let mut gb = vec![0.0f32; l.b.len()];
-        let mut dx2 = Vec::new();
-        l.backward_into(&x, &dy, 5, &mut gw, &mut gb, &mut dx2);
-        assert_eq!(l.gw, gw);
-        assert_eq!(l.gb, gb);
-        assert_eq!(dx, dx2);
     }
 
     #[test]
@@ -830,7 +740,7 @@ mod tests {
         let mut out = Vec::new();
         l.forward(&[1.0, 1.0], 1, &mut out);
         let mut dx = Vec::new();
-        l.backward(&[1.0, 1.0], &mut dx);
+        l.backward(&[1.0, 1.0], &[1.0, 1.0], 1, &mut dx);
         assert_eq!(l.gw[1], 0.0);
         assert_eq!(l.gw[2], 0.0);
         // masked connection contributes nothing to dx either... note dx uses
@@ -840,25 +750,24 @@ mod tests {
 
     #[test]
     fn relu_round_trip() {
-        let mut r = Relu::default();
+        let mut active = Vec::new();
         let mut x = vec![-1.0, 2.0, 0.0, 3.0];
-        r.forward(&mut x);
+        Relu::forward_masked(&mut x, &mut active);
         assert_eq!(x, vec![0.0, 2.0, 0.0, 3.0]);
         let mut g = vec![1.0, 1.0, 1.0, 1.0];
-        r.backward(&mut g);
+        Relu::backward_masked(&mut g, &active);
         assert_eq!(g, vec![0.0, 1.0, 0.0, 1.0]);
     }
 
     #[test]
     fn relu_paths_agree_on_nan_and_negative_zero() {
-        // regression: forward_no_cache used `*v < 0.0`, which left NaN in
-        // place while the cached training path zeroed it
+        // regression: the inference forward used `*v < 0.0`, which left NaN
+        // in place while the mask-recording training forward zeroed it
         let src = vec![f32::NAN, -0.0, 0.0, -1.5, 2.5, f32::NEG_INFINITY, f32::INFINITY];
         let mut a = src.clone();
         let mut b = src.clone();
-        let mut r = Relu::default();
-        r.forward(&mut a);
-        Relu::forward_no_cache(&mut b);
+        Relu::forward_masked(&mut a, &mut Vec::new());
+        Relu::forward(&mut b);
         assert_eq!(a, vec![0.0, 0.0, 0.0, 0.0, 2.5, 0.0, f32::INFINITY]);
         // bitwise agreement, including the sign bit of clamped -0.0
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

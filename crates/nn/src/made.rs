@@ -57,25 +57,18 @@ impl Default for MadeConfig {
     }
 }
 
-/// Reusable activation buffers for the immutable inference path
-/// ([`MadeNet::forward_column_into`]). One scratch per thread lets many
+/// Reusable activation buffers for the inference forward
+/// ([`MadeNet::forward_column_fused`]). One scratch per thread lets many
 /// threads run forward passes over one shared `&MadeNet` concurrently.
 #[derive(Debug, Clone, Default)]
 pub struct InferScratch {
     bufs: Vec<Vec<f32>>,
-    ids: Vec<usize>,
 }
 
 impl InferScratch {
     /// Fresh, empty scratch; buffers grow on first use and are reused.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn ensure_layers(&mut self, nlayers: usize) {
-        if self.bufs.len() < nlayers {
-            self.bufs.resize(nlayers, Vec::new());
-        }
     }
 }
 
@@ -86,8 +79,8 @@ impl InferScratch {
 /// MASK row). The first hidden layer then becomes a fixed-slot-order sum
 /// of `nslots` cached hidden-dim vectors plus bias — the exact scalars, in
 /// the exact order, the grouped input-layer kernel produces
-/// (`Linear::forward_grouped_no_cache` with one group per slot), so fused
-/// and non-fused forwards agree bitwise. The O(nslots·e·h₀) layer-1 GEMM
+/// (`Linear::forward_grouped` with one group per slot), so the fused and
+/// the full forward agree bitwise. The O(nslots·e·h₀) layer-1 GEMM
 /// per row collapses to O(nslots·h₀) adds, and the embedding gather is
 /// skipped entirely.
 ///
@@ -129,15 +122,13 @@ impl FusedTables {
 /// parameter-gradient buffers. One scratch per shard (not per thread) so
 /// the gradient reduction order is independent of the thread count;
 /// buffers are allocated on first use and reused across batches.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct TrainScratch {
     bufs: Vec<Vec<f32>>,
     masks: Vec<Vec<bool>>,
     grads: Vec<Vec<f32>>,
     dy: Vec<f32>,
     probs: Vec<f32>,
-    dlogits: Vec<f32>,
-    ids: Vec<usize>,
     /// Per-layer weight/bias gradients, same shapes as the model's.
     gw: Vec<Vec<f32>>,
     gb: Vec<Vec<f32>>,
@@ -150,11 +141,7 @@ pub struct TrainScratch {
 impl TrainScratch {
     fn ensure(&mut self, net: &MadeNet) {
         let nl = net.layers.len();
-        if self.bufs.len() < nl + 1 {
-            self.bufs.resize(nl + 1, Vec::new());
-            self.grads.resize(nl + 1, Vec::new());
-            self.masks.resize(nl.saturating_sub(1), Vec::new());
-        }
+        self.grads.resize(nl + 1, Vec::new());
         if self.gw.len() != nl {
             self.gw = net.layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
             self.gb = net.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
@@ -176,25 +163,53 @@ fn add_assign(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// The masked autoregressive network with manual backprop.
-#[derive(Clone)]
+/// Softmax of one logit segment into `probs` — the one softmax, shared by
+/// the training loss and the samplers.
+fn softmax(seg: &[f32], probs: &mut Vec<f32>) {
+    probs.clear();
+    probs.reserve(seg.len());
+    let max = seg.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut total = 0.0f32;
+    for &l in seg {
+        let p = (l - max).exp();
+        total += p;
+        probs.push(p);
+    }
+    let inv = 1.0 / total;
+    for p in probs.iter_mut() {
+        *p *= inv;
+    }
+}
+
+/// The masked autoregressive network with manual backprop. Holds
+/// parameters and gradient accumulators; activations live in the caller's
+/// scratch ([`InferScratch`]) or in the per-shard training pool.
 pub struct MadeNet {
     cfg: MadeConfig,
     embeddings: Vec<Embedding>,
     layers: Vec<Linear>,
-    relus: Vec<Relu>,
     /// `skip_from[l] == true` → add layer `l`'s input to its activated output.
     skip_from: Vec<bool>,
     /// Start offset of column `i`'s logits within the output vector.
     logit_offsets: Vec<usize>,
     total_logits: usize,
-    // training scratch buffers
-    bufs: Vec<Vec<f32>>,
-    grads: Vec<Vec<f32>>,
-    // scratch for the &mut convenience wrapper around the immutable path
-    infer_scratch: InferScratch,
-    // per-shard scratch pool for train_batch_sharded, reused across batches
+    /// Per-shard scratch of [`MadeNet::train_batch_sharded`], reused across
+    /// batches. Scratch, not model state: a clone starts with an empty pool.
     train_pool: Vec<TrainScratch>,
+}
+
+impl Clone for MadeNet {
+    fn clone(&self) -> Self {
+        MadeNet {
+            cfg: self.cfg.clone(),
+            embeddings: self.embeddings.clone(),
+            layers: self.layers.clone(),
+            skip_from: self.skip_from.clone(),
+            logit_offsets: self.logit_offsets.clone(),
+            total_logits: self.total_logits,
+            train_pool: Vec::new(),
+        }
+    }
 }
 
 impl MadeNet {
@@ -274,18 +289,13 @@ impl MadeNet {
         layers.push(Linear::new_masked(hlast, total_logits, mask, &mut init));
         skip_from.push(false);
 
-        let nlayers = layers.len();
         MadeNet {
             cfg,
             embeddings,
-            relus: vec![Relu::default(); nlayers.saturating_sub(1)],
             layers,
             skip_from,
             logit_offsets,
             total_logits,
-            bufs: vec![Vec::new(); nlayers + 1],
-            grads: vec![Vec::new(); nlayers + 1],
-            infer_scratch: InferScratch::new(),
             train_pool: Vec::new(),
         }
     }
@@ -316,58 +326,55 @@ impl MadeNet {
         start..start + self.cfg.domain_sizes[col]
     }
 
-    fn embed(&mut self, inputs: &[usize], batch: usize, cache: bool) {
-        let n = self.ncols();
-        let e = self.cfg.embed_dim;
-        let stride = n * e;
-        let buf = &mut self.bufs[0];
-        buf.resize(batch * stride, 0.0);
-        // per-column id slices
-        for (col, emb) in self.embeddings.iter_mut().enumerate() {
-            // gather ids of this column
-            let ids: Vec<usize> = (0..batch).map(|b| inputs[b * n + col]).collect();
-            if cache {
-                emb.forward_into(&ids, buf, col * e, stride);
-            } else {
-                emb.gather(&ids, buf, col * e, stride);
-            }
-        }
-    }
-
-    /// Forward pass producing `batch × total_logits` logits in `out`.
+    /// The plain full forward, and the reference every other path is
+    /// pinned to: `batch × total_logits` logits into `out`.
     ///
     /// `inputs` is row-major `batch × ncols` of encoded values; a value equal
-    /// to `mask_token(col)` feeds the MASK embedding. When `cache` is true,
-    /// activations are retained for a subsequent backward pass.
-    pub fn forward(&mut self, inputs: &[usize], batch: usize, cache: bool, out: &mut Vec<f32>) {
-        assert_eq!(inputs.len(), batch * self.ncols());
-        self.embed(inputs, batch, cache);
-        let nlayers = self.layers.len();
+    /// to `mask_token(col)` feeds the MASK embedding. This is the forward
+    /// the training step runs; inference runs
+    /// [`Self::forward_column_fused`], whose output is bitwise this one's
+    /// [`Self::logit_range`] slice.
+    pub fn forward(&self, inputs: &[usize], batch: usize, out: &mut Vec<f32>) {
+        let mut bufs = Vec::new();
+        self.forward_full(inputs, batch, &mut bufs, &mut Vec::new());
+        std::mem::swap(out, &mut bufs[self.layers.len()]);
+    }
+
+    /// [`Self::forward`] into caller-held activations: `bufs[l]` is layer
+    /// `l`'s input (`bufs[0]` the embedded row, the last one the logits)
+    /// and `masks[l]` its ReLU pattern — what backward needs.
+    fn forward_full(
+        &self,
+        inputs: &[usize],
+        batch: usize,
+        bufs: &mut Vec<Vec<f32>>,
+        masks: &mut Vec<Vec<bool>>,
+    ) {
+        let n = self.ncols();
+        assert_eq!(inputs.len(), batch * n);
         let e = self.cfg.embed_dim;
+        let stride = n * e;
+        let nlayers = self.layers.len();
+        bufs.resize(nlayers + 1, Vec::new());
+        masks.resize(nlayers - 1, Vec::new());
+        bufs[0].resize(batch * stride, 0.0);
+        for (c, emb) in self.embeddings.iter().enumerate() {
+            emb.gather((0..batch).map(|b| inputs[b * n + c]), &mut bufs[0], c * e, stride);
+        }
         for l in 0..nlayers {
-            let (head, tail) = self.bufs.split_at_mut(l + 1);
+            let (head, tail) = bufs.split_at_mut(l + 1);
             let x = &head[l];
             let y = &mut tail[0];
             // the input layer runs the grouped kernel (one group per slot
-            // embedding) on every path so the fused token-table inference
-            // path can replay it bitwise from cached per-token vectors
+            // embedding) so the fused token-table inference path can replay
+            // it bitwise from cached per-token vectors
             if l == 0 {
-                if cache {
-                    self.layers[0].forward_grouped(x, batch, e, y);
-                } else {
-                    self.layers[0].forward_grouped_no_cache(x, batch, e, y);
-                }
-            } else if cache {
-                self.layers[l].forward(x, batch, y);
+                self.layers[0].forward_grouped(x, batch, e, y);
             } else {
-                self.layers[l].forward_no_cache(x, batch, y);
+                self.layers[l].forward(x, batch, y);
             }
             if l + 1 < nlayers {
-                if cache {
-                    self.relus[l].forward(y);
-                } else {
-                    Relu::forward_no_cache(y);
-                }
+                Relu::forward_masked(y, &mut masks[l]);
                 if self.skip_from[l] {
                     for (yi, xi) in y.iter_mut().zip(x.iter()) {
                         *yi += xi;
@@ -375,63 +382,6 @@ impl MadeNet {
                 }
             }
         }
-        out.clear();
-        out.extend_from_slice(&self.bufs[nlayers]);
-    }
-
-    /// Inference forward computing only column `col`'s logits
-    /// (`batch × domain_size(col)` into `out`). Progressive sampling calls
-    /// this once per column per step; skipping the other columns' output
-    /// rows is the difference between `O(H · |A_col|)` and
-    /// `O(H · Σ|A_i|)` per step.
-    pub fn forward_column(
-        &mut self,
-        inputs: &[usize],
-        batch: usize,
-        col: usize,
-        out: &mut Vec<f32>,
-    ) {
-        let mut scratch = std::mem::take(&mut self.infer_scratch);
-        self.forward_column_into(&mut scratch, inputs, batch, col, out);
-        self.infer_scratch = scratch;
-    }
-
-    /// Immutable variant of [`Self::forward_column`]: all activations live
-    /// in the caller-provided `scratch`, so a single `&MadeNet` can serve
-    /// concurrent forward passes from many threads (each with its own
-    /// scratch). This is the kernel behind parallel batched inference and
-    /// the serving layer.
-    pub fn forward_column_into(
-        &self,
-        scratch: &mut InferScratch,
-        inputs: &[usize],
-        batch: usize,
-        col: usize,
-        out: &mut Vec<f32>,
-    ) {
-        assert_eq!(inputs.len(), batch * self.ncols());
-        let nlayers = self.layers.len();
-        scratch.ensure_layers(nlayers);
-        let InferScratch { bufs, ids } = scratch;
-
-        // embed into bufs[0]
-        let n = self.ncols();
-        let e = self.cfg.embed_dim;
-        let stride = n * e;
-        {
-            let buf = &mut bufs[0];
-            buf.resize(batch * stride, 0.0);
-            for (c, emb) in self.embeddings.iter().enumerate() {
-                ids.clear();
-                ids.extend((0..batch).map(|b| inputs[b * n + c]));
-                emb.gather(ids, buf, c * e, stride);
-            }
-        }
-        {
-            let (head, tail) = bufs.split_at_mut(1);
-            self.layers[0].forward_grouped_no_cache(&head[0], batch, e, &mut tail[0]);
-        }
-        self.finish_forward_column(bufs, batch, col, out);
     }
 
     /// Precompute the fused embedding→layer-1 token tables for this model's
@@ -459,13 +409,19 @@ impl MadeNet {
         FusedTables { slots, h0, embed_dim: e }
     }
 
-    /// [`Self::forward_column_into`] through precomputed token tables: the
-    /// embedding gather and the first-layer GEMM are replaced by summing
-    /// `nslots` cached hidden-dim vectors onto the bias, in ascending slot
-    /// order — bitwise identical to the grouped non-fused path (the cached
-    /// vectors ARE the grouped kernel's per-group scalars; see
-    /// [`FusedTables`]). `tables` must have been built from this model's
-    /// current parameters.
+    /// Inference forward computing only column `col`'s logits
+    /// (`batch × domain_size(col)` into `out`) — progressive sampling calls
+    /// this once per column per step. Three shortcuts, each bitwise
+    /// invisible next to [`Self::forward`]'s `logit_range(col)` slice:
+    ///
+    /// * the embedding gather and the first-layer GEMM are replaced by
+    ///   summing `nslots` cached hidden-dim vectors of `tables` onto the
+    ///   bias, in ascending slot order (the cached vectors ARE the grouped
+    ///   kernel's per-group scalars; see [`FusedTables`]). `tables` must
+    ///   have been built from this model's current parameters;
+    /// * hidden layers compute only the units column `col` can see (the
+    ///   degree filter below);
+    /// * the output layer computes only column `col`'s rows.
     pub fn forward_column_fused(
         &self,
         tables: &FusedTables,
@@ -479,8 +435,10 @@ impl MadeNet {
         assert_eq!(inputs.len(), batch * n);
         debug_assert_eq!(tables.slots.len(), n, "tables built for a different model");
         let nlayers = self.layers.len();
-        scratch.ensure_layers(nlayers);
         let bufs = &mut scratch.bufs;
+        if bufs.len() < nlayers {
+            bufs.resize(nlayers, Vec::new());
+        }
         let h0 = tables.h0;
         let bias = &self.layers[0].b;
         {
@@ -499,22 +457,9 @@ impl MadeNet {
                 }
             }
         }
-        self.finish_forward_column(bufs, batch, col, out);
-    }
-
-    /// Shared inference tail: `bufs[1]` holds the first layer's
-    /// pre-activations; apply its ReLU, run the remaining hidden layers,
-    /// and produce column `col`'s logits. (`skip_from[0]` is always false —
-    /// the input layer has no residual — so `bufs[0]` is never read and the
-    /// fused path may leave it stale.)
-    fn finish_forward_column(
-        &self,
-        bufs: &mut [Vec<f32>],
-        batch: usize,
-        col: usize,
-        out: &mut Vec<f32>,
-    ) {
-        let nlayers = self.layers.len();
+        // `bufs[1]` now holds the first layer's pre-activations.
+        // `skip_from[0]` is always false — the input layer has no residual —
+        // so `bufs[0]` is never read.
         debug_assert!(!self.skip_from[0]);
         // Degree filter: column `col`'s logits depend only on hidden units
         // with degree ≤ col (the head mask zeroes the rest, and the
@@ -525,107 +470,52 @@ impl MadeNet {
         // Skipped positions stay finite (zero, or the residual input) and
         // meet only exactly-0.0 masked weights downstream, so the computed
         // bits are identical to the full forward.
-        let n = self.ncols();
         let max_deg = n.saturating_sub(1).max(1);
         let keep = if n == 1 { 0 } else { col.min(max_deg) };
         for l in 0..nlayers - 1 {
-            if l > 0 {
-                let (head, tail) = bufs.split_at_mut(l + 1);
-                if keep < max_deg {
-                    self.layers[l].forward_strided_runs_no_cache(
-                        &head[l],
-                        batch,
-                        max_deg,
-                        keep,
-                        &mut tail[0],
-                    );
-                } else {
-                    self.layers[l].forward_no_cache(&head[l], batch, &mut tail[0]);
-                }
-            }
             let (head, tail) = bufs.split_at_mut(l + 1);
             let x = &head[l];
             let y = &mut tail[0];
-            Relu::forward_no_cache(y);
+            if l > 0 {
+                if keep < max_deg {
+                    self.layers[l].forward_strided_runs(x, batch, max_deg, keep, y);
+                } else {
+                    self.layers[l].forward(x, batch, y);
+                }
+            }
+            Relu::forward(y);
             if self.skip_from[l] {
                 for (yi, xi) in y.iter_mut().zip(x.iter()) {
                     *yi += xi;
                 }
             }
         }
-        let hlast = &bufs[nlayers - 1];
-        self.layers[nlayers - 1].forward_rows_no_cache(hlast, batch, self.logit_range(col), out);
+        self.layers[nlayers - 1].forward_rows(
+            &bufs[nlayers - 1],
+            batch,
+            self.logit_range(col),
+            out,
+        );
     }
 
     /// Softmax over a `batch × width` logits buffer (as produced by
-    /// [`Self::forward_column`]) for batch row `b`, written into `probs`.
+    /// [`Self::forward_column_fused`]) for batch row `b`, written into
+    /// `probs`.
     pub fn row_softmax(&self, logits: &[f32], b: usize, width: usize, probs: &mut Vec<f32>) {
-        let seg = &logits[b * width..(b + 1) * width];
-        probs.clear();
-        probs.reserve(width);
-        let max = seg.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut total = 0.0f32;
-        for &l in seg {
-            let p = (l - max).exp();
-            total += p;
-            probs.push(p);
-        }
-        let inv = 1.0 / total;
-        for p in probs.iter_mut() {
-            *p *= inv;
-        }
+        softmax(&logits[b * width..(b + 1) * width], probs);
     }
 
-    /// Softmax of column `col`'s logits for batch row `b` of `logits`,
-    /// written into `probs`.
+    /// Softmax of column `col`'s logits for batch row `b` of full-forward
+    /// `logits`, written into `probs`.
     pub fn column_softmax(&self, logits: &[f32], b: usize, col: usize, probs: &mut Vec<f32>) {
         let row = &logits[b * self.total_logits..(b + 1) * self.total_logits];
-        let seg = &row[self.logit_range(col)];
-        probs.clear();
-        probs.reserve(seg.len());
-        let max = seg.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut total = 0.0f32;
-        for &l in seg {
-            let p = (l - max).exp();
-            total += p;
-            probs.push(p);
-        }
-        let inv = 1.0 / total;
-        for p in probs.iter_mut() {
-            *p *= inv;
-        }
+        softmax(&row[self.logit_range(col)], probs);
     }
 
-    /// One training step: forward with cache, per-column softmax
-    /// cross-entropy against `targets`, backward, gradients accumulated
-    /// (caller runs the optimiser). Returns the mean per-tuple negative
-    /// log-likelihood (Eq. 3, in nats).
+    /// One training step on one thread:
+    /// [`Self::train_batch_sharded`]`(inputs, targets, batch, 1)`.
     pub fn train_batch(&mut self, inputs: &[usize], targets: &[usize], batch: usize) -> f32 {
-        let n = self.ncols();
-        assert_eq!(targets.len(), batch * n);
-        let mut logits = Vec::new();
-        self.forward(inputs, batch, true, &mut logits);
-
-        // dL/dlogits and loss
-        let mut dlogits = vec![0.0f32; logits.len()];
-        let mut loss = 0.0f64;
-        let scale = 1.0 / batch as f32;
-        let mut probs = Vec::new();
-        for b in 0..batch {
-            for col in 0..n {
-                self.column_softmax(&logits, b, col, &mut probs);
-                let target = targets[b * n + col];
-                debug_assert!(target < self.cfg.domain_sizes[col]);
-                loss -= (probs[target].max(1e-30) as f64).ln();
-                let base = b * self.total_logits + self.logit_offsets[col];
-                for (j, &p) in probs.iter().enumerate() {
-                    dlogits[base + j] = (p - if j == target { 1.0 } else { 0.0 }) * scale;
-                }
-            }
-        }
-
-        self.backward(&dlogits, batch);
-        (loss / batch as f64) as f32
+        self.train_batch_sharded(inputs, targets, batch, 1)
     }
 
     /// Data-parallel training step. The mini-batch is split into fixed
@@ -655,7 +545,7 @@ impl MadeNet {
         let nshards = batch.div_ceil(TRAIN_SHARD_ROWS);
         let mut pool = std::mem::take(&mut self.train_pool);
         if pool.len() < nshards {
-            pool.resize(nshards, TrainScratch::default());
+            pool.resize_with(nshards, TrainScratch::default);
         }
         let inv_batch = 1.0 / batch as f32;
         let workers = threads.clamp(1, nshards);
@@ -745,43 +635,13 @@ impl MadeNet {
         let e = self.cfg.embed_dim;
         let stride = n * e;
         let nlayers = self.layers.len();
-        let TrainScratch { bufs, masks, grads, dy, probs, dlogits, ids, gw, gb, gemb, loss } =
-            scratch;
+        let TrainScratch { bufs, masks, grads, dy, probs, gw, gb, gemb, loss } = scratch;
 
-        // embed into bufs[0]
-        {
-            let buf = &mut bufs[0];
-            buf.resize(rows * stride, 0.0);
-            for (c, emb) in self.embeddings.iter().enumerate() {
-                ids.clear();
-                ids.extend((0..rows).map(|b| inputs[b * n + c]));
-                emb.gather(ids, buf, c * e, stride);
-            }
-        }
-
-        // forward, recording activation patterns per shard; the input
-        // layer uses the grouped kernel, matching the inference paths
-        for l in 0..nlayers {
-            let (head, tail) = bufs.split_at_mut(l + 1);
-            let x = &head[l];
-            let y = &mut tail[0];
-            if l == 0 {
-                self.layers[0].forward_grouped_no_cache(x, rows, e, y);
-            } else {
-                self.layers[l].forward_no_cache(x, rows, y);
-            }
-            if l + 1 < nlayers {
-                Relu::forward_masked(y, &mut masks[l]);
-                if self.skip_from[l] {
-                    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-                        *yi += xi;
-                    }
-                }
-            }
-        }
+        self.forward_full(inputs, rows, bufs, masks);
 
         // per-column softmax cross-entropy: loss and dL/dlogits
         let logits = &bufs[nlayers];
+        let dlogits = &mut grads[nlayers];
         dlogits.resize(logits.len(), 0.0);
         let mut nll = 0.0f64;
         for b in 0..rows {
@@ -799,8 +659,6 @@ impl MadeNet {
         *loss = nll;
 
         // backward through the layers into the shard's gradient buffers
-        grads[nlayers].clear();
-        grads[nlayers].extend_from_slice(dlogits);
         for l in (0..nlayers).rev() {
             let (gin, gout) = {
                 let (head, tail) = grads.split_at_mut(l + 1);
@@ -813,6 +671,7 @@ impl MadeNet {
             }
             self.layers[l].backward_into(&bufs[l], dy, rows, &mut gw[l], &mut gb[l], gin);
             if l + 1 < nlayers && self.skip_from[l] {
+                // the skip path: d(input) += d(output)
                 for (gi, go) in gin.iter_mut().zip(gout.iter()) {
                     *gi += go;
                 }
@@ -823,42 +682,8 @@ impl MadeNet {
         let dx0 = &grads[0];
         debug_assert_eq!(dx0.len(), rows * stride);
         for (c, emb) in self.embeddings.iter().enumerate() {
-            ids.clear();
-            ids.extend((0..rows).map(|b| inputs[b * n + c]));
+            let ids = (0..rows).map(|b| inputs[b * n + c]);
             emb.scatter_grad(ids, dx0, c * e, stride, &mut gemb[c]);
-        }
-    }
-
-    fn backward(&mut self, dlogits: &[f32], batch: usize) {
-        let nlayers = self.layers.len();
-        self.grads[nlayers].clear();
-        self.grads[nlayers].extend_from_slice(dlogits);
-        for l in (0..nlayers).rev() {
-            let (gin, gout) = {
-                let (head, tail) = self.grads.split_at_mut(l + 1);
-                (&mut head[l], &tail[0])
-            };
-            // undo post-activation residual: skip contributes identity grad
-            let mut dy = gout.clone();
-            if l + 1 < nlayers {
-                self.relus[l].backward(&mut dy);
-            }
-            self.layers[l].backward(&dy, gin);
-            if l + 1 < nlayers && self.skip_from[l] {
-                // the skip path: d(input) += d(output)
-                for (gi, go) in gin.iter_mut().zip(gout.iter()) {
-                    *gi += go;
-                }
-            }
-        }
-        // scatter into embedding tables
-        let n = self.ncols();
-        let e = self.cfg.embed_dim;
-        let stride = n * e;
-        let dx0 = &self.grads[0];
-        debug_assert_eq!(dx0.len(), batch * stride);
-        for (col, emb) in self.embeddings.iter_mut().enumerate() {
-            emb.backward_from(dx0, col * e, stride);
         }
     }
 
@@ -942,15 +767,15 @@ mod tests {
     #[test]
     fn autoregressive_property_holds() {
         // logits of column i must not change when inputs at columns >= i change
-        let mut net = tiny_net(vec![4, 3, 5], 1);
+        let net = tiny_net(vec![4, 3, 5], 1);
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
-        net.forward(&[2, 1, 4], 1, false, &mut out_a);
-        net.forward(&[2, 1, 0], 1, false, &mut out_b); // change col 2
+        net.forward(&[2, 1, 4], 1, &mut out_a);
+        net.forward(&[2, 1, 0], 1, &mut out_b); // change col 2
         assert_eq!(&out_a[net.logit_range(0)], &out_b[net.logit_range(0)]);
         assert_eq!(&out_a[net.logit_range(1)], &out_b[net.logit_range(1)]);
 
-        net.forward(&[2, 2, 4], 1, false, &mut out_b); // change col 1
+        net.forward(&[2, 2, 4], 1, &mut out_b); // change col 1
         assert_eq!(&out_a[net.logit_range(0)], &out_b[net.logit_range(0)]);
         // col 2 SHOULD see col 1
         let r2 = net.logit_range(2);
@@ -959,19 +784,19 @@ mod tests {
 
     #[test]
     fn first_column_is_a_pure_marginal() {
-        let mut net = tiny_net(vec![4, 3], 2);
+        let net = tiny_net(vec![4, 3], 2);
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
-        net.forward(&[0, 0], 1, false, &mut out_a);
-        net.forward(&[3, 2], 1, false, &mut out_b);
+        net.forward(&[0, 0], 1, &mut out_a);
+        net.forward(&[3, 2], 1, &mut out_b);
         assert_eq!(&out_a[net.logit_range(0)], &out_b[net.logit_range(0)]);
     }
 
     #[test]
     fn column_softmax_normalises() {
-        let mut net = tiny_net(vec![4, 3], 3);
+        let net = tiny_net(vec![4, 3], 3);
         let mut out = Vec::new();
-        net.forward(&[1, 1, 2, 0], 2, false, &mut out);
+        net.forward(&[1, 1, 2, 0], 2, &mut out);
         let mut p = Vec::new();
         for b in 0..2 {
             for col in 0..2 {
@@ -1007,7 +832,7 @@ mod tests {
         }
         // check P(b | a=0) ≈ (0.9, 0.1)
         let mut logits = Vec::new();
-        net.forward(&[0, net.mask_token(1)], 1, false, &mut logits);
+        net.forward(&[0, net.mask_token(1)], 1, &mut logits);
         let mut p = Vec::new();
         net.column_softmax(&logits, 0, 1, &mut p);
         assert!((p[0] - 0.9).abs() < 0.05, "P(b=0|a=0) = {}", p[0]);
@@ -1047,51 +872,49 @@ mod tests {
 
     #[test]
     fn wildcard_mask_token_feeds_distinct_embedding() {
-        let mut net = tiny_net(vec![4, 3], 6);
+        let net = tiny_net(vec![4, 3], 6);
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
         // same prefix, col-0 value vs MASK: col-1 conditionals must differ
-        net.forward(&[1, 0], 1, false, &mut out_a);
-        net.forward(&[net.mask_token(0), 0], 1, false, &mut out_b);
+        net.forward(&[1, 0], 1, &mut out_a);
+        net.forward(&[net.mask_token(0), 0], 1, &mut out_b);
         let r1 = net.logit_range(1);
         assert_ne!(&out_a[r1.clone()], &out_b[r1]);
     }
 
+    /// Column `col` of the full forward's logits, `batch × domain_size(col)`
+    /// — what the column forward must reproduce bit for bit.
+    fn full_forward_column(net: &MadeNet, inputs: &[usize], batch: usize, col: usize) -> Vec<f32> {
+        let mut full = Vec::new();
+        net.forward(inputs, batch, &mut full);
+        full.chunks_exact(net.total_logits())
+            .flat_map(|row| &row[net.logit_range(col)])
+            .copied()
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn forward_column_matches_full_forward() {
-        let mut net = tiny_net(vec![4, 3, 5], 11);
+        let net = tiny_net(vec![4, 3, 5], 11);
+        let tables = net.build_fused_tables();
+        let mut scratch = InferScratch::new();
         let inputs = [1usize, 2, 0, 3, 1, 4];
         let mut full = Vec::new();
-        net.forward(&inputs, 2, false, &mut full);
+        net.forward(&inputs, 2, &mut full);
         for col in 0..3 {
             let mut partial = Vec::new();
-            net.forward_column(&inputs, 2, col, &mut partial);
-            let width = net.domain_size(col);
-            for b in 0..2 {
-                let want = &full[b * net.total_logits() + net.logit_range(col).start..][..width];
-                let got = &partial[b * width..(b + 1) * width];
-                assert_eq!(want, got, "col {col} batch {b}");
-            }
+            net.forward_column_fused(&tables, &mut scratch, &inputs, 2, col, &mut partial);
+            assert_eq!(full_forward_column(&net, &inputs, 2, col), partial, "col {col}");
             // softmaxes agree too
             let mut p1 = Vec::new();
             let mut p2 = Vec::new();
             net.column_softmax(&full, 1, col, &mut p1);
-            net.row_softmax(&partial, 1, width, &mut p2);
+            net.row_softmax(&partial, 1, net.domain_size(col), &mut p2);
             assert_eq!(p1, p2);
-        }
-    }
-
-    #[test]
-    fn immutable_forward_column_matches_mut_path() {
-        let mut net = tiny_net(vec![4, 3, 5], 12);
-        let inputs = [1usize, 2, 0, 3, 1, 4];
-        for col in 0..3 {
-            let mut via_mut = Vec::new();
-            net.forward_column(&inputs, 2, col, &mut via_mut);
-            let mut scratch = InferScratch::new();
-            let mut via_ref = Vec::new();
-            net.forward_column_into(&mut scratch, &inputs, 2, col, &mut via_ref);
-            assert_eq!(via_mut, via_ref, "col {col}");
         }
     }
 
@@ -1107,25 +930,15 @@ mod tests {
         }
         let tables = net.build_fused_tables();
         assert!(tables.size_bytes() > 0);
-        // inputs covering sampled values and MASK tokens
-        let inputs = [
-            1usize,
-            2,
-            0,
-            net.mask_token(0),
-            net.mask_token(1),
-            net.mask_token(2),
-            3,
-            net.mask_token(1),
-            4,
-        ];
+        // sampled values and MASK tokens; 7 rows run the 4-row micro-kernel
+        // block and the scalar tail
+        let (m0, m1, m2) = (net.mask_token(0), net.mask_token(1), net.mask_token(2));
+        let inputs = [1, 2, 0, m0, m1, m2, 3, m1, 4, 0, 0, m2, 2, 1, 3, m0, 2, 1, 3, m1, m2];
         let mut scratch = InferScratch::new();
         for col in 0..3 {
-            let mut plain = Vec::new();
-            net.forward_column_into(&mut scratch, &inputs, 3, col, &mut plain);
+            let plain = full_forward_column(&net, &inputs, 7, col);
             let mut fused = Vec::new();
-            net.forward_column_fused(&tables, &mut scratch, &inputs, 3, col, &mut fused);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            net.forward_column_fused(&tables, &mut scratch, &inputs, 7, col, &mut fused);
             assert_eq!(bits(&plain), bits(&fused), "col {col}");
         }
     }
@@ -1141,11 +954,10 @@ mod tests {
         let fresh = net.build_fused_tables();
         let inputs = [net.mask_token(0), net.mask_token(1)];
         let mut scratch = InferScratch::new();
-        let mut want = Vec::new();
-        net.forward_column_into(&mut scratch, &inputs, 1, 1, &mut want);
+        let want = full_forward_column(&net, &inputs, 1, 1);
         let mut got = Vec::new();
         net.forward_column_fused(&fresh, &mut scratch, &inputs, 1, 1, &mut got);
-        assert_eq!(want, got);
+        assert_eq!(bits(&want), bits(&got));
         let mut old = Vec::new();
         net.forward_column_fused(&stale, &mut scratch, &inputs, 1, 1, &mut old);
         assert_ne!(want, old, "stale tables must not match the updated model");
@@ -1154,22 +966,148 @@ mod tests {
     #[test]
     fn shared_net_forwards_concurrently() {
         let net = tiny_net(vec![4, 3, 5], 13);
+        let tables = net.build_fused_tables();
         let inputs = [1usize, 2, 0, 3, 1, 4];
-        let mut want = Vec::new();
-        net.forward_column_into(&mut InferScratch::new(), &inputs, 2, 2, &mut want);
+        let want = full_forward_column(&net, &inputs, 2, 2);
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let (net, want, inputs) = (&net, &want, &inputs);
+                let (net, tables, want, inputs) = (&net, &tables, &want, &inputs);
                 s.spawn(move || {
                     let mut scratch = InferScratch::new();
                     let mut out = Vec::new();
                     for _ in 0..50 {
-                        net.forward_column_into(&mut scratch, inputs, 2, 2, &mut out);
-                        assert_eq!(&out, want);
+                        net.forward_column_fused(tables, &mut scratch, inputs, 2, 2, &mut out);
+                        assert_eq!(bits(&out), bits(want));
                     }
                 });
             }
         });
+    }
+
+    #[test]
+    fn clone_starts_with_an_empty_training_pool() {
+        // the pool is ⌈batch/64⌉ full sets of gradient buffers: scratch a
+        // clone must not carry, while parameters and gradients it must
+        let mut net = tiny_net(vec![3, 3, 3], 29);
+        let data: Vec<usize> = (0..150 * 3).map(|i| i % 3).collect();
+        net.train_batch_sharded(&data, &data, 150, 2);
+        assert_eq!(net.train_pool.len(), 3);
+        let mut copy = net.clone();
+        assert!(copy.train_pool.is_empty());
+        assert_eq!(grad_bits(&mut copy), grad_bits(&mut net));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        net.forward(&data[..6], 2, &mut a);
+        copy.forward(&data[..6], 2, &mut b);
+        assert_eq!(bits(&a), bits(&b));
+        // and the clone trains on: its pool regrows on demand
+        assert_eq!(
+            copy.train_batch_sharded(&data, &data, 150, 1).to_bits(),
+            net.train_batch_sharded(&data, &data, 150, 1).to_bits()
+        );
+    }
+
+    /// Mean per-tuple NLL of `targets` under the full forward of `inputs`,
+    /// in f64 — the loss `train_batch_sharded` differentiates.
+    fn mean_nll(net: &MadeNet, inputs: &[usize], targets: &[usize], batch: usize) -> f64 {
+        let n = net.ncols();
+        let mut logits = Vec::new();
+        net.forward(inputs, batch, &mut logits);
+        let mut nll = 0.0f64;
+        for b in 0..batch {
+            for col in 0..n {
+                let seg = &logits[b * net.total_logits()..][net.logit_range(col)];
+                let max = seg.iter().fold(f64::NEG_INFINITY, |m, &l| m.max(l as f64));
+                let lse = seg.iter().map(|&l| (l as f64 - max).exp()).sum::<f64>().ln() + max;
+                nll += lse - seg[targets[b * n + col]] as f64;
+            }
+        }
+        nll / batch as f64
+    }
+
+    #[test]
+    fn train_batch_gradients_match_finite_differences() {
+        // the one trainer against central differences of the full forward's
+        // loss, on a net with every structural feature: masked layers
+        // (mask applied after the shard reduction), a residual pair (skip
+        // gradients), MASK tokens in the input (embedding scatter), and a
+        // batch of 70 = one full 64-row shard + a 6-row shard whose rows
+        // run the 4-row block and the scalar tail
+        let mut rng = StdRng::seed_from_u64(31);
+        let domains = vec![4usize, 3, 5];
+        let batch = 70;
+        let targets: Vec<usize> =
+            (0..batch * 3).map(|i| rng.random_range(0..domains[i % 3])).collect();
+        let inputs: Vec<usize> = targets
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| if rng.random::<f64>() < 0.3 { domains[i % 3] } else { t })
+            .collect();
+        let mut net = MadeNet::new(MadeConfig {
+            domain_sizes: domains.clone(),
+            hidden: vec![12, 12],
+            embed_dim: 4,
+            residual: true,
+            seed: 37,
+        });
+        assert!(net.skip_from[1], "the hidden pair must be residual");
+        // move the biases off zero so no ReLU sits at its kink
+        net.visit_params(&mut |p, _| {
+            for (i, v) in p.iter_mut().enumerate() {
+                *v += ((i * 7 + 3) % 11) as f32 * 0.01 - 0.05;
+            }
+        });
+        // per tensor in `visit_params` order: its connectivity mask, if any
+        let mut masks: Vec<Option<Vec<f32>>> = vec![None; net.embeddings.len()];
+        for layer in &mut net.layers {
+            let mask = layer.mask.clone().expect("every MADE layer is masked");
+            for (w, m) in layer.w.iter_mut().zip(&mask) {
+                *w *= m;
+            }
+            masks.extend([Some(mask), None]);
+        }
+        let mut two = net.clone();
+        let loss = net.train_batch_sharded(&inputs, &targets, batch, 1);
+        assert!((loss as f64 - mean_nll(&net, &inputs, &targets, batch)).abs() < 1e-4);
+        two.train_batch_sharded(&inputs, &targets, batch, 2);
+        assert_eq!(grad_bits(&mut net), grad_bits(&mut two), "threads 1 vs 2");
+        let mut analytic = Vec::new();
+        net.visit_params(&mut |_, g| analytic.push(g.to_vec()));
+
+        // small enough that a ReLU kink inside ±h is rare (low-degree units
+        // see only a handful of distinct inputs, so one crossing moves many
+        // rows at once), large enough to clear f32 noise
+        let h = 1e-4f32;
+        let (mut checked, mut nonzero) = (0, 0);
+        for (t, grads) in analytic.iter().enumerate() {
+            // a spread of entries per tensor
+            for idx in (0..grads.len()).step_by(grads.len() / 12 + 1) {
+                if masks[t].as_ref().is_some_and(|m| m[idx] == 0.0) {
+                    assert_eq!(grads[idx], 0.0, "masked weight {t}[{idx}] has a gradient");
+                    continue;
+                }
+                let mut loss_at = |d: f32| {
+                    let mut at = 0;
+                    net.visit_params(&mut |p, _| {
+                        if at == t {
+                            p[idx] += d;
+                        }
+                        at += 1;
+                    });
+                    mean_nll(&net, &inputs, &targets, batch)
+                };
+                let (up, down) = (loss_at(h), loss_at(-2.0 * h));
+                loss_at(h); // back to the centre (to an ulp)
+                let fd = (up - down) / (2.0 * h as f64);
+                let got = grads[idx] as f64;
+                assert!(
+                    (fd - got).abs() < 1.5e-3 + 0.02 * fd.abs(),
+                    "tensor {t}[{idx}]: fd {fd} vs analytic {got}"
+                );
+                checked += 1;
+                nonzero += (got != 0.0) as usize;
+            }
+        }
+        assert!(checked > 60 && nonzero > 30, "checked {checked}, non-zero {nonzero}");
     }
 
     /// Gradients (post-`train_batch_sharded`, pre-optimiser) as bit
@@ -1285,7 +1223,7 @@ mod tests {
             }
         }
         let mut logits = Vec::new();
-        net.forward(&[net.mask_token(0)], 1, false, &mut logits);
+        net.forward(&[net.mask_token(0)], 1, &mut logits);
         let mut p = Vec::new();
         net.column_softmax(&logits, 0, 0, &mut p);
         assert!((p[0] - 2.0 / 3.0).abs() < 0.05, "P(0) = {}", p[0]);

@@ -19,12 +19,14 @@ pub struct MlpConfig {
     pub seed: u64,
 }
 
-/// MLP with scalar output.
+/// MLP with scalar output. The layers are stateless; `bufs[l]` is layer
+/// `l`'s input and `masks[l]` its ReLU pattern, kept from the last forward
+/// for the backward pass of [`Mlp::train_batch`].
 #[derive(Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    relus: Vec<Relu>,
     bufs: Vec<Vec<f32>>,
+    masks: Vec<Vec<bool>>,
     grads: Vec<Vec<f32>>,
 }
 
@@ -41,38 +43,30 @@ impl Mlp {
         layers.push(Linear::new(prev, 1, &mut init));
         let nl = layers.len();
         Mlp {
-            relus: vec![Relu::default(); nl - 1],
             layers,
             bufs: vec![Vec::new(); nl + 1],
+            masks: vec![Vec::new(); nl - 1],
             grads: vec![Vec::new(); nl + 1],
         }
     }
 
     /// Forward `batch` rows of features; returns one scalar per row.
     pub fn predict(&mut self, x: &[f32], batch: usize, out: &mut Vec<f32>) {
-        self.forward(x, batch, false);
+        self.forward(x, batch);
         out.clear();
         out.extend_from_slice(&self.bufs[self.layers.len()]);
     }
 
-    fn forward(&mut self, x: &[f32], batch: usize, cache: bool) {
+    fn forward(&mut self, x: &[f32], batch: usize) {
         self.bufs[0].clear();
         self.bufs[0].extend_from_slice(x);
         let nl = self.layers.len();
         for l in 0..nl {
             let (head, tail) = self.bufs.split_at_mut(l + 1);
-            let (xin, y) = (&head[l], &mut tail[0]);
-            if cache {
-                self.layers[l].forward(xin, batch, y);
-            } else {
-                self.layers[l].forward_no_cache(xin, batch, y);
-            }
+            let y = &mut tail[0];
+            self.layers[l].forward(&head[l], batch, y);
             if l + 1 < nl {
-                if cache {
-                    self.relus[l].forward(y);
-                } else {
-                    Relu::forward_no_cache(y);
-                }
+                Relu::forward_masked(y, &mut self.masks[l]);
             }
         }
     }
@@ -81,7 +75,7 @@ impl Mlp {
     /// optimiser. Returns the batch MSE.
     pub fn train_batch(&mut self, x: &[f32], y: &[f32], batch: usize) -> f32 {
         assert_eq!(y.len(), batch);
-        self.forward(x, batch, true);
+        self.forward(x, batch);
         let nl = self.layers.len();
         let preds = &self.bufs[nl];
         let mut loss = 0.0f32;
@@ -96,12 +90,11 @@ impl Mlp {
         self.grads[nl] = dy;
         for l in (0..nl).rev() {
             let (head, tail) = self.grads.split_at_mut(l + 1);
-            let (gin, gout) = (&mut head[l], &tail[0]);
-            let mut d = gout.clone();
+            let (gin, gout) = (&mut head[l], &mut tail[0]);
             if l + 1 < nl {
-                self.relus[l].backward(&mut d);
+                Relu::backward_masked(gout, &self.masks[l]);
             }
-            self.layers[l].backward(&d, gin);
+            self.layers[l].backward(&self.bufs[l], gout, batch, gin);
         }
         loss
     }

@@ -22,5 +22,4 @@ cargo bench -p iam-bench --bench table9_11_reducers
 cargo bench -p iam-bench --bench fig7_components
 cargo bench -p iam-bench --bench table12_size_vs_components
 cargo bench -p iam-bench --bench ablations
-cargo bench -p iam-bench --bench qerror_accuracy
 cargo bench -p iam-bench --bench micro -- --quick --noplot

@@ -12,7 +12,6 @@ use iam_data::column::{CatColumn, Column, ContColumn};
 use iam_data::query::{Interval, Op, Predicate, Query};
 use iam_data::{RangeQuery, SelectivityEstimator, Table};
 use iam_gmm::Gmm1d;
-use iam_nn::InferScratch;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -113,11 +112,11 @@ fn exhaustive_model_selectivity(est: &IamEstimator, rq: &RangeQuery) -> f64 {
             };
         }
         let mut logits = Vec::new();
-        // the plain (unfused) forward: the reference the production
-        // sampler's fused path is checked against
-        net.forward_column_into(&mut InferScratch::new(), &inputs, 1, slot, &mut logits);
+        // the plain full forward: the reference the production sampler's
+        // fused column forward is checked against
+        net.forward(&inputs, 1, &mut logits);
         let mut probs = Vec::new();
-        net.row_softmax(&logits, 0, net.domain_size(slot), &mut probs);
+        net.column_softmax(&logits, 0, slot, &mut probs);
         probs.iter().map(|&p| p as f64).collect()
     }
 
