@@ -2,16 +2,10 @@
 //! plus a training-throughput sweep over worker-thread counts.
 //!
 //! The sweep retrains IAM with `train_threads` ∈ {1, 2, 4} (override the
-//! list with `IAM_BENCH_THREAD_SWEEP`, e.g. `1,2,4,8`) and writes the
-//! per-configuration epoch time and rows/s to `BENCH_training.json` at the
-//! repository root. The thread count never changes the trained weights
-//! (see `iam_core::train`), so the sweep measures pure wall-time scaling.
-//!
-//! With `IAM_BENCH_SIMULATE_CORES=N` the default sweep extends through the
-//! powers of two up to N (oversubscribed when the host has fewer physical
-//! cores). That exercises the N-core sharding behaviour, but the wall-clock
-//! figures are not comparable to a real N-core host, so the simulated count
-//! is stamped into the JSON next to `host_parallelism`.
+//! list with `IAM_BENCH_THREAD_SWEEP`, e.g. `1,2,4,8`) and prints the
+//! per-configuration epoch time and rows/s. The thread count never changes
+//! the trained weights (see `iam_core::train`), so the sweep measures pure
+//! wall-time scaling.
 
 use iam_bench::join_exp::JoinExperiment;
 use iam_bench::BenchScale;
@@ -23,17 +17,9 @@ use std::time::Instant;
 /// One sweep configuration's measurements.
 struct SweepRow {
     threads: usize,
-    epochs: usize,
     mean_epoch_s: f64,
     rows_per_s: f64,
     final_ar_loss: f64,
-}
-
-fn simulated_cores() -> Option<usize> {
-    std::env::var("IAM_BENCH_SIMULATE_CORES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
 }
 
 fn sweep_threads() -> Vec<usize> {
@@ -41,16 +27,7 @@ fn sweep_threads() -> Vec<usize> {
         .ok()
         .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect())
         .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| match simulated_cores() {
-            Some(n) => {
-                let mut v: Vec<usize> =
-                    std::iter::successors(Some(1usize), |&t| (t < n).then(|| (t * 2).min(n)))
-                        .collect();
-                v.dedup();
-                v
-            }
-            None => vec![1, 2, 4],
-        })
+        .unwrap_or_else(|| vec![1, 2, 4])
 }
 
 fn run_sweep(table: &iam_data::Table, cfg: &IamConfig, epochs: usize) -> Vec<SweepRow> {
@@ -67,47 +44,12 @@ fn run_sweep(table: &iam_data::Table, cfg: &IamConfig, epochs: usize) -> Vec<Swe
             let rows: usize = est.stats.iter().map(|s| s.rows).sum();
             SweepRow {
                 threads,
-                epochs,
                 mean_epoch_s: secs / epochs.max(1) as f64,
                 rows_per_s: rows as f64 / secs.max(1e-9),
                 final_ar_loss: est.stats.last().map_or(f64::NAN, |s| s.ar_loss),
             }
         })
         .collect()
-}
-
-fn write_json(rows: &[SweepRow], nrows: usize) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_training.json");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"dataset_rows\": {nrows},\n"));
-    s.push_str(&format!("  \"host_cores\": {cores},\n"));
-    // honesty marker: numbers are only comparable across runs on hosts
-    // with the same parallelism, and a simulated (oversubscribed) sweep is
-    // flagged as such
-    s.push_str(&format!("  \"host_parallelism\": {cores},\n"));
-    match simulated_cores() {
-        Some(n) => s.push_str(&format!("  \"simulated_cores\": {n},\n")),
-        None => s.push_str("  \"simulated_cores\": null,\n"),
-    }
-    s.push_str("  \"configs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"train_threads\": {}, \"epochs\": {}, \"mean_epoch_ms\": {:.1}, \
-             \"rows_per_s\": {:.0}, \"final_ar_loss\": {:.6}}}{}\n",
-            r.threads,
-            r.epochs,
-            r.mean_epoch_s * 1000.0,
-            r.rows_per_s,
-            r.final_ar_loss,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    match std::fs::write(path, &s) {
-        Ok(()) => eprintln!("[table8] wrote {path}"),
-        Err(e) => eprintln!("[table8] could not write {path}: {e}"),
-    }
 }
 
 fn main() {
@@ -158,5 +100,4 @@ fn main() {
             r.final_ar_loss
         );
     }
-    write_json(&rows, exp.flat.nrows());
 }

@@ -22,7 +22,7 @@ use iam_data::{Interval, RangeQuery};
 use iam_gmm::math::{std_normal_cdf, std_normal_pdf};
 use iam_nn::InferScratch;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
 /// Domain-separation constant mixed into the per-query aggregate sampling
 /// seed so AQP draws never correlate with the selectivity sampler's (which
@@ -69,20 +69,6 @@ impl IamEstimator {
     /// Estimate `AVG`/`SUM`/`COUNT` of column `target_col` over the region
     /// described by `rq`, using `nrows` as the table cardinality.
     ///
-    /// Stateful variant: each call advances the estimator's internal RNG,
-    /// so repeated calls give independent Monte-Carlo draws. For the
-    /// deterministic, shareable path (serving), see
-    /// [`Self::estimate_aggregate_shared`].
-    pub fn estimate_aggregate(
-        &mut self,
-        rq: &RangeQuery,
-        target_col: usize,
-        nrows: usize,
-    ) -> AggregateEstimate {
-        let seed = self.rng_mut().random::<u64>();
-        self.aggregate_seeded(rq, target_col, nrows, seed)
-    }
-
     /// Deterministic, shareable aggregate estimation: `&self`, so a single
     /// trained model behind an `Arc` can answer aggregates from many
     /// threads concurrently (the SQL front-end path).
@@ -104,18 +90,6 @@ impl IamEstimator {
             ^ rq.canonical_key()
             ^ AQP_SEED_SALT
             ^ (target_col as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.aggregate_seeded(rq, target_col, nrows, seed)
-    }
-
-    /// Shared implementation: estimate aggregates with a caller-fixed
-    /// sampling seed.
-    fn aggregate_seeded(
-        &self,
-        rq: &RangeQuery,
-        target_col: usize,
-        nrows: usize,
-        seed: u64,
-    ) -> AggregateEstimate {
         crate::probes::aqp().queries.inc();
         let plan = match self.schema.query_plan(rq) {
             Some(p) => p,
@@ -123,7 +97,7 @@ impl IamEstimator {
                 return AggregateEstimate { avg: f64::NAN, sum: 0.0, count: 0.0, selectivity: 0.0 }
             }
         };
-        let samples = self.samples();
+        let samples = self.cfg.samples;
         let mut rng = StdRng::seed_from_u64(seed);
         let (tuples, weights) = self.sample_region(&plan, samples, &mut rng);
         let sel: f64 = weights.iter().sum::<f64>() / samples.max(1) as f64;
@@ -269,7 +243,7 @@ mod tests {
     use iam_data::column::{CatColumn, Column, ContColumn};
     use iam_data::query::{Op, Predicate, Query};
     use iam_data::Table;
-    use rand::SeedableRng;
+    use rand::RngExt;
 
     fn table(n: usize, seed: u64) -> Table {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -320,11 +294,11 @@ mod tests {
     #[test]
     fn avg_tracks_truth_on_conditioned_region() {
         let t = table(6000, 1);
-        let mut est = IamEstimator::fit(&t, cfg());
+        let est = IamEstimator::fit(&t, cfg());
         // AVG(x) over group 2 — truth ≈ 20
         let q = Query::new(vec![Predicate { col: 0, op: Op::Eq, value: 2.0 }]);
         let (rq, _) = q.normalize(2).unwrap();
-        let agg = est.estimate_aggregate(&rq, 1, t.nrows());
+        let agg = est.estimate_aggregate_shared(&rq, 1, t.nrows());
         // ground truth
         let Column::Continuous(xc) = &t.columns[1] else { unreachable!() };
         let Column::Categorical(gc) = &t.columns[0] else { unreachable!() };
@@ -349,11 +323,11 @@ mod tests {
     #[test]
     fn avg_respects_range_truncation() {
         let t = table(6000, 2);
-        let mut est = IamEstimator::fit(&t, cfg());
+        let est = IamEstimator::fit(&t, cfg());
         // AVG(x) over x >= 15: only groups 2-ish qualify; truth ≈ 20
         let q = Query::new(vec![Predicate { col: 1, op: Op::Ge, value: 15.0 }]);
         let (rq, _) = q.normalize(2).unwrap();
-        let agg = est.estimate_aggregate(&rq, 1, t.nrows());
+        let agg = est.estimate_aggregate_shared(&rq, 1, t.nrows());
         let Column::Continuous(xc) = &t.columns[1] else { unreachable!() };
         let sel: Vec<f64> = xc.values.iter().copied().filter(|&v| v >= 15.0).collect();
         let truth = sel.iter().sum::<f64>() / sel.len() as f64;
@@ -382,10 +356,10 @@ mod tests {
     #[test]
     fn empty_region_reports_zero_mass() {
         let t = table(2000, 3);
-        let mut est = IamEstimator::fit(&t, cfg());
+        let est = IamEstimator::fit(&t, cfg());
         let mut rq = iam_data::RangeQuery::unconstrained(2);
         rq.cols[1] = Some(Interval::closed(1e6, 2e6));
-        let agg = est.estimate_aggregate(&rq, 1, t.nrows());
+        let agg = est.estimate_aggregate_shared(&rq, 1, t.nrows());
         assert!(agg.count < 2.0, "count {}", agg.count);
         assert!(agg.selectivity < 1e-3);
     }

@@ -66,17 +66,6 @@ impl IamEstimator {
                 &self.cfg,
                 &mut self.rng,
             );
-            iam_obs::trace::event(
-                "train.epoch",
-                &[
-                    ("model", iam_obs::Value::Str(&self.name)),
-                    ("epoch", iam_obs::Value::U64(self.stats.len() as u64 + 1)),
-                    ("ar_loss", iam_obs::Value::F64(s.ar_loss)),
-                    ("gmm_loss", iam_obs::Value::F64(s.gmm_loss)),
-                    ("seconds", iam_obs::Value::F64(s.seconds)),
-                    ("rows_per_sec", iam_obs::Value::F64(s.rows_per_sec())),
-                ],
-            );
             self.stats.push(s);
         }
         self.prepare_inference();
@@ -227,16 +216,6 @@ impl IamEstimator {
         let out = f(&mut self.net);
         self.prepare_inference();
         out
-    }
-
-    /// Mutable access to the sampling RNG (used by the AQP extension).
-    pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    /// Effective per-query sample budget (used by the AQP extension).
-    pub(crate) fn samples(&self) -> usize {
-        self.cfg.samples
     }
 }
 

@@ -312,7 +312,6 @@ fn sample_chunk(
     // local accounting, flushed to the registry once per batch
     let mut forward_rows = 0u64;
     let mut dedup_hits = 0u64;
-    let mut skipped_flops = 0u64;
 
     for slot in 0..nslots {
         // which rows need a model forward at this slot?
@@ -364,7 +363,6 @@ fn sample_chunk(
 
         // compact forward over just the unique prefixes
         net.forward_column_fused(tables, nn, gather_inputs, nuniq, slot, logits);
-        skipped_flops += tables.skipped_layer1_flops(nuniq);
         let width = net.domain_size(slot);
 
         // one softmax per unique prefix, reused by every duplicate row
@@ -537,34 +535,19 @@ fn sample_chunk(
     }
 
     let p = probes::infer();
-    let trace_on = iam_obs::trace::active();
     let mut dead_samples = 0u64;
     for (li, &q) in live.iter().enumerate() {
         let block = &p_hat[li * sp..(li + 1) * sp];
-        let dead = block.iter().filter(|&&x| x == 0.0).count() as u64;
-        dead_samples += dead;
+        dead_samples += block.iter().filter(|&&x| x == 0.0).count() as u64;
         results[q] = (block.iter().sum::<f64>() / sp as f64).clamp(0.0, 1.0);
         crate::invariant::check_selectivity(results[q], "progressive-sampling estimate");
-        p.samples_per_query.observe(sp as u64);
         p.renorm_mass_ppm.observe((results[q] * 1e6) as u64);
-        if trace_on {
-            iam_obs::trace::event(
-                "infer.query",
-                &[
-                    ("samples", iam_obs::Value::U64(sp as u64)),
-                    ("dead_samples", iam_obs::Value::U64(dead)),
-                    ("estimate", iam_obs::Value::F64(results[q])),
-                    ("seed", iam_obs::Value::U64(seeds[q])),
-                ],
-            );
-        }
     }
     p.queries.add(live.len() as u64);
     p.samples.add(rows as u64);
     p.forward_rows.add(forward_rows);
     p.dead_samples.add(dead_samples);
     p.dedup_hits.add(dedup_hits);
-    p.layer1_skipped_flops.add(skipped_flops);
 }
 
 /// Append one window's `pick_in_window` accumulator to `arena`: entry `j`

@@ -26,7 +26,7 @@
 //!
 //! Training, planning and inference are instrumented with `iam-obs` probes
 //! (`iam_train_*` / `iam_plan_*` / `iam_infer_*` in the global registry,
-//! `train.epoch` / `infer.progressive_sample` spans, JSONL trace events) —
+//! `train.epoch` / `infer.progressive_sample` spans) —
 //! see the README's "Observability" section.
 
 #![deny(missing_docs)]

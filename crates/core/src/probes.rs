@@ -9,7 +9,7 @@
 use iam_obs::{Counter, FloatGauge, Gauge, Histogram, Registry};
 use std::sync::{Arc, OnceLock};
 
-/// Powers-of-two bounds for count-shaped histograms (samples, fanouts…).
+/// Powers-of-two bounds for count-shaped histograms (fanouts, non-zeros).
 const POW2_BOUNDS: [u64; 13] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384];
 
 /// Bounds for per-epoch wall time, in milliseconds.
@@ -100,18 +100,14 @@ pub(crate) struct InferProbes {
     pub forward_rows: Arc<Counter>,
     /// Samples whose running probability hit zero before the last slot.
     pub dead_samples: Arc<Counter>,
-    /// Samples-per-query setting observed per query.
-    pub samples_per_query: Arc<Histogram>,
     /// Per-query mean renormalization mass `mean_s p̂(s)` (ppm of 1.0) —
     /// how much probability mass the constrained supports retain.
     pub renorm_mass_ppm: Arc<Histogram>,
     /// Forward rows avoided by prefix deduplication (rows whose sampled
     /// prefix matched an earlier row in the same slot step).
     pub dedup_hits: Arc<Counter>,
-    /// Layer-1 multiply-accumulate FLOPs replaced by fused-table lookups.
-    pub layer1_skipped_flops: Arc<Counter>,
-    /// Resident size of the fused embedding→layer-1 token tables (bytes);
-    /// 0 when the fused path is disabled.
+    /// Resident size of the fused embedding→layer-1 token tables (bytes),
+    /// set wherever they are rebuilt.
     pub table_bytes: Arc<Gauge>,
 }
 
@@ -124,10 +120,8 @@ pub(crate) fn infer() -> &'static InferProbes {
             samples: r.counter("iam_infer_samples_total", &[]),
             forward_rows: r.counter("iam_infer_forward_rows_total", &[]),
             dead_samples: r.counter("iam_infer_dead_samples_total", &[]),
-            samples_per_query: r.histogram("iam_infer_samples_per_query", &[], &POW2_BOUNDS),
             renorm_mass_ppm: r.histogram("iam_infer_renorm_mass_ppm", &[], &MASS_PPM_BOUNDS),
             dedup_hits: r.counter("iam_infer_dedup_hits_total", &[]),
-            layer1_skipped_flops: r.counter("iam_infer_layer1_skipped_flops_total", &[]),
             table_bytes: r.gauge("iam_infer_table_bytes", &[]),
         }
     })

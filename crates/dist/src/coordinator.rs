@@ -543,12 +543,12 @@ impl Coordinator {
     }
 
     /// Drain every buffered span — the coordinator's own plus the worker
-    /// spans absorbed from reply envelopes — and render the merged JSONL
-    /// trace and folded stacks. One scattered batch with tracing on shows
-    /// up here as a single trace id whose tree spans both processes.
-    pub fn drain_traces(&self) -> (String, String) {
-        let records = iam_obs::tracetree::drain();
-        (iam_obs::tracetree::to_jsonl(&records), iam_obs::tracetree::folded_stacks(&records))
+    /// spans absorbed from reply envelopes. One scattered batch with
+    /// tracing on shows up here as a single trace id whose tree spans both
+    /// processes; render with [`iam_obs::tracetree::to_jsonl`] or
+    /// [`iam_obs::tracetree::folded_stacks`].
+    pub fn drain_traces(&self) -> Vec<iam_obs::SpanRecord> {
+        iam_obs::tracetree::drain()
     }
 
     /// Ask every worker to drain and exit; best effort (already-dead

@@ -599,23 +599,12 @@ pub fn read_frame<R: Read>(r: &mut R, max_frame: u32) -> Result<Option<Frame>, D
 /// hostile length prefix reserves nothing of consequence.
 const PAYLOAD_CHUNK: usize = 16 * 1024;
 
-/// [`read_msg`] for readers with a read timeout installed (worker
+/// [`read_frame`] for readers with a read timeout installed (worker
 /// connection handlers): a `WouldBlock`/`TimedOut` poll is retried, and
 /// `cancelled()` is consulted on each retry so a handler can notice
 /// shutdown between (or during) frames without ever tearing a frame in
 /// half — partial header/payload bytes stay accumulated across retries.
 /// Returns `Ok(None)` on clean peer close or cancellation.
-pub fn read_msg_cancellable<R: Read>(
-    r: &mut R,
-    max_frame: u32,
-    cancelled: &dyn Fn() -> bool,
-) -> Result<Option<Msg>, DistError> {
-    Ok(read_frame_cancellable(r, max_frame, cancelled)?.map(|f| f.msg))
-}
-
-/// [`read_frame`] with the retry/cancellation behaviour of
-/// [`read_msg_cancellable`] — the worker connection loop uses this to
-/// receive envelopes (trace context) without losing shutdown polling.
 pub fn read_frame_cancellable<R: Read>(
     r: &mut R,
     max_frame: u32,

@@ -300,8 +300,8 @@ fn handle_connection(
     stop: &AtomicBool,
 ) -> Result<(), DistError> {
     // short read timeout so the handler re-checks `stop` between frames;
-    // read_msg_cancellable only treats a timeout as idle at a frame
-    // boundary, so slow mid-frame peers are never corrupted
+    // read_frame_cancellable keeps partial bytes across timeouts, so slow
+    // mid-frame peers are never corrupted
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
     let mut reader = stream.try_clone()?;
     let mut out = BufWriter::new(stream);

@@ -113,14 +113,13 @@ fn scattered_batch_stitches_into_one_trace_tree() {
         r.expect("healthy cluster answers everything");
     }
 
-    let (jsonl, folded) = coord.drain_traces();
-
-    // --- JSONL schema round-trips -----------------------------------------
-    let records: Vec<SpanRecord> = jsonl
-        .lines()
-        .map(|l| SpanRecord::from_json_line(l).unwrap_or_else(|| panic!("bad trace line {l:?}")))
-        .collect();
+    let records = coord.drain_traces();
     assert!(!records.is_empty(), "tracing produced no records");
+    assert_eq!(
+        tracetree::to_jsonl(&records).lines().count(),
+        records.len(),
+        "the JSONL dump has one line per record"
+    );
 
     // --- a single stitched trace ------------------------------------------
     let trace_ids = TraceTree::trace_ids(&records);
@@ -182,6 +181,7 @@ fn scattered_batch_stitches_into_one_trace_tree() {
     }
 
     // --- folded stacks nest across processes ------------------------------
+    let folded = tracetree::folded_stacks(&records);
     for line in folded.lines() {
         let (stack, n) = line.rsplit_once(' ').expect("folded line shape");
         let _: u64 = n.parse().unwrap_or_else(|_| panic!("bad self-time in {line:?}"));
@@ -200,8 +200,7 @@ fn scattered_batch_stitches_into_one_trace_tree() {
     for r in coord.estimate_batch(&batch) {
         r.expect("second batch");
     }
-    let (jsonl2, _) = coord.drain_traces();
-    let records2: Vec<SpanRecord> = jsonl2.lines().filter_map(SpanRecord::from_json_line).collect();
+    let records2 = coord.drain_traces();
     let ids2 = TraceTree::trace_ids(&records2);
     assert_eq!(ids2.len(), 1);
     assert_ne!(ids2[0], trace_ids[0], "each batch gets its own trace id");

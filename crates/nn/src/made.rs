@@ -94,26 +94,12 @@ pub struct FusedTables {
     slots: Vec<Vec<f32>>,
     /// First hidden layer width.
     h0: usize,
-    /// Per-slot embedding width at build time (for flop accounting).
-    embed_dim: usize,
 }
 
 impl FusedTables {
     /// Resident size of the cached tables, in bytes.
     pub fn size_bytes(&self) -> usize {
         self.slots.iter().map(|t| std::mem::size_of_val(t.as_slice())).sum()
-    }
-
-    /// First hidden layer width.
-    pub fn hidden0(&self) -> usize {
-        self.h0
-    }
-
-    /// Nominal first-layer FLOPs a fused forward of `rows` sample rows
-    /// avoids: per (hidden unit, slot) a `2·e`-flop dot product collapses
-    /// to one add.
-    pub fn skipped_layer1_flops(&self, rows: usize) -> u64 {
-        (rows * self.slots.len() * self.h0) as u64 * (2 * self.embed_dim as u64 - 1)
     }
 }
 
@@ -406,7 +392,7 @@ impl MadeNet {
                 table
             })
             .collect();
-        FusedTables { slots, h0, embed_dim: e }
+        FusedTables { slots, h0 }
     }
 
     /// Inference forward computing only column `col`'s logits

@@ -1,27 +1,23 @@
 //! iam-obs — workspace-wide observability for the IAM pipeline (std-only,
 //! no external dependencies).
 //!
-//! Three layers, each usable alone:
+//! Two layers, each usable alone:
 //!
 //! * [`registry`] — a shard-friendly metrics registry: [`Counter`],
 //!   [`Gauge`], [`FloatGauge`] and fixed-bucket [`Histogram`] instruments
 //!   behind `Arc` handles (relaxed atomics on the hot path, a lock only at
-//!   registration), with Prometheus text exposition and one-line JSON
-//!   snapshots for JSONL appends. [`Registry::global`] hosts the
-//!   process-wide probes; subsystems that need isolation (the serving
-//!   layer, tests) instantiate their own.
+//!   registration), with Prometheus text exposition. [`Registry::global`]
+//!   hosts the process-wide probes; subsystems that need isolation (the
+//!   serving layer, tests) instantiate their own.
 //! * [`span`](mod@span) — hierarchical wall-time spans
 //!   (`let _g = iam_obs::span!("infer.progressive_sample");`) aggregated
 //!   per stack path. Off by default; when enabled, exits fold into a
 //!   process-wide table dumped as flamegraph-compatible folded stacks
 //!   ([`span::folded_stacks`]) and mirrored into the global registry as
-//!   `iam_span_us_total{span=…}` counters.
-//! * [`trace`] — JSONL trace events ([`trace::event`]) through an
-//!   installable sink: per-epoch training losses, per-query inference
-//!   stats, registry snapshots. A no-op (one atomic load) until a sink is
-//!   installed.
+//!   `iam_span_us_total{span=…}` counters. The span guard is the only
+//!   tracing mechanism: there is no event sink.
 //!
-//! Two cluster-facing layers build on those:
+//! Two more build on those:
 //!
 //! * [`tracetree`] — distributed trace trees: a [`TraceCtx`] (128-bit
 //!   trace id + parent span id) installed per thread makes every `span!`
@@ -35,19 +31,17 @@
 //!   and per-column error gauges, all landing in an ordinary [`Registry`].
 //!
 //! The probes wired through `iam-core` and `iam-serve` all funnel into
-//! these three; see the README's "Observability" section for how to scrape
-//! and read them.
+//! these; see the README's "Observability" section for how to scrape and
+//! read them.
 
 #![deny(missing_docs)]
 
 pub mod qerror;
 pub mod registry;
 pub mod span;
-pub mod trace;
 pub mod tracetree;
 
 pub use qerror::{QErrorTracker, QRecord};
 pub use registry::{fmt_bound, Counter, FloatGauge, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use span::{SpanAgg, SpanGuard};
-pub use trace::{SharedBuf, Value};
 pub use tracetree::{SpanRecord, TraceCtx, TraceIdGen};

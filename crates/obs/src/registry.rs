@@ -7,9 +7,8 @@
 //! process-wide via [`Registry::global`], which is where the `iam-core`
 //! training/inference probes live.
 //!
-//! Snapshots come in two formats: Prometheus text exposition
-//! ([`Registry::render_prometheus`]) and a single-line JSON object
-//! ([`Registry::render_json`]) suitable for JSONL appends.
+//! Snapshots have one format: Prometheus text exposition
+//! ([`Registry::render_prometheus`]).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
@@ -215,7 +214,9 @@ impl HistogramSnapshot {
     }
 
     /// Estimate the `q`-quantile (0..=1): the upper bound of the first
-    /// bucket whose cumulative count reaches the rank, 0 when empty.
+    /// bucket whose cumulative count reaches the rank, 0 when empty. The
+    /// catch-all bucket has no finite bound, so a rank landing there reads
+    /// the exact [`max`](Self::max) instead.
     pub fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
@@ -226,10 +227,10 @@ impl HistogramSnapshot {
         for (b, c) in self.bounds.iter().zip(&self.counts) {
             cum += c;
             if cum >= rank {
-                return *b;
+                return if *b == u64::MAX { self.max } else { *b };
             }
         }
-        *self.bounds.last().expect("histogram has buckets")
+        self.max
     }
 }
 
@@ -455,60 +456,6 @@ impl Registry {
         }
         out
     }
-
-    /// One-line JSON object snapshot of every instrument, suitable for
-    /// appending to a JSONL file:
-    /// `{"counters":{…},"gauges":{…},"histograms":{…}}`. Histogram bucket
-    /// bounds are strings so the catch-all can read `"+Inf"`.
-    pub fn render_json(&self) -> String {
-        let metrics = self.metrics.read().expect("registry poisoned");
-        let mut counters = String::new();
-        let mut gauges = String::new();
-        let mut hists = String::new();
-        for (id, m) in metrics.iter() {
-            let key = crate::trace::json_escape(&id.render());
-            match m {
-                Instrument::Counter(c) => {
-                    push_kv(&mut counters, &key, &c.get().to_string());
-                }
-                Instrument::Gauge(g) => {
-                    push_kv(&mut gauges, &key, &g.get().to_string());
-                }
-                Instrument::FloatGauge(g) => {
-                    let v = g.get();
-                    let r = if v.is_finite() { fmt_f64(v) } else { "null".into() };
-                    push_kv(&mut gauges, &key, &r);
-                }
-                Instrument::Histogram(h) => {
-                    let snap = h.snapshot();
-                    let le: Vec<String> =
-                        snap.bounds.iter().map(|&b| format!("\"{}\"", fmt_bound(b))).collect();
-                    let counts: Vec<String> = snap.counts.iter().map(u64::to_string).collect();
-                    let body = format!(
-                        "{{\"le\":[{}],\"counts\":[{}],\"sum\":{},\"max\":{}}}",
-                        le.join(","),
-                        counts.join(","),
-                        snap.sum,
-                        snap.max
-                    );
-                    push_kv(&mut hists, &key, &body);
-                }
-            }
-        }
-        format!(
-            "{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{hists}}}}}"
-        )
-    }
-}
-
-fn push_kv(out: &mut String, key: &str, value: &str) {
-    if !out.is_empty() {
-        out.push(',');
-    }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(value);
 }
 
 /// Format an `f64` for exposition: finite shortest round-trip, otherwise
@@ -571,9 +518,6 @@ mod tests {
         let prom = r.render_prometheus();
         assert!(prom.contains("iam_test_us_bucket{le=\"+Inf\"} 1"), "{prom}");
         assert!(!prom.contains(&u64::MAX.to_string()), "raw u64::MAX leaked: {prom}");
-        let json = r.render_json();
-        assert!(json.contains("\"+Inf\""), "{json}");
-        assert!(!json.contains(&u64::MAX.to_string()), "raw u64::MAX leaked: {json}");
     }
 
     #[test]
@@ -638,22 +582,18 @@ mod tests {
         assert_eq!(s.quantile(0.95), 5000);
         assert_eq!(s.quantile(0.99), 5000);
         assert_eq!(s.max, 3000);
+        // a rank in the catch-all bucket reads the largest observation, not
+        // u64::MAX; interior buckets still read their bound
+        h.observe(7000);
+        h.observe(9000);
+        let s = h.snapshot();
+        assert_eq!(s.quantile(0.50), 50);
+        assert_eq!(s.quantile(0.95), 5000);
+        assert_eq!(s.quantile(0.99), 9000);
+        assert_eq!(s.quantile(1.0), 9000);
         // empty histogram
         let e = Histogram::with_bounds(&[10]).snapshot();
         assert_eq!(e.quantile(0.5), 0);
         assert_eq!(e.mean(), 0.0);
-    }
-
-    #[test]
-    fn json_snapshot_is_wellformed_enough() {
-        let r = Registry::new();
-        r.counter("iam_a_total", &[]).inc();
-        r.histogram("iam_h", &[], &[5]).observe(2);
-        r.float_gauge("iam_nanny", &[]).set(f64::NAN);
-        let j = r.render_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"iam_a_total\":1"));
-        assert!(j.contains("\"counts\":[1,0]"));
-        assert!(j.contains("\"iam_nanny\":null"), "NaN must not leak into JSON: {j}");
     }
 }

@@ -169,12 +169,6 @@ pub fn current() -> Option<TraceCtx> {
     CURRENT.with(|c| c.get())
 }
 
-/// Is this thread actively recording (enabled + context installed)?
-#[inline]
-pub fn armed() -> bool {
-    enabled() && current().is_some()
-}
-
 /// The context a *child* (a queued request, a scatter thread, a remote
 /// peer) should inherit from this thread: the current trace re-parented
 /// under the innermost open span, falling back to the installed context's
@@ -298,135 +292,37 @@ pub fn reset() {
 
 // --- JSONL schema ----------------------------------------------------------
 
-fn fmt_trace_id(id: u128) -> String {
-    format!("{id:032x}")
-}
-
-fn parse_trace_id(s: &str) -> Option<u128> {
-    (s.len() == 32).then(|| u128::from_str_radix(s, 16).ok()).flatten()
-}
-
 impl SpanRecord {
     /// Render as one `{"event":"span",…}` JSONL line (no trailing newline).
     /// Schema: `trace` (32 hex chars), `span`/`parent` (decimal u64),
     /// `name`, `proc`, `start_us`, `dur_us`.
     pub fn to_json_line(&self) -> String {
         format!(
-            "{{\"event\":\"span\",\"trace\":\"{}\",\"span\":{},\"parent\":{},\
+            "{{\"event\":\"span\",\"trace\":\"{:032x}\",\"span\":{},\"parent\":{},\
              \"name\":\"{}\",\"proc\":\"{}\",\"start_us\":{},\"dur_us\":{}}}",
-            fmt_trace_id(self.trace_id),
+            self.trace_id,
             self.span_id,
             self.parent_span,
-            crate::trace::json_escape(&self.name),
-            crate::trace::json_escape(&self.proc),
+            json_escape(&self.name),
+            json_escape(&self.proc),
             self.start_unix_us,
             self.dur_us,
         )
     }
-
-    /// Parse a line produced by [`SpanRecord::to_json_line`]. Returns
-    /// `None` for anything that is not a well-formed span event — the
-    /// reader side of the schema round-trip the trace tests pin.
-    pub fn from_json_line(line: &str) -> Option<SpanRecord> {
-        let line = line.trim();
-        let body = line.strip_prefix('{')?.strip_suffix('}')?;
-        let mut trace = None;
-        let mut span = None;
-        let mut parent = None;
-        let mut name = None;
-        let mut proc_ = None;
-        let mut start = None;
-        let mut dur = None;
-        let mut is_span_event = false;
-        for (k, v) in split_json_fields(body) {
-            match k.as_str() {
-                "event" => is_span_event = v == "\"span\"",
-                "trace" => trace = parse_trace_id(v.strip_prefix('"')?.strip_suffix('"')?),
-                "span" => span = v.parse().ok(),
-                "parent" => parent = v.parse().ok(),
-                "name" => name = Some(json_unescape(v.strip_prefix('"')?.strip_suffix('"')?)),
-                "proc" => proc_ = Some(json_unescape(v.strip_prefix('"')?.strip_suffix('"')?)),
-                "start_us" => start = v.parse().ok(),
-                "dur_us" => dur = v.parse().ok(),
-                _ => {}
-            }
-        }
-        if !is_span_event {
-            return None;
-        }
-        Some(SpanRecord {
-            trace_id: trace?,
-            span_id: span?,
-            parent_span: parent?,
-            name: name?,
-            proc: proc_?,
-            start_unix_us: start?,
-            dur_us: dur?,
-        })
-    }
 }
 
-/// Split a flat JSON object body into `(key, raw_value)` pairs. Only the
-/// flat string/number shape [`SpanRecord::to_json_line`] emits is
-/// supported; nested objects are not (and not needed).
-fn split_json_fields(body: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let Some(key_start) = rest.find('"') else { break };
-        let Some(key_len) = rest[key_start + 1..].find('"') else { break };
-        let key = rest[key_start + 1..key_start + 1 + key_len].to_string();
-        let Some(colon) = rest[key_start + 1 + key_len..].find(':') else { break };
-        rest = &rest[key_start + key_len + colon + 2..];
-        // value: a quoted string (escapes respected) or a bare token
-        let value;
-        if let Some(r) = rest.strip_prefix('"') {
-            let mut end = None;
-            let mut escaped = false;
-            for (i, c) in r.char_indices() {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    end = Some(i);
-                    break;
-                }
-            }
-            let Some(end) = end else { break };
-            value = format!("\"{}\"", &r[..end]);
-            rest = &r[end + 1..];
-        } else {
-            let end = rest.find(',').unwrap_or(rest.len());
-            value = rest[..end].trim().to_string();
-            rest = &rest[end..];
-        }
-        rest = rest.strip_prefix(',').unwrap_or(rest);
-        out.push((key, value));
-    }
-    out
-}
-
-fn json_unescape(s: &str) -> String {
+/// Escape a string for inclusion inside a JSON string literal.
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(c) => out.push(c),
-            None => {}
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
         }
     }
     out
@@ -606,30 +502,36 @@ mod tests {
         assert_ne!(TraceIdGen::new(43).next_trace_id(), ids[0], "seed must matter");
     }
 
+    // no reader exists in the workspace: the schema is pinned on the writer
     #[test]
     fn json_line_round_trips_exactly() {
         let r = rec(0xDEAD_BEEF_0123_4567_89AB_CDEF_0011_2233, 7, 3, "dist.rpc", "worker-1", 250);
-        let line = r.to_json_line();
-        assert!(line.starts_with("{\"event\":\"span\""), "{line}");
-        assert_eq!(SpanRecord::from_json_line(&line), Some(r));
-        // hostile / foreign lines parse to None, never panic
-        assert_eq!(SpanRecord::from_json_line("{\"event\":\"train.epoch\",\"epoch\":1}"), None);
-        assert_eq!(SpanRecord::from_json_line("not json"), None);
-        assert_eq!(SpanRecord::from_json_line("{}"), None);
-        // escaped names survive the round trip
-        let mut odd = rec(1, 2, 0, "a\"b\\c", "p\nq", 1);
-        odd.start_unix_us = 9;
-        let back = SpanRecord::from_json_line(&odd.to_json_line()).unwrap();
-        assert_eq!(back, odd);
+        assert_eq!(
+            r.to_json_line(),
+            "{\"event\":\"span\",\"trace\":\"deadbeef0123456789abcdef00112233\",\"span\":7,\
+             \"parent\":3,\"name\":\"dist.rpc\",\"proc\":\"worker-1\",\"start_us\":7,\"dur_us\":250}"
+        );
+        // names that need escaping stay inside their string literal
+        let odd = rec(1, 2, 0, "a\"b\\c", "p\nq", 1).to_json_line();
+        assert!(odd.contains("\"name\":\"a\\\"b\\\\c\",\"proc\":\"p\\nq\""), "{odd}");
+        assert_eq!(odd.lines().count(), 1, "a raw newline would split the JSONL record: {odd}");
+    }
+
+    #[test]
+    fn escape_handles_control_chars() {
+        assert_eq!(json_escape("a\nb\t\"c\\"), "a\\nb\\t\\\"c\\\\");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]
     fn jsonl_document_round_trips_per_line() {
+        // arrival order is not start order; the document is sorted
         let records =
-            vec![rec(5, 1, 0, "root", "coord", 100), rec(5, 2, 1, "child", "worker-0", 40)];
+            vec![rec(5, 2, 1, "child", "worker-0", 40), rec(5, 1, 0, "root", "coord", 100)];
         let doc = to_jsonl(&records);
-        let parsed: Vec<SpanRecord> = doc.lines().filter_map(SpanRecord::from_json_line).collect();
-        assert_eq!(parsed, records);
+        let lines: Vec<&str> = doc.lines().collect();
+        assert_eq!(lines, [records[1].to_json_line(), records[0].to_json_line()]);
+        assert!(doc.ends_with('\n'));
     }
 
     #[test]

@@ -63,9 +63,10 @@ pub struct ServeConfig {
     /// for later `REPORT` truth resolution. `0` (the default) disables
     /// accuracy tracking entirely.
     pub qerror_capacity: usize,
-    /// Seed driving the q-error reservoir's deterministic eviction.
-    pub qerror_seed: u64,
 }
+
+/// Seed driving the q-error reservoir's deterministic eviction.
+const QERROR_SEED: u64 = 0xA11E_57E0;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -78,7 +79,6 @@ impl Default for ServeConfig {
             cache_shards: 8,
             request_timeout: Duration::from_secs(5),
             qerror_capacity: 0,
-            qerror_seed: 0xA11E_57E0,
         }
     }
 }
@@ -166,7 +166,7 @@ impl Service {
         let (tx, rx) = sync_channel::<Request>(cfg.queue_depth.max(1));
         let metrics = Metrics::new();
         let qerror =
-            iam_obs::QErrorTracker::new(cfg.qerror_capacity, cfg.qerror_seed, metrics.registry());
+            iam_obs::QErrorTracker::new(cfg.qerror_capacity, QERROR_SEED, metrics.registry());
         let inner = Arc::new(ServiceInner {
             registry: ModelRegistry::new(model, label),
             cache: QueryCache::new(cfg.cache_capacity, cfg.cache_shards),

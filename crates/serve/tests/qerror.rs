@@ -25,7 +25,22 @@ fn tiny_model(seed: u64) -> (IamEstimator, iam_data::Table) {
 }
 
 fn qerror_config() -> ServeConfig {
-    ServeConfig { qerror_capacity: 64, qerror_seed: 7, ..ServeConfig::default() }
+    ServeConfig { qerror_capacity: 64, ..ServeConfig::default() }
+}
+
+/// Send `command` and collect the reply lines up to `END`.
+fn read_block(out: &mut TcpStream, reader: &mut BufReader<TcpStream>, command: &str) -> String {
+    writeln!(out, "{command}").unwrap();
+    out.flush().unwrap();
+    let mut block = String::new();
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        if line.trim() == "END" {
+            return block;
+        }
+        block.push_str(&line);
+    }
 }
 
 fn send_line(out: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
@@ -78,38 +93,31 @@ fn report_feedback_loop_over_tcp() {
     assert!(reply.starts_with("ERR usage"), "{reply}");
 
     // STATS carries the resolved report and its histogram
-    writeln!(out, "STATS").unwrap();
-    out.flush().unwrap();
-    let mut stats = String::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        if line.trim() == "END" {
-            break;
-        }
-        stats.push_str(&line);
-    }
+    let stats = read_block(&mut out, &mut reader, "STATS");
     // reports counts attempts (1 matched + 1 bogus qid), unmatched the misses
     assert!(stats.contains("qerror_reports 2"), "{stats}");
     assert!(stats.contains("qerror_unmatched 1"), "{stats}");
     assert!(stats.contains("qerror_milli_p50"), "{stats}");
 
     // PROM exposition has the q-error family too
-    writeln!(out, "STATS PROM").unwrap();
-    out.flush().unwrap();
-    let mut prom = String::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        if line.trim() == "END" {
-            break;
-        }
-        prom.push_str(&line);
-    }
+    let prom = read_block(&mut out, &mut reader, "STATS PROM");
     assert!(prom.contains("# TYPE iam_qerror_milli histogram"), "{prom}");
     assert!(prom.contains("iam_qerror_reports_total 2"), "{prom}");
     assert!(prom.contains("iam_qerror_unmatched_total 1"), "{prom}");
     assert!(prom.contains("iam_qerror_col_mean{col=\"0\"}"), "{prom}");
+
+    // a q-error past the last finite bucket (100×) reads as the largest
+    // observation in STATS, not as the catch-all bound u64::MAX
+    let reply = send_line(&mut out, &mut reader, "TRACKED 0=1..60");
+    let (qid_s, est_s) = reply.split_once(' ').expect("qid estimate");
+    let estimate: f64 = est_s.parse().unwrap();
+    let reply = send_line(&mut out, &mut reader, &format!("REPORT {qid_s} 0"));
+    let q: f64 = reply.strip_prefix("OK ").expect(&reply).parse().unwrap();
+    assert!(q > 100.0, "estimate {estimate} against 0 true rows of {nrows}: q = {q}");
+    let stats = read_block(&mut out, &mut reader, "STATS");
+    let max_milli = (expected_q(estimate, 0, nrows) * 1000.0).round() as u64;
+    assert!(stats.contains(&format!("qerror_milli_p99 {max_milli}\n")), "{stats}");
+    assert!(!stats.contains(&u64::MAX.to_string()), "{stats}");
 
     writeln!(out, "QUIT").unwrap();
     out.flush().unwrap();

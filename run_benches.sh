@@ -1,12 +1,5 @@
 #!/bin/sh
 # Regenerates every paper table/figure. Scale via IAM_BENCH_* env vars.
-#
-# Simulation mode: IAM_BENCH_SIMULATE_CORES=N runs the thread-sweeping
-# bench (table8_training_time) with N worker threads even when the host
-# has fewer physical cores. This exercises the N-core sharding/determinism
-# paths, but the wall-clock numbers are NOT comparable to a real N-core
-# host — the bench stamps the simulated count into BENCH_training.json
-# next to "host_parallelism" so downstream readers can tell the runs apart.
 set -eux
 cargo bench -p iam-bench --bench table2_wisdm
 cargo bench -p iam-bench --bench table3_twi
