@@ -26,7 +26,7 @@
 
 use iam_core::{persist, IamConfig, IamEstimator};
 use iam_data::{synth::Dataset, Interval, RangeQuery, SelectivityEstimator};
-use iam_dist::proto::{read_msg, write_msg, Msg, MAX_FRAME};
+use iam_dist::proto::{read_frame, write_frame, Msg, MAX_FRAME};
 use iam_serve::net::parse_query;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -216,7 +216,8 @@ fn fuzz_proto(seed: u64, iters: u64) -> FuzzReport {
             // a whole frame (length prefix included), mutated
             _ => {
                 let mut wire = Vec::new();
-                write_msg(&mut wire, &gen_msg(&mut rng)).expect("vec write cannot fail");
+                write_frame(&mut wire, &gen_msg(&mut rng), None, &[])
+                    .expect("vec write cannot fail");
                 mutate(&mut rng, &mut wire);
                 wire
             }
@@ -224,7 +225,7 @@ fn fuzz_proto(seed: u64, iters: u64) -> FuzzReport {
         let framed = mode == 3;
         let r = catch_unwind(AssertUnwindSafe(|| {
             if framed {
-                let _ = read_msg(&mut input.as_slice(), MAX_FRAME);
+                let _ = read_frame(&mut input.as_slice(), MAX_FRAME);
             } else {
                 // decode, and on success assert the codec is canonical:
                 // re-encoding must reproduce the exact payload bytes

@@ -324,6 +324,15 @@ mod tests {
     }
 
     #[test]
+    fn wire_panic_covers_the_scrape_endpoint() {
+        // dist::stats reads an HTTP request line from any peer
+        let src = "fn serve_scrape(line: &[u8]) -> u8 {\n    line.first().copied().unwrap()\n}\n";
+        let r = lint_source("crates/dist/src/stats.rs", src);
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!(r.findings[0].rule, "wire-panic");
+    }
+
+    #[test]
     fn obs_handle_cache_flags_lookup_in_loop() {
         let src = "fn drain(reg: &Registry, xs: &[u64]) {\n    for x in xs {\n        reg.counter(\"iam_x_total\", &[]).add(*x);\n    }\n}\n";
         let r = lint_source("crates/serve/src/service.rs", src);

@@ -43,7 +43,7 @@ pub fn registry() -> Vec<Rule> {
         Rule {
             id: "wire-panic",
             description: "no unwrap/expect/panic reachable from untrusted input \
-                          (serve::net, serve::sql, dist::proto, dist::worker, \
+                          (serve::net, serve::sql, dist::proto, dist::stats, dist::worker, \
                           sql parser, persist load path)",
             check: wire_panic,
         },
@@ -84,6 +84,7 @@ const WIRE_FILES: &[&str] = &[
     "crates/serve/src/net.rs",
     "crates/serve/src/sql.rs",
     "crates/dist/src/proto.rs",
+    "crates/dist/src/stats.rs",
     "crates/dist/src/worker.rs",
     "crates/sql/src/lexer.rs",
     "crates/sql/src/parser.rs",
@@ -155,7 +156,7 @@ fn is_decode_fn(name: &str) -> bool {
         || name.starts_with("load")
         || name.starts_with("parse")
         || name.starts_with("r_")
-        || matches!(name, "take" | "u8" | "u64" | "f64" | "len" | "str" | "bytes" | "fill")
+        || matches!(name, "take" | "u8" | "u64" | "f64" | "len" | "str" | "bytes")
 }
 
 fn wire_int_cast(relpath: &str, lines: &[Line], st: &Structure) -> Vec<RawFinding> {

@@ -57,7 +57,7 @@ fn main() {
         }
     }
 
-    let worker = match WorkerHandle::spawn(&addr, WorkerConfig { serve, ..Default::default() }) {
+    let worker = match WorkerHandle::spawn(&addr, WorkerConfig { serve }) {
         Ok(w) => w,
         Err(e) => {
             eprintln!("bind {addr} failed: {e}");

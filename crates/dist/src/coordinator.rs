@@ -26,14 +26,14 @@
 //!
 //! # Snapshot shipping
 //!
-//! [`Coordinator::ship_snapshot`] streams a framed model snapshot to every
+//! [`Coordinator::deploy_model`] streams a framed model snapshot to every
 //! replica of a table; each worker checksums and parses the bytes fully
 //! before flipping its registry's atomic hot-swap, so a refresh propagates
 //! with zero dropped requests and no replica ever serves a torn model.
 
 use crate::error::DistError;
 use crate::placement::{PlacementMap, WorkerId};
-use crate::proto::{read_frame, write_request, Msg, MAX_FRAME};
+use crate::proto::{read_frame, write_frame, Msg, MAX_FRAME};
 use iam_core::IamEstimator;
 use iam_data::RangeQuery;
 use iam_obs::{Registry, TraceCtx};
@@ -55,13 +55,12 @@ pub struct DistConfig {
     /// Deadline for one snapshot ship per replica (ships move model
     /// bytes, so they get more time than estimate RPCs).
     pub ship_timeout: Duration,
-    /// Largest reply frame accepted from a worker.
-    pub max_frame: u32,
-    /// Seed for the coordinator's trace-id generator — trace ids are a
-    /// deterministic function of this seed and the batch sequence, never
-    /// ambient entropy, so traces replay bit-identically in tests.
-    pub trace_seed: u64,
 }
+
+/// Seed of the coordinator's trace-id generator: trace ids are a
+/// deterministic function of it and the batch sequence, never ambient
+/// entropy, so traces replay bit-identically in tests.
+const TRACE_SEED: u64 = 0x7ACE_5EED;
 
 impl Default for DistConfig {
     fn default() -> Self {
@@ -70,59 +69,16 @@ impl Default for DistConfig {
             rpc_timeout: Duration::from_secs(10),
             connect_timeout: Duration::from_secs(2),
             ship_timeout: Duration::from_secs(30),
-            max_frame: MAX_FRAME,
-            trace_seed: 0x7ACE_5EED,
         }
     }
 }
 
 /// A lazily (re)connected worker endpoint. The stream mutex serialises
-/// RPCs to one worker (scatter parallelism is across workers); any failure
-/// drops the stream so the next RPC reconnects from scratch.
+/// RPCs to one worker (scatter parallelism is across workers); any
+/// transport failure drops the stream so the next RPC reconnects.
 struct WorkerConn {
     addr: SocketAddr,
     stream: Mutex<Option<TcpStream>>,
-}
-
-impl WorkerConn {
-    fn rpc(
-        &self,
-        msg: &Msg,
-        ctx: Option<TraceCtx>,
-        deadline: Instant,
-        connect_timeout: Duration,
-        max_frame: u32,
-    ) -> Result<Msg, DistError> {
-        let mut guard = self.stream.lock().unwrap_or_else(|p| p.into_inner());
-        let result = (|| {
-            let remaining =
-                deadline.checked_duration_since(Instant::now()).ok_or(DistError::Timeout)?;
-            if guard.is_none() {
-                *guard =
-                    Some(TcpStream::connect_timeout(&self.addr, connect_timeout.min(remaining))?);
-            }
-            let stream = guard.as_mut().expect("connected above");
-            let remaining =
-                deadline.checked_duration_since(Instant::now()).ok_or(DistError::Timeout)?;
-            stream.set_write_timeout(Some(remaining))?;
-            stream.set_read_timeout(Some(remaining))?;
-            write_request(stream, msg, ctx)?;
-            let frame = read_frame(stream, max_frame)?
-                .ok_or_else(|| DistError::Protocol("worker closed mid-rpc".into()))?;
-            // spans the worker recorded under our trace ride back on the
-            // reply; merge them so one local drain yields the whole tree
-            if !frame.spans.is_empty() {
-                iam_obs::tracetree::absorb(frame.spans);
-            }
-            Ok(frame.msg)
-        })();
-        if result.is_err() {
-            // never reuse a stream after a failure: a timed-out reply could
-            // arrive later and desynchronise the next RPC's framing
-            *guard = None;
-        }
-        result
-    }
 }
 
 /// One query addressed to a table in the cluster.
@@ -195,7 +151,7 @@ impl Coordinator {
                 .map(|addr| WorkerConn { addr, stream: Mutex::new(None) })
                 .collect(),
             placement,
-            trace_gen: Mutex::new(iam_obs::TraceIdGen::new(cfg.trace_seed)),
+            trace_gen: Mutex::new(iam_obs::TraceIdGen::new(TRACE_SEED)),
             cfg,
         }
     }
@@ -203,11 +159,6 @@ impl Coordinator {
     /// The placement map (which replicas serve which table).
     pub fn placement(&self) -> &PlacementMap {
         &self.placement
-    }
-
-    /// Worker addresses, in membership order.
-    pub fn worker_addrs(&self) -> Vec<SocketAddr> {
-        self.workers.iter().map(|w| w.addr).collect()
     }
 
     /// Answer a client batch by scatter/gather; one result per query, in
@@ -282,51 +233,107 @@ impl Coordinator {
         out.into_iter().map(|r| r.expect("every query answered or skipped")).collect()
     }
 
-    /// Answer one table group with replica failover under a shared
-    /// deadline.
+    /// Answer one table group with replica failover. A replica's
+    /// application error is retried like any failure; what the group
+    /// reports is the exhausted rotation.
     fn estimate_group(&self, table: &str, queries: Vec<RangeQuery>) -> Vec<Result<f64, DistError>> {
-        let rotation = self.placement.rotation(table);
-        if rotation.is_empty() {
-            return queries
-                .iter()
-                .map(|_| Err(DistError::UnknownTable(table.to_string())))
-                .collect();
+        let n = queries.len();
+        let msg = Msg::EstimateBatch { table: table.to_string(), queries };
+        match self.failover(table, &msg, |reply| match reply {
+            // wrong-arity replies are protocol violations, retried too
+            Msg::EstimateReply { results } if results.len() == n => Some(results),
+            _ => None,
+        }) {
+            Ok(results) => results.into_iter().map(|r| r.map_err(DistError::Remote)).collect(),
+            Err(_) => (0..n).map(|_| Err(self.exhausted(table))).collect(),
         }
+    }
+
+    /// Send `msg` to `table`'s replicas in rotation order, under one
+    /// deadline shared by every attempt, until one answers with a reply
+    /// `want` accepts. On exhaustion, the last application error a replica
+    /// answered with, if any.
+    fn failover<T>(
+        &self,
+        table: &str,
+        msg: &Msg,
+        want: impl Fn(Msg) -> Option<T>,
+    ) -> Result<T, Option<String>> {
+        let rotation = self.placement.rotation(table);
         let deadline = Instant::now() + self.cfg.rpc_timeout;
-        let msg = Msg::EstimateBatch { table: table.to_string(), queries: queries.clone() };
+        let mut remote = None;
         for (attempt, &wid) in rotation.iter().enumerate() {
             if attempt > 0 {
                 self.failovers.inc();
             }
-            self.rpcs[wid].inc();
-            let _s = iam_obs::span!("dist.rpc");
             // worker spans parent under this attempt's rpc span, so a
             // failover shows up as sibling rpc spans in the trace
-            let ctx = iam_obs::tracetree::child_ctx();
-            match self.workers[wid].rpc(
-                &msg,
-                ctx,
-                deadline,
-                self.cfg.connect_timeout,
-                self.cfg.max_frame,
-            ) {
-                Ok(Msg::EstimateReply { results }) if results.len() == queries.len() => {
-                    return results.into_iter().map(|r| r.map_err(DistError::Remote)).collect();
-                }
-                _ => {
-                    // wrong-arity replies and unexpected message kinds are
-                    // protocol violations; application Errors (e.g. a
-                    // replica that missed its snapshot) and transport
-                    // failures are equally retryable on the next replica
-                    self.rpc_failures[wid].inc();
-                }
+            let _s = iam_obs::span!("dist.rpc");
+            match self.rpc(wid, msg, deadline, &want) {
+                Ok(v) => return Ok(v),
+                Err(DistError::Remote(message)) => remote = Some(message),
+                Err(_) => {}
             }
         }
-        let tried = rotation.len();
-        queries
-            .iter()
-            .map(|_| Err(DistError::NoReplica { table: table.to_string(), tried }))
-            .collect()
+        Err(remote)
+    }
+
+    /// The error of a request whose whole rotation failed.
+    fn exhausted(&self, table: &str) -> DistError {
+        match self.placement.replicas(table).len() {
+            0 => DistError::UnknownTable(table.to_string()),
+            tried => DistError::NoReplica { table: table.to_string(), tried },
+        }
+    }
+
+    /// One RPC to worker `wid`, counted per worker. Only a transport
+    /// failure drops the connection: a timed-out reply could arrive later
+    /// and desynchronise the next RPC's framing, while an `Error` reply or
+    /// one `want` rejects leaves the framing intact.
+    fn rpc<T>(
+        &self,
+        wid: WorkerId,
+        msg: &Msg,
+        deadline: Instant,
+        want: impl FnOnce(Msg) -> Option<T>,
+    ) -> Result<T, DistError> {
+        self.rpcs[wid].inc();
+        let worker = &self.workers[wid];
+        let mut guard = worker.stream.lock().unwrap_or_else(|p| p.into_inner());
+        let remaining =
+            || deadline.checked_duration_since(Instant::now()).ok_or(DistError::Timeout);
+        let reply = (|| {
+            if guard.is_none() {
+                let timeout = self.cfg.connect_timeout.min(remaining()?);
+                *guard = Some(TcpStream::connect_timeout(&worker.addr, timeout)?);
+            }
+            let stream = guard.as_mut().expect("connected above");
+            let remaining = remaining()?;
+            stream.set_write_timeout(Some(remaining))?;
+            stream.set_read_timeout(Some(remaining))?;
+            write_frame(stream, msg, iam_obs::tracetree::child_ctx(), &[])?;
+            read_frame(stream, MAX_FRAME)?
+                .ok_or_else(|| DistError::Protocol("worker closed mid-rpc".into()))
+        })();
+        if reply.is_err() {
+            *guard = None;
+        }
+        drop(guard);
+        let result = reply.and_then(|frame| {
+            // spans the worker recorded under our trace ride back on the
+            // reply; merge them so one local drain yields the whole tree
+            if !frame.spans.is_empty() {
+                iam_obs::tracetree::absorb(frame.spans);
+            }
+            match frame.msg {
+                Msg::Error { message } => Err(DistError::Remote(message)),
+                other => want(other).ok_or_else(|| DistError::Protocol("unexpected reply".into())),
+            }
+        });
+        if result.is_err() {
+            self.rpc_failures[wid].inc();
+        }
+        result
     }
 
     /// Answer one SQL statement against the cluster.
@@ -367,175 +374,89 @@ impl Coordinator {
 
     /// Forward one already-validated single-table SQL statement to a
     /// replica of `table`, with rotation failover under a shared deadline.
-    /// Application errors are remembered across attempts so a statement
-    /// that every replica rejects surfaces its reason instead of a bare
-    /// replica-exhaustion error.
+    /// A replica's application error is still retried — another replica
+    /// may not have missed the snapshot — but a statement every replica
+    /// rejects surfaces the last reason instead of a bare exhaustion error.
     fn sql_table(&self, table: &str, stmt: &str) -> Result<String, DistError> {
-        let rotation = self.placement.rotation(table);
-        if rotation.is_empty() {
-            return Err(DistError::UnknownTable(table.to_string()));
-        }
-        let deadline = Instant::now() + self.cfg.rpc_timeout;
         let msg = Msg::Sql { table: table.to_string(), stmt: stmt.to_string() };
-        let mut last_remote = None;
-        for (attempt, &wid) in rotation.iter().enumerate() {
-            if attempt > 0 {
-                self.failovers.inc();
-            }
-            self.rpcs[wid].inc();
-            let _s = iam_obs::span!("dist.rpc");
-            let ctx = iam_obs::tracetree::child_ctx();
-            match self.workers[wid].rpc(
-                &msg,
-                ctx,
-                deadline,
-                self.cfg.connect_timeout,
-                self.cfg.max_frame,
-            ) {
-                Ok(Msg::SqlReply { body }) => return Ok(body),
-                Ok(Msg::Error { message }) => {
-                    // still retried — one replica may have missed a
-                    // snapshot — but the reason is kept for the error
-                    self.rpc_failures[wid].inc();
-                    last_remote = Some(message);
-                }
-                _ => {
-                    self.rpc_failures[wid].inc();
-                }
-            }
-        }
-        match last_remote {
-            Some(message) => Err(DistError::Remote(message)),
-            None => Err(DistError::NoReplica { table: table.to_string(), tried: rotation.len() }),
-        }
-    }
-
-    /// Ship pre-framed snapshot bytes to every replica of `table`,
-    /// returning one outcome per replica. Replicas are shipped
-    /// sequentially so at most one replica is mid-install at a time (the
-    /// rest keep serving the old or already-flipped version).
-    pub fn ship_snapshot(&self, table: &str, bytes: &[u8], label: &str) -> Vec<ShipOutcome> {
-        let _s = iam_obs::span!("dist.ship_snapshot");
-        let msg = Msg::LoadSnapshot {
-            table: table.to_string(),
-            label: label.to_string(),
-            bytes: bytes.to_vec(),
-        };
-        self.placement
-            .replicas(table)
-            .iter()
-            .map(|&wid| {
-                let deadline = Instant::now() + self.cfg.ship_timeout;
-                self.rpcs[wid].inc();
-                let result = match self.workers[wid].rpc(
-                    &msg,
-                    iam_obs::tracetree::child_ctx(),
-                    deadline,
-                    self.cfg.connect_timeout,
-                    self.cfg.max_frame,
-                ) {
-                    Ok(Msg::LoadAck { version, .. }) => {
-                        self.ships.inc();
-                        Ok(version)
-                    }
-                    Ok(Msg::Error { message }) => Err(DistError::Remote(message)),
-                    Ok(other) => {
-                        Err(DistError::Protocol(format!("unexpected ship reply {other:?}")))
-                    }
-                    Err(e) => Err(e),
-                };
-                if result.is_err() {
-                    self.rpc_failures[wid].inc();
-                }
-                ShipOutcome { worker: wid, result }
-            })
-            .collect()
+        self.failover(table, &msg, |reply| match reply {
+            Msg::SqlReply { body } => Some(body),
+            _ => None,
+        })
+        .map_err(|remote| remote.map_or_else(|| self.exhausted(table), DistError::Remote))
     }
 
     /// Serialise `model` into a framed snapshot and ship it to every
     /// replica of `table` — the `refresh_model` path: workers flip via the
     /// registry's atomic hot-swap, so requests in flight during the ship
-    /// are answered wholly by the old or wholly by the new version.
+    /// are answered wholly by the old or wholly by the new version. One
+    /// outcome per replica; replicas are shipped sequentially, so at most
+    /// one is mid-install at a time (the rest keep serving the old or
+    /// already-flipped version).
     pub fn deploy_model(
         &self,
         table: &str,
-        model: &mut IamEstimator,
+        model: &IamEstimator,
         label: &str,
     ) -> Result<Vec<ShipOutcome>, DistError> {
         let mut bytes = Vec::new();
         model
             .save_framed(&mut bytes)
             .map_err(|e| DistError::Protocol(format!("snapshot serialisation failed: {e}")))?;
-        Ok(self.ship_snapshot(table, &bytes, label))
+        let _s = iam_obs::span!("dist.ship_snapshot");
+        let msg = Msg::LoadSnapshot { table: table.to_string(), label: label.to_string(), bytes };
+        let ship = |wid| {
+            let deadline = Instant::now() + self.cfg.ship_timeout;
+            let result = self.rpc(wid, &msg, deadline, |reply| match reply {
+                Msg::LoadAck { version, .. } => Some(version),
+                _ => None,
+            });
+            if result.is_ok() {
+                self.ships.inc();
+            }
+            ShipOutcome { worker: wid, result }
+        };
+        Ok(self.placement.replicas(table).iter().map(|&wid| ship(wid)).collect())
     }
 
     /// Ask every replica of `table` which model version it serves.
     pub fn versions(&self, table: &str) -> Vec<VersionReport> {
         let msg = Msg::Version { table: table.to_string() };
-        self.placement
-            .replicas(table)
-            .iter()
-            .map(|&wid| {
-                let deadline = Instant::now() + self.cfg.rpc_timeout;
-                let r = match self.workers[wid].rpc(
-                    &msg,
-                    None,
-                    deadline,
-                    self.cfg.connect_timeout,
-                    self.cfg.max_frame,
-                ) {
-                    Ok(Msg::VersionReply { version, label }) => Ok((version, label)),
-                    Ok(Msg::Error { message }) => Err(DistError::Remote(message)),
-                    Ok(other) => {
-                        Err(DistError::Protocol(format!("unexpected version reply {other:?}")))
-                    }
-                    Err(e) => Err(e),
-                };
-                (wid, r)
-            })
-            .collect()
+        let version = |wid| {
+            let r =
+                self.rpc(wid, &msg, Instant::now() + self.cfg.rpc_timeout, |reply| match reply {
+                    Msg::VersionReply { version, label } => Some((version, label)),
+                    _ => None,
+                });
+            (wid, r)
+        };
+        self.placement.replicas(table).iter().map(|&wid| version(wid)).collect()
     }
 
     /// Ping one worker.
     pub fn ping(&self, worker: WorkerId) -> Result<(), DistError> {
         let deadline = Instant::now() + self.cfg.rpc_timeout;
-        match self.workers[worker].rpc(
-            &Msg::Ping,
-            None,
-            deadline,
-            self.cfg.connect_timeout,
-            self.cfg.max_frame,
-        )? {
-            Msg::Pong => Ok(()),
-            other => Err(DistError::Protocol(format!("unexpected ping reply {other:?}"))),
-        }
+        self.rpc(worker, &Msg::Ping, deadline, |reply| matches!(reply, Msg::Pong).then_some(()))
     }
 
     /// Scrape every worker's metrics registry (via [`Msg::Stats`]) and
     /// merge the replies into one cluster-wide Prometheus exposition:
-    /// each worker's section carries a `worker="<index>"` label, repeated
-    /// `# TYPE` headers are deduplicated, and the coordinator's own
-    /// process-global registry (batch/failover/deadline-skip counters) is
-    /// appended once, unlabeled. A worker that fails to answer gets a
-    /// comment line instead of silently vanishing from the exposition.
+    /// each worker's section carries a `worker="<index>"` label, each
+    /// metric family is one group under a single `# TYPE` header, and the
+    /// coordinator's own process-global registry (batch/failover/deadline-
+    /// skip counters) joins once, unlabeled. A worker that fails to answer
+    /// gets a comment line instead of silently vanishing from the
+    /// exposition.
     pub fn cluster_prometheus(&self) -> String {
         let mut parts = Vec::new();
-        for (i, conn) in self.workers.iter().enumerate() {
+        for i in 0..self.workers.len() {
             let deadline = Instant::now() + self.cfg.rpc_timeout;
-            match conn.rpc(
-                &Msg::Stats,
-                None,
-                deadline,
-                self.cfg.connect_timeout,
-                self.cfg.max_frame,
-            ) {
-                Ok(Msg::StatsReply { prom }) => {
-                    parts.push(crate::stats::inject_label(&prom, "worker", &i.to_string()));
-                }
-                _ => {
-                    self.rpc_failures[i].inc();
-                    parts.push(format!("# scrape failed: worker {i}\n"));
-                }
+            match self.rpc(i, &Msg::Stats, deadline, |reply| match reply {
+                Msg::StatsReply { prom } => Some(prom),
+                _ => None,
+            }) {
+                Ok(prom) => parts.push(crate::stats::inject_label(&prom, "worker", &i.to_string())),
+                Err(_) => parts.push(format!("# scrape failed: worker {i}\n")),
             }
         }
         parts.push(Registry::global().render_prometheus());
@@ -555,14 +476,7 @@ impl Coordinator {
     /// workers are ignored).
     pub fn shutdown_cluster(&self) {
         for w in 0..self.workers.len() {
-            let deadline = Instant::now() + self.cfg.rpc_timeout;
-            let _ = self.workers[w].rpc(
-                &Msg::Shutdown,
-                None,
-                deadline,
-                self.cfg.connect_timeout,
-                self.cfg.max_frame,
-            );
+            let _ = self.rpc(w, &Msg::Shutdown, Instant::now() + self.cfg.rpc_timeout, Some);
         }
     }
 }

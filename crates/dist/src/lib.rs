@@ -37,6 +37,6 @@ pub mod worker;
 pub use coordinator::{ClusterQuery, Coordinator, DistConfig, ShipOutcome};
 pub use error::DistError;
 pub use placement::{PlacementMap, WorkerId};
-pub use proto::{read_msg, write_msg, Frame, Msg, MAX_FRAME, MAX_SNAPSHOT_FRAME};
+pub use proto::{read_frame, write_frame, Frame, Msg, MAX_FRAME, MAX_SNAPSHOT_FRAME};
 pub use stats::MetricsFrontend;
 pub use worker::{WorkerConfig, WorkerHandle};

@@ -26,7 +26,6 @@ struct TablePlacement {
 /// round-robin cursors mutate.
 pub struct PlacementMap {
     tables: BTreeMap<String, TablePlacement>,
-    nworkers: usize,
 }
 
 impl PlacementMap {
@@ -45,17 +44,7 @@ impl PlacementMap {
                 (t.to_string(), TablePlacement { replicas, cursor: AtomicUsize::new(0) })
             })
             .collect();
-        PlacementMap { tables, nworkers }
-    }
-
-    /// Number of workers the map was built over.
-    pub fn nworkers(&self) -> usize {
-        self.nworkers
-    }
-
-    /// The table names in the map, sorted.
-    pub fn tables(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
+        PlacementMap { tables }
     }
 
     /// The replica set of `table` (empty slice when unknown).
@@ -71,15 +60,6 @@ impl PlacementMap {
         let n = p.replicas.len();
         let start = p.cursor.fetch_add(1, Relaxed) % n;
         (0..n).map(|i| p.replicas[(start + i) % n]).collect()
-    }
-
-    /// Every table placed on `worker`.
-    pub fn tables_on(&self, worker: WorkerId) -> Vec<&str> {
-        self.tables
-            .iter()
-            .filter(|(_, p)| p.replicas.contains(&worker))
-            .map(|(t, _)| t.as_str())
-            .collect()
     }
 }
 

@@ -384,8 +384,9 @@ impl Msg {
 
 // --- envelope codec (v2) ---------------------------------------------------
 
-/// A message plus its optional envelope extras: the trace context a
-/// request carries forward, and the span records a reply ships back.
+/// A received message plus its optional envelope extras: the trace
+/// context a request carries forward, and the span records a reply ships
+/// back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// The message itself.
@@ -394,12 +395,6 @@ pub struct Frame {
     pub ctx: Option<TraceCtx>,
     /// Span records (replies: worker → coordinator).
     pub spans: Vec<SpanRecord>,
-}
-
-impl From<Msg> for Frame {
-    fn from(msg: Msg) -> Frame {
-        Frame { msg, ctx: None, spans: Vec::new() }
-    }
 }
 
 fn encode_span(out: &mut Vec<u8>, s: &SpanRecord) {
@@ -427,42 +422,42 @@ fn decode_span(cur: &mut Cur) -> Result<SpanRecord, DistError> {
     })
 }
 
-impl Frame {
-    /// Encode into a payload (no frame header). A frame with neither
-    /// context nor spans encodes as a bare v1 payload — byte-identical to
-    /// [`Msg::encode`] — so tracing-off clusters speak exactly the old
-    /// protocol, and v1 peers only ever see bytes they understand as long
-    /// as tracing stays off.
-    pub fn encode(&self) -> Vec<u8> {
-        if self.ctx.is_none() && self.spans.is_empty() {
-            return self.msg.encode();
-        }
-        let mut out = Vec::new();
-        out.push(ENVELOPE_MARKER);
-        out.push(ENVELOPE_VERSION);
-        let mut flags = 0u8;
-        if self.ctx.is_some() {
-            flags |= FLAG_CTX;
-        }
-        if !self.spans.is_empty() {
-            flags |= FLAG_SPANS;
-        }
-        out.push(flags);
-        if let Some(ctx) = self.ctx {
-            w_u64(&mut out, (ctx.trace_id >> 64) as u64);
-            w_u64(&mut out, ctx.trace_id as u64);
-            w_u64(&mut out, ctx.parent_span);
-        }
-        if !self.spans.is_empty() {
-            w_u64(&mut out, self.spans.len() as u64);
-            for s in &self.spans {
-                encode_span(&mut out, s);
-            }
-        }
-        out.extend_from_slice(&self.msg.encode());
-        out
+/// Encode a message and its envelope extras into a payload (no frame
+/// header). Without context or spans this is a bare v1 payload —
+/// byte-identical to [`Msg::encode`] — so tracing-off clusters speak
+/// exactly the old protocol, and v1 peers only ever see bytes they
+/// understand as long as tracing stays off.
+fn encode_frame(msg: &Msg, ctx: Option<TraceCtx>, spans: &[SpanRecord]) -> Vec<u8> {
+    if ctx.is_none() && spans.is_empty() {
+        return msg.encode();
     }
+    let mut out = Vec::new();
+    out.push(ENVELOPE_MARKER);
+    out.push(ENVELOPE_VERSION);
+    let mut flags = 0u8;
+    if ctx.is_some() {
+        flags |= FLAG_CTX;
+    }
+    if !spans.is_empty() {
+        flags |= FLAG_SPANS;
+    }
+    out.push(flags);
+    if let Some(ctx) = ctx {
+        w_u64(&mut out, (ctx.trace_id >> 64) as u64);
+        w_u64(&mut out, ctx.trace_id as u64);
+        w_u64(&mut out, ctx.parent_span);
+    }
+    if !spans.is_empty() {
+        w_u64(&mut out, spans.len() as u64);
+        for s in spans {
+            encode_span(&mut out, s);
+        }
+    }
+    out.extend_from_slice(&msg.encode());
+    out
+}
 
+impl Frame {
     /// Decode a payload in either envelope version: a leading
     /// [`ENVELOPE_MARKER`] byte introduces a v2 envelope, anything else is
     /// a bare v1 message (backward compatibility — old-version frames
@@ -470,7 +465,7 @@ impl Frame {
     /// envelope versions are rejected rather than misparsed.
     pub fn decode(buf: &[u8]) -> Result<Frame, DistError> {
         if buf.first() != Some(&ENVELOPE_MARKER) {
-            return Ok(Frame::from(Msg::decode(buf)?));
+            return Ok(Frame { msg: Msg::decode(buf)?, ctx: None, spans: Vec::new() });
         }
         let mut cur = Cur { buf, pos: 1 };
         let version = cur.u8()?;
@@ -502,40 +497,17 @@ impl Frame {
     }
 }
 
-/// Write one framed message.
-pub fn write_msg<W: Write>(w: &mut W, msg: &Msg) -> Result<(), DistError> {
-    write_payload(w, msg.encode())
-}
-
-/// Write one framed message with envelope extras (context, span records).
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), DistError> {
-    write_payload(w, frame.encode())
-}
-
-/// Write one framed request with an optional trace context, borrowing the
-/// message — the coordinator reuses one request message across failover
-/// attempts and must not clone snapshot payloads per attempt. Without a
-/// context this is byte-identical to [`write_msg`] (bare v1 frame).
-pub fn write_request<W: Write>(
+/// Write one frame: `msg` with its envelope extras (a request's trace
+/// context, a reply's span records). The message is borrowed, so the
+/// coordinator reuses one request across failover attempts without
+/// cloning snapshot bytes. Length and payload are two `write_all`s.
+pub fn write_frame<W: Write>(
     w: &mut W,
     msg: &Msg,
     ctx: Option<TraceCtx>,
+    spans: &[SpanRecord],
 ) -> Result<(), DistError> {
-    let Some(ctx) = ctx else {
-        return write_msg(w, msg);
-    };
-    let mut payload = Vec::new();
-    payload.push(ENVELOPE_MARKER);
-    payload.push(ENVELOPE_VERSION);
-    payload.push(FLAG_CTX);
-    w_u64(&mut payload, (ctx.trace_id >> 64) as u64);
-    w_u64(&mut payload, ctx.trace_id as u64);
-    w_u64(&mut payload, ctx.parent_span);
-    payload.extend_from_slice(&msg.encode());
-    write_payload(w, payload)
-}
-
-fn write_payload<W: Write>(w: &mut W, payload: Vec<u8>) -> Result<(), DistError> {
+    let payload = encode_frame(msg, ctx, spans);
     let len = u32::try_from(payload.len()).map_err(|_| DistError::FrameTooLarge {
         len: payload.len() as u64,
         max: u32::MAX as u64,
@@ -546,10 +518,15 @@ fn write_payload<W: Write>(w: &mut W, payload: Vec<u8>) -> Result<(), DistError>
     Ok(())
 }
 
-/// Read one frame's payload bytes, rejecting length prefixes above
-/// `max_frame` before any allocation. `Ok(None)` means the peer closed
-/// the stream cleanly at a frame boundary.
-fn read_payload<R: Read>(r: &mut R, max_frame: u32) -> Result<Option<Vec<u8>>, DistError> {
+/// Granularity of incremental payload reads (and the upfront capacity
+/// bound): big enough to amortise `Read` calls, small enough that a
+/// hostile length prefix reserves nothing of consequence.
+const PAYLOAD_CHUNK: usize = 16 * 1024;
+
+/// Read one frame in either envelope version, rejecting length prefixes
+/// above `max_frame` before any allocation. `Ok(None)` means the peer
+/// closed the stream at a frame boundary (or inside the length prefix).
+pub fn read_frame<R: Read>(r: &mut R, max_frame: u32) -> Result<Option<Frame>, DistError> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -574,99 +551,6 @@ fn read_payload<R: Read>(r: &mut R, max_frame: u32) -> Result<Option<Vec<u8>>, D
         payload.extend_from_slice(&chunk[..take]);
         remaining -= take;
     }
-    Ok(Some(payload))
-}
-
-/// Read one framed message, discarding any envelope extras. Accepts both
-/// envelope versions; `Ok(None)` means clean peer close.
-pub fn read_msg<R: Read>(r: &mut R, max_frame: u32) -> Result<Option<Msg>, DistError> {
-    match read_payload(r, max_frame)? {
-        Some(payload) => Frame::decode(&payload).map(|f| Some(f.msg)),
-        None => Ok(None),
-    }
-}
-
-/// Read one framed message with its envelope extras intact.
-pub fn read_frame<R: Read>(r: &mut R, max_frame: u32) -> Result<Option<Frame>, DistError> {
-    match read_payload(r, max_frame)? {
-        Some(payload) => Frame::decode(&payload).map(Some),
-        None => Ok(None),
-    }
-}
-
-/// Granularity of incremental payload reads (and the upfront capacity
-/// bound): big enough to amortise `Read` calls, small enough that a
-/// hostile length prefix reserves nothing of consequence.
-const PAYLOAD_CHUNK: usize = 16 * 1024;
-
-/// [`read_frame`] for readers with a read timeout installed (worker
-/// connection handlers): a `WouldBlock`/`TimedOut` poll is retried, and
-/// `cancelled()` is consulted on each retry so a handler can notice
-/// shutdown between (or during) frames without ever tearing a frame in
-/// half — partial header/payload bytes stay accumulated across retries.
-/// Returns `Ok(None)` on clean peer close or cancellation.
-pub fn read_frame_cancellable<R: Read>(
-    r: &mut R,
-    max_frame: u32,
-    cancelled: &dyn Fn() -> bool,
-) -> Result<Option<Frame>, DistError> {
-    fn fill<R: Read>(
-        r: &mut R,
-        buf: &mut [u8],
-        cancelled: &dyn Fn() -> bool,
-        header: bool,
-    ) -> Result<bool, DistError> {
-        let mut got = 0usize;
-        while got < buf.len() {
-            match r.read(&mut buf[got..]) {
-                Ok(0) => {
-                    if header && got == 0 {
-                        return Ok(false); // clean close at a frame boundary
-                    }
-                    return Err(DistError::Protocol("eof inside frame".into()));
-                }
-                Ok(n) => got += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if cancelled() {
-                        return Ok(false);
-                    }
-                }
-                Err(e) => return Err(DistError::Io(e)),
-            }
-        }
-        Ok(true)
-    }
-
-    let mut len_buf = [0u8; 4];
-    if !fill(r, &mut len_buf, cancelled, true)? {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > max_frame {
-        return Err(DistError::FrameTooLarge { len: len as u64, max: max_frame as u64 });
-    }
-    let len = usize::try_from(len)
-        .map_err(|_| DistError::Protocol("frame length exceeds platform usize".into()))?;
-    // chunked as in [`read_msg`]; each chunk keeps `fill`'s accumulate-
-    // across-retries behaviour, so cancellation polls still never tear a
-    // frame and allocation still tracks delivered bytes only
-    let mut payload = Vec::with_capacity(len.min(PAYLOAD_CHUNK));
-    let mut chunk = [0u8; PAYLOAD_CHUNK];
-    let mut remaining = len;
-    while remaining > 0 {
-        let take = remaining.min(chunk.len());
-        if !fill(r, &mut chunk[..take], cancelled, false)? {
-            return Ok(None);
-        }
-        payload.extend_from_slice(&chunk[..take]);
-        remaining -= take;
-    }
     Frame::decode(&payload).map(Some)
 }
 
@@ -674,11 +558,16 @@ pub fn read_frame_cancellable<R: Read>(
 mod tests {
     use super::*;
 
-    fn roundtrip(m: Msg) {
+    /// One framed message without envelope extras, as written on the wire.
+    fn wire(m: &Msg) -> Vec<u8> {
         let mut wire = Vec::new();
-        write_msg(&mut wire, &m).unwrap();
-        let got = read_msg(&mut wire.as_slice(), MAX_SNAPSHOT_FRAME).unwrap().unwrap();
-        assert_eq!(got, m);
+        write_frame(&mut wire, m, None, &[]).unwrap();
+        wire
+    }
+
+    fn roundtrip(m: Msg) {
+        let got = read_frame(&mut wire(&m).as_slice(), MAX_SNAPSHOT_FRAME).unwrap().unwrap();
+        assert_eq!(got, Frame { msg: m, ctx: None, spans: Vec::new() });
     }
 
     #[test]
@@ -751,12 +640,42 @@ mod tests {
             },
         ] {
             let mut wire = Vec::new();
-            write_frame(&mut wire, &frame).unwrap();
+            write_frame(&mut wire, &frame.msg, frame.ctx, &frame.spans).unwrap();
             let got = read_frame(&mut wire.as_slice(), MAX_FRAME).unwrap().unwrap();
             assert_eq!(got, frame);
-            // legacy readers still get the message, extras dropped
-            let msg = read_msg(&mut wire.as_slice(), MAX_FRAME).unwrap().unwrap();
-            assert_eq!(msg, frame.msg);
+        }
+    }
+
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        let ctx = Some(TraceCtx { trace_id: (7u128 << 64) | 9, parent_span: 42 });
+        let spans = [span(3, 1, 0)];
+        let msg = Msg::Version { table: "t".into() };
+        // wire bytes (length prefix + payload) as the three writers before
+        // PR 25 produced them: bare, ctx only, spans only, both
+        let span_hex =
+            "01000000000000000000000000000000030000000000000001000000000000000000000000000000\
+                        0c00000000000000776f726b65722e73657276650800000000000000776f726b65722d31\
+                        00401e18240a0600d204000000000000";
+        let ctx_hex = "070000000000000009000000000000002a00000000000000";
+        let golden = [
+            (None, &[][..], "0a000000".to_string()),
+            (ctx, &[][..], format!("25000000ff0201{ctx_hex}")),
+            (None, &spans[..], format!("69000000ff0202{span_hex}")),
+            (ctx, &spans[..], format!("81000000ff0203{ctx_hex}{span_hex}")),
+        ];
+        for (ctx, spans, head) in golden {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &msg, ctx, spans).unwrap();
+            let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(
+                hex,
+                format!("{head}07010000000000000074"),
+                "ctx {ctx:?}, {} spans",
+                spans.len()
+            );
+            let frame = read_frame(&mut wire.as_slice(), MAX_FRAME).unwrap().unwrap();
+            assert_eq!(frame, Frame { msg: msg.clone(), ctx, spans: spans.to_vec() });
         }
     }
 
@@ -765,7 +684,7 @@ mod tests {
         // no ctx, no spans → the payload must be exactly Msg::encode, so a
         // tracing-off v2 process emits bytes a v1 peer understands
         let m = Msg::Version { table: "t".into() };
-        assert_eq!(Frame::from(m.clone()).encode(), m.encode());
+        assert_eq!(encode_frame(&m, None, &[]), m.encode());
     }
 
     #[test]
@@ -777,14 +696,9 @@ mod tests {
         assert_eq!(frame.msg, m);
         assert_eq!(frame.ctx, None);
         assert!(frame.spans.is_empty());
-        // and the v1 reader path accepts envelope frames (read_msg above),
         // while a *future* envelope version is rejected, not misparsed
-        let mut future = Frame {
-            msg: Msg::Ping,
-            ctx: Some(TraceCtx { trace_id: 1, parent_span: 0 }),
-            spans: Vec::new(),
-        }
-        .encode();
+        let mut future =
+            encode_frame(&Msg::Ping, Some(TraceCtx { trace_id: 1, parent_span: 0 }), &[]);
         future[1] = 3; // version bump
         assert!(Frame::decode(&future).is_err());
     }
@@ -806,12 +720,11 @@ mod tests {
         s.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(Frame::decode(&s).is_err());
         // mutated garbage around a valid envelope
-        let good = Frame {
-            msg: Msg::EstimateReply { results: vec![Ok(0.5)] },
-            ctx: Some(TraceCtx { trace_id: 77, parent_span: 3 }),
-            spans: vec![span(77, 9, 3)],
-        }
-        .encode();
+        let good = encode_frame(
+            &Msg::EstimateReply { results: vec![Ok(0.5)] },
+            Some(TraceCtx { trace_id: 77, parent_span: 3 }),
+            &[span(77, 9, 3)],
+        );
         let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
         for _ in 0..2000 {
             let mut buf = good.clone();
@@ -827,9 +740,7 @@ mod tests {
         // exercise bit patterns a text protocol would mangle
         for v in [0.1 + 0.2, f64::MIN_POSITIVE, -0.0, 1e-300, 0.3_f64.next_down()] {
             let m = Msg::EstimateReply { results: vec![Ok(v)] };
-            let mut wire = Vec::new();
-            write_msg(&mut wire, &m).unwrap();
-            match read_msg(&mut wire.as_slice(), MAX_FRAME).unwrap().unwrap() {
+            match read_frame(&mut wire(&m).as_slice(), MAX_FRAME).unwrap().unwrap().msg {
                 Msg::EstimateReply { results } => {
                     assert_eq!(results[0].as_ref().unwrap().to_bits(), v.to_bits());
                 }
@@ -840,17 +751,16 @@ mod tests {
 
     #[test]
     fn clean_eof_is_none_truncation_is_error() {
-        assert!(read_msg(&mut &[][..], MAX_FRAME).unwrap().is_none());
-        let mut wire = Vec::new();
-        write_msg(&mut wire, &Msg::Version { table: "abc".into() }).unwrap();
+        assert!(read_frame(&mut &[][..], MAX_FRAME).unwrap().is_none());
+        let wire = wire(&Msg::Version { table: "abc".into() });
         // a peer dying inside the 4-byte length prefix reads as disconnect;
         // dying inside the payload is a hard truncation error
         for cut in 1..4 {
-            assert!(matches!(read_msg(&mut &wire[..cut], MAX_FRAME), Ok(None)));
+            assert!(matches!(read_frame(&mut &wire[..cut], MAX_FRAME), Ok(None)));
         }
         for cut in 4..wire.len() {
             assert!(
-                read_msg(&mut &wire[..cut], MAX_FRAME).is_err(),
+                read_frame(&mut &wire[..cut], MAX_FRAME).is_err(),
                 "truncation at {cut} must error"
             );
         }
@@ -861,7 +771,7 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&u32::MAX.to_le_bytes());
         wire.extend_from_slice(&[0u8; 16]);
-        match read_msg(&mut wire.as_slice(), MAX_FRAME) {
+        match read_frame(&mut wire.as_slice(), MAX_FRAME) {
             Err(DistError::FrameTooLarge { len, max }) => {
                 assert_eq!(len, u32::MAX as u64);
                 assert_eq!(max, MAX_FRAME as u64);

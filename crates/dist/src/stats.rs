@@ -9,22 +9,21 @@
 //! * [`inject_label`] rewrites every sample line to carry an extra label
 //!   (`table="trips"` on the worker, `worker="2"` on the coordinator), so
 //!   merged series from different origins stay distinguishable;
-//! * [`merge_expositions`] concatenates expositions while deduplicating
-//!   repeated `# TYPE`/`# HELP` header lines — Prometheus text format
-//!   allows each header once per exposition, and every worker ships the
-//!   same metric families.
+//! * [`merge_expositions`] regroups expositions by metric family — the
+//!   Prometheus text format wants each family as one group under one
+//!   `# TYPE` header, and every worker ships the same families.
 //!
-//! Both helpers keep line order stable (first occurrence wins), so merged
+//! Both helpers keep order stable (first occurrence wins), so merged
 //! output is deterministic given deterministic inputs — the registry
 //! renders from a `BTreeMap`, so that holds end to end.
 
 use crate::coordinator::Coordinator;
-use std::collections::HashSet;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use iam_serve::net::{Conn, Listener};
+use iam_serve::MAX_LINE_BYTES;
+use std::collections::HashMap;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Escape a label value per the Prometheus text format (`\`, `"`, `\n`).
 fn escape_label(v: &str) -> String {
@@ -75,33 +74,60 @@ pub fn inject_label(exposition: &str, key: &str, value: &str) -> String {
     out
 }
 
-/// Concatenate expositions, keeping only the first occurrence of each
-/// `# TYPE`/`# HELP` header line. Sample lines are never dropped.
+/// Merge expositions into one, a group per metric family in first-seen
+/// order: the family's first `# TYPE`/`# HELP` lines, then every part's
+/// samples of it. A sample belongs to the family of the header above it in
+/// its part when its name is that family's or extends it with `_`
+/// (`_bucket`, `_sum`, `_count`), else to a family of its own name; any
+/// other comment line is a group of its own. Sample lines are never
+/// dropped; blank lines are.
 pub fn merge_expositions<S: AsRef<str>>(parts: &[S]) -> String {
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut out = String::new();
+    // (headers, samples) per family, and each family's group index
+    let mut groups: Vec<(String, String)> = Vec::new();
+    let mut index: HashMap<String, usize> = HashMap::new();
     for part in parts {
-        for line in part.as_ref().lines() {
-            if line.starts_with('#') && !seen.insert(line.to_string()) {
-                continue;
+        let mut family = "";
+        for line in part.as_ref().lines().filter(|l| !l.trim().is_empty()) {
+            let (key, header) = if let Some(rest) =
+                line.strip_prefix("# TYPE ").or_else(|| line.strip_prefix("# HELP "))
+            {
+                family = rest.split(' ').next().unwrap_or(rest);
+                (family, true)
+            } else if line.starts_with('#') {
+                (line, true)
+            } else {
+                let name = line.split(['{', ' ']).next().unwrap_or(line);
+                let own =
+                    name.strip_prefix(family).is_some_and(|s| s.is_empty() || s.starts_with('_'));
+                (if own { family } else { name }, false)
+            };
+            let i = *index.entry(key.to_string()).or_insert_with(|| {
+                groups.push(Default::default());
+                groups.len() - 1
+            });
+            let (headers, samples) = &mut groups[i];
+            if !header {
+                samples.push_str(line);
+                samples.push('\n');
+            } else if !headers.lines().any(|h| h == line) {
+                headers.push_str(line);
+                headers.push('\n');
             }
-            out.push_str(line);
-            out.push('\n');
         }
     }
-    out
+    groups.into_iter().flat_map(|(headers, samples)| [headers, samples]).collect()
 }
 
 /// A minimal HTTP scrape endpoint over
 /// [`Coordinator::cluster_prometheus`]: any request gets a `200 text/plain`
 /// response carrying the merged cluster exposition, one request per
 /// connection — enough for `curl`/Prometheus scrapes and the CI check,
-/// with no HTTP machinery beyond a status line.
+/// with no HTTP machinery beyond a status line. Each connection has its
+/// own thread, so an idle peer delays neither other scrapes nor `stop`.
 pub struct MetricsFrontend {
     /// The bound address (useful with port 0).
     pub addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: std::thread::JoinHandle<()>,
+    listener: Listener,
 }
 
 impl MetricsFrontend {
@@ -110,45 +136,29 @@ impl MetricsFrontend {
         coord: Arc<Coordinator>,
         addr: A,
     ) -> io::Result<MetricsFrontend> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new().name("iam-dist-metrics".into()).spawn(move || {
-                while !stop.load(Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            let _ = serve_scrape(stream, &coord);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })?
-        };
-        Ok(MetricsFrontend { addr, stop, accept_thread })
+        let listener = Listener::spawn(addr, "iam-dist-metrics", move |conn| {
+            let _ = serve_scrape(&conn, &coord);
+        })?;
+        Ok(MetricsFrontend { addr: listener.addr, listener })
     }
 
-    /// Close the listener and join the accept thread.
+    /// Close the listener and join every connection handler.
     pub fn stop(self) {
-        self.stop.store(true, Relaxed);
-        let _ = self.accept_thread.join();
+        self.listener.stop();
     }
 }
 
-fn serve_scrape(stream: std::net::TcpStream, coord: &Coordinator) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+fn serve_scrape(conn: &Conn, coord: &Coordinator) -> io::Result<()> {
     // consume the request line (and nothing more — headers may follow,
-    // but a scrape response does not depend on them)
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    // but a scrape response does not depend on them); any peer can
+    // connect, so the read is bounded like a line-protocol line
+    let mut line = Vec::new();
+    BufReader::new(conn).take(MAX_LINE_BYTES as u64).read_until(b'\n', &mut line)?;
+    if line.is_empty() {
+        return Ok(()); // closed, or stopping, before asking anything
+    }
     let body = coord.cluster_prometheus();
-    let mut out = stream;
+    let mut out = conn.stream();
     write!(
         out,
         "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\n\r\n{}",
@@ -186,6 +196,26 @@ mod tests {
         assert!(merged.contains("a{worker=\"1\"} 2"));
         // order: first exposition's lines come first
         assert!(merged.find("a{worker=\"0\"}").unwrap() < merged.find("a{worker=\"1\"}").unwrap());
+    }
+
+    #[test]
+    fn merge_keeps_each_family_contiguous() {
+        let worker = |w: &str| {
+            format!(
+                "# TYPE a counter\na{{worker=\"{w}\"}} 1\n# TYPE h histogram\n\
+                 h_bucket{{worker=\"{w}\",le=\"+Inf\"}} 2\nh_sum{{worker=\"{w}\"}} 3\n\
+                 h_count{{worker=\"{w}\"}} 2\n"
+            )
+        };
+        let merged =
+            merge_expositions(&[worker("0"), "# scrape failed: worker 1\n".into(), worker("2")]);
+        assert_eq!(
+            merged,
+            "# TYPE a counter\na{worker=\"0\"} 1\na{worker=\"2\"} 1\n# TYPE h histogram\n\
+             h_bucket{worker=\"0\",le=\"+Inf\"} 2\nh_sum{worker=\"0\"} 3\nh_count{worker=\"0\"} 2\n\
+             h_bucket{worker=\"2\",le=\"+Inf\"} 2\nh_sum{worker=\"2\"} 3\nh_count{worker=\"2\"} 2\n\
+             # scrape failed: worker 1\n"
+        );
     }
 
     #[test]

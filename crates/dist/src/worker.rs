@@ -10,47 +10,36 @@
 //! estimates issued during a ship are answered entirely by the old or
 //! entirely by the new version.
 //!
-//! Connection handling mirrors `iam_serve::net`: an accept loop plus one
-//! thread per connection, all joined on [`WorkerHandle::stop`]. Malformed
+//! Connections are served on `iam_serve::net`'s [`Listener`]: one thread
+//! per connection, all joined on [`WorkerHandle::stop`]. Malformed
 //! *messages* inside an intact frame get an [`Msg::Error`] reply and the
 //! connection survives; broken *framing* (oversized length prefix,
 //! truncated frame) closes the connection, because a byte stream cannot
 //! resynchronise mid-frame.
 
 use crate::error::DistError;
-use crate::proto::{
-    read_frame_cancellable, write_frame, write_msg, Frame, Msg, MAX_SNAPSHOT_FRAME,
-};
+use crate::proto::{read_frame, write_frame, Msg, MAX_SNAPSHOT_FRAME};
 use iam_core::IamEstimator;
 use iam_obs::Registry;
+use iam_serve::net::{Conn, Listener};
 use iam_serve::{ServeConfig, Service};
 use std::collections::HashMap;
 use std::io::{self, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
-/// Tuning knobs for [`WorkerHandle::spawn`].
-#[derive(Debug, Clone)]
+/// Tuning knobs for [`WorkerHandle::spawn`]. Every frame a worker reads
+/// is bounded by [`MAX_SNAPSHOT_FRAME`]: snapshot ships carry model bytes.
+#[derive(Debug, Clone, Default)]
 pub struct WorkerConfig {
     /// Per-table serving configuration (queue, batcher, cache).
     pub serve: ServeConfig,
-    /// Largest accepted frame payload; snapshot ships need room for model
-    /// bytes, so this defaults to [`MAX_SNAPSHOT_FRAME`].
-    pub max_frame: u32,
-}
-
-impl Default for WorkerConfig {
-    fn default() -> Self {
-        WorkerConfig { serve: ServeConfig::default(), max_frame: MAX_SNAPSHOT_FRAME }
-    }
 }
 
 /// Shared worker state: the per-table services plus RPC counters.
 struct WorkerState {
-    cfg: WorkerConfig,
+    serve: ServeConfig,
     tables: Mutex<HashMap<String, Service>>,
     /// Signalled when a peer sends [`Msg::Shutdown`].
     shutdown_tx: SyncSender<()>,
@@ -61,23 +50,23 @@ struct WorkerState {
 }
 
 impl WorkerState {
-    fn handle(&self, msg: Msg) -> Option<Msg> {
+    fn handle(&self, msg: Msg) -> Msg {
         self.frames.inc();
         match msg {
-            Msg::Ping => Some(Msg::Pong),
+            Msg::Ping => Msg::Pong,
             Msg::Shutdown => {
                 let _ = self.shutdown_tx.try_send(());
-                Some(Msg::ShutdownAck)
+                Msg::ShutdownAck
             }
             Msg::Version { table } => {
                 let tables = self.lock_tables();
-                Some(match tables.get(&table) {
+                match tables.get(&table) {
                     Some(svc) => {
                         let (version, label) = svc.current_version();
                         Msg::VersionReply { version, label }
                     }
                     None => Msg::Error { message: format!("unknown table {table:?}") },
-                })
+                }
             }
             Msg::LoadSnapshot { table, label, bytes } => {
                 // checksum + full parse happen here, before any serving
@@ -85,9 +74,9 @@ impl WorkerState {
                 let model = match IamEstimator::load_framed(&mut bytes.as_slice()) {
                     Ok(m) => m,
                     Err(e) => {
-                        return Some(Msg::Error {
+                        return Msg::Error {
                             message: format!("snapshot rejected for {table:?}: {e}"),
-                        })
+                        }
                     }
                 };
                 self.snapshots.inc();
@@ -95,22 +84,20 @@ impl WorkerState {
                 let version = match tables.get(&table) {
                     Some(svc) => svc.swap_model(model, &label),
                     None => {
-                        let svc = Service::start(model, &label, self.cfg.serve.clone());
+                        let svc = Service::start(model, &label, self.serve.clone());
                         let v = svc.current_version().0;
                         tables.insert(table.clone(), svc);
                         v
                     }
                 };
-                Some(Msg::LoadAck { table, version })
+                Msg::LoadAck { table, version }
             }
             Msg::EstimateBatch { table, queries } => {
                 let client = {
                     let tables = self.lock_tables();
                     match tables.get(&table) {
                         Some(svc) => svc.client(),
-                        None => {
-                            return Some(Msg::Error { message: format!("unknown table {table:?}") })
-                        }
+                        None => return Msg::Error { message: format!("unknown table {table:?}") },
                     }
                 };
                 self.estimates.add(queries.len() as u64);
@@ -119,27 +106,25 @@ impl WorkerState {
                     .into_iter()
                     .map(|r| r.map_err(|e| e.to_string()))
                     .collect();
-                Some(Msg::EstimateReply { results })
+                Msg::EstimateReply { results }
             }
-            Msg::Stats => Some(Msg::StatsReply { prom: self.exposition() }),
+            Msg::Stats => Msg::StatsReply { prom: self.exposition() },
             Msg::Sql { table, stmt } => {
                 let client = {
                     let tables = self.lock_tables();
                     match tables.get(&table) {
                         Some(svc) => svc.client(),
-                        None => {
-                            return Some(Msg::Error { message: format!("unknown table {table:?}") })
-                        }
+                        None => return Msg::Error { message: format!("unknown table {table:?}") },
                     }
                 };
                 self.estimates.inc();
                 // the worker only executes single-table statements — the
                 // coordinator decomposes joins before forwarding — so the
                 // serve layer's SQL executor applies unchanged
-                Some(match iam_serve::execute_sql(&stmt, &client) {
+                match iam_serve::execute_sql(&stmt, &client) {
                     Ok(body) => Msg::SqlReply { body },
                     Err(e) => Msg::Error { message: e.to_string() },
-                })
+                }
             }
             // reply-direction messages are meaningless as requests
             Msg::Pong
@@ -150,16 +135,15 @@ impl WorkerState {
             | Msg::StatsReply { .. }
             | Msg::SqlReply { .. }
             | Msg::Error { .. } => {
-                Some(Msg::Error { message: "unexpected reply-direction message".into() })
+                Msg::Error { message: "unexpected reply-direction message".into() }
             }
         }
     }
 
     /// This worker's whole metrics plane as one Prometheus exposition:
     /// every hosted table's service registry under a `table` label, then
-    /// the process-global registry once. `# TYPE` headers repeated across
-    /// tables are deduplicated; table order is sorted, so the output is
-    /// deterministic.
+    /// the process-global registry once, each metric family one group;
+    /// table order is sorted, so the output is deterministic.
     fn exposition(&self) -> String {
         let tables = self.lock_tables();
         let mut names: Vec<&String> = tables.keys().collect();
@@ -189,9 +173,7 @@ impl WorkerState {
 pub struct WorkerHandle {
     /// The bound address (useful with port 0).
     pub addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: std::thread::JoinHandle<()>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    listener: Listener,
     state: Arc<WorkerState>,
     shutdown_rx: Receiver<()>,
 }
@@ -199,13 +181,10 @@ pub struct WorkerHandle {
 impl WorkerHandle {
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and serve protocol frames.
     pub fn spawn<A: ToSocketAddrs>(addr: A, cfg: WorkerConfig) -> io::Result<WorkerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let (shutdown_tx, shutdown_rx) = sync_channel(1);
         let reg = Registry::global();
         let state = Arc::new(WorkerState {
-            cfg,
+            serve: cfg.serve,
             tables: Mutex::new(HashMap::new()),
             shutdown_tx,
             frames: reg.counter("iam_dist_worker_frames_total", &[]),
@@ -213,27 +192,19 @@ impl WorkerHandle {
             snapshots: reg.counter("iam_dist_worker_snapshots_total", &[]),
             proto_errors: reg.counter("iam_dist_worker_proto_errors_total", &[]),
         });
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let accept_thread = {
-            let (state, stop, conns) = (Arc::clone(&state), Arc::clone(&stop), Arc::clone(&conns));
-            std::thread::Builder::new()
-                .name("iam-dist-accept".into())
-                .spawn(move || accept_loop(listener, &state, &stop, &conns))?
+        let listener = {
+            let state = Arc::clone(&state);
+            Listener::spawn(addr, "iam-dist", move |conn| {
+                let _ = handle_connection(&conn, &state);
+            })?
         };
-        Ok(WorkerHandle { addr, stop, accept_thread, conns, state, shutdown_rx })
+        Ok(WorkerHandle { addr: listener.addr, listener, state, shutdown_rx })
     }
 
     /// Block until a peer sends [`Msg::Shutdown`] (the worker binary's
     /// main-thread parking spot).
     pub fn wait_for_shutdown(&self) {
         let _ = self.shutdown_rx.recv();
-    }
-
-    /// Like [`Self::wait_for_shutdown`] with a timeout; returns whether a
-    /// shutdown request arrived.
-    pub fn wait_for_shutdown_timeout(&self, d: Duration) -> bool {
-        self.shutdown_rx.recv_timeout(d).is_ok()
     }
 
     /// Tables currently hosting a model.
@@ -246,15 +217,7 @@ impl WorkerHandle {
     /// Stop accepting, join every connection handler, and drain the
     /// per-table services (graceful: queued estimates are answered).
     pub fn stop(self) {
-        self.stop.store(true, Relaxed);
-        let _ = self.accept_thread.join();
-        let handles: Vec<_> = {
-            let mut conns = self.conns.lock().unwrap_or_else(|p| p.into_inner());
-            conns.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
+        self.listener.stop();
         let tables = std::mem::take(&mut *self.state.lock_tables());
         for (_, svc) in tables {
             let _ = svc.shutdown();
@@ -262,66 +225,23 @@ impl WorkerHandle {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    state: &Arc<WorkerState>,
-    stop: &Arc<AtomicBool>,
-    conns: &Mutex<Vec<std::thread::JoinHandle<()>>>,
-) {
-    while !stop.load(Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let state = Arc::clone(state);
-                let stop = Arc::clone(stop);
-                let spawned =
-                    std::thread::Builder::new().name("iam-dist-conn".into()).spawn(move || {
-                        let _ = handle_connection(stream, &state, &stop);
-                    });
-                match spawned {
-                    Ok(handle) => {
-                        conns.lock().unwrap_or_else(|p| p.into_inner()).push(handle);
-                    }
-                    // thread exhaustion is a transient resource failure: drop
-                    // this connection (the stream closes) and keep accepting
-                    Err(_) => continue,
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    state: &WorkerState,
-    stop: &AtomicBool,
-) -> Result<(), DistError> {
-    // short read timeout so the handler re-checks `stop` between frames;
-    // read_frame_cancellable keeps partial bytes across timeouts, so slow
-    // mid-frame peers are never corrupted
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    let mut reader = stream.try_clone()?;
-    let mut out = BufWriter::new(stream);
+fn handle_connection(conn: &Conn, state: &WorkerState) -> Result<(), DistError> {
+    let mut reader = conn;
+    let mut out = BufWriter::new(conn.stream());
     loop {
-        let frame = match read_frame_cancellable(&mut reader, state.cfg.max_frame, &|| {
-            stop.load(Relaxed)
-        }) {
+        let frame = match read_frame(&mut reader, MAX_SNAPSHOT_FRAME) {
             Ok(Some(f)) => f,
             Ok(None) => return Ok(()), // peer closed, or we are stopping
-            Err(e @ (DistError::FrameTooLarge { .. } | DistError::Io(_))) => {
-                // framing is unrecoverable: report (best effort) and close
-                state.proto_errors.inc();
-                let _ = write_msg(&mut out, &Msg::Error { message: e.to_string() });
-                return Err(e);
-            }
             Err(e) => {
-                // the frame boundary held; the *message* was garbage —
-                // reply and keep serving this connection
                 state.proto_errors.inc();
-                write_msg(&mut out, &Msg::Error { message: e.to_string() })?;
+                let sent = write_frame(&mut out, &Msg::Error { message: e.to_string() }, None, &[]);
+                // broken framing is unrecoverable: the reply was best
+                // effort, close; otherwise the frame boundary held, only
+                // the *message* was garbage, and the connection serves on
+                if matches!(e, DistError::FrameTooLarge { .. } | DistError::Io(_)) {
+                    return Err(e);
+                }
+                sent?;
                 continue;
             }
         };
@@ -339,9 +259,7 @@ fn handle_connection(
             Some(c) => iam_obs::tracetree::drain_trace(c.trace_id),
             None => Vec::new(),
         };
-        if let Some(reply) = reply {
-            write_frame(&mut out, &Frame { msg: reply, ctx: None, spans })?;
-        }
+        write_frame(&mut out, &reply, None, &spans)?;
         if stopping {
             return Ok(());
         }

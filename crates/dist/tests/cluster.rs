@@ -101,8 +101,8 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 #[test]
 fn multi_process_cluster_bit_identical_with_kill_and_refresh() {
     // --- models and ground truth (single-process inference) ------------
-    let (mut wisdm_v1, wisdm_queries) = train(Dataset::Wisdm, 7);
-    let (mut twi, twi_queries) = train(Dataset::Twi, 11);
+    let (wisdm_v1, wisdm_queries) = train(Dataset::Wisdm, 7);
+    let (twi, twi_queries) = train(Dataset::Twi, 11);
     let mut wisdm_v2 = wisdm_v1.clone();
     wisdm_v2.train_epochs(&Dataset::Wisdm.generate(1_200, 7), 1);
 
@@ -120,8 +120,7 @@ fn multi_process_cluster_bit_identical_with_kill_and_refresh() {
         DistConfig { replicas: 2, ..DistConfig::default() },
     );
 
-    for (table, model, label) in [("wisdm", &mut wisdm_v1, "wisdm-v1"), ("twi", &mut twi, "twi-v1")]
-    {
+    for (table, model, label) in [("wisdm", &wisdm_v1, "wisdm-v1"), ("twi", &twi, "twi-v1")] {
         for outcome in coord.deploy_model(table, model, label).unwrap() {
             outcome.result.unwrap_or_else(|e| {
                 panic!("ship {label} to worker {} failed: {e}", outcome.worker)
@@ -174,7 +173,7 @@ fn multi_process_cluster_bit_identical_with_kill_and_refresh() {
             })
             .collect();
 
-        for outcome in coord.deploy_model("wisdm", &mut wisdm_v2, "wisdm-v2").unwrap() {
+        for outcome in coord.deploy_model("wisdm", &wisdm_v2, "wisdm-v2").unwrap() {
             outcome.result.unwrap_or_else(|e| {
                 panic!("refresh ship to worker {} failed: {e}", outcome.worker)
             });

@@ -8,7 +8,7 @@
 use iam_core::{IamConfig, IamEstimator};
 use iam_data::synth::Dataset;
 use iam_data::{RangeQuery, WorkloadConfig, WorkloadGenerator};
-use iam_dist::proto::{read_msg, write_msg};
+use iam_dist::proto::{read_frame, write_frame};
 use iam_dist::{ClusterQuery, Coordinator, DistConfig, MetricsFrontend, Msg};
 use iam_obs::tracetree::{self, SpanRecord, TraceTree};
 use std::collections::BTreeSet;
@@ -87,15 +87,15 @@ fn scattered_batch_stitches_into_one_trace_tree() {
     let coord = Arc::new(Coordinator::new(
         addrs,
         &tables,
-        DistConfig { replicas: 1, trace_seed: 42, ..DistConfig::default() },
+        DistConfig { replicas: 1, ..DistConfig::default() },
     ));
     let expected_workers: BTreeSet<String> =
         tables.iter().map(|t| format!("worker-{}", coord.placement().replicas(t)[0])).collect();
     assert_eq!(expected_workers.len(), 3, "table names chosen to cover all workers");
 
-    let (mut model, queries) = tiny_model(7);
+    let (model, queries) = tiny_model(7);
     for table in tables {
-        for outcome in coord.deploy_model(table, &mut model, &format!("{table}-v1")).unwrap() {
+        for outcome in coord.deploy_model(table, &model, &format!("{table}-v1")).unwrap() {
             outcome.result.expect("ship");
         }
     }
@@ -209,8 +209,8 @@ fn scattered_batch_stitches_into_one_trace_tree() {
     // speak the old protocol directly to a worker: no envelope, no trace
     // context — the worker must answer in kind
     let mut raw = TcpStream::connect(workers[0].addr).expect("raw v1 connect");
-    write_msg(&mut raw, &Msg::Ping).expect("v1 write");
-    match read_msg(&mut raw, 1 << 20).expect("v1 read") {
+    write_frame(&mut raw, &Msg::Ping, None, &[]).expect("v1 write");
+    match read_frame(&mut raw, 1 << 20).expect("v1 read").map(|frame| frame.msg) {
         Some(Msg::Pong) => {}
         other => panic!("v1 ping got {other:?}"),
     }
@@ -232,6 +232,7 @@ fn scattered_batch_stitches_into_one_trace_tree() {
         1,
         "TYPE headers deduplicated across workers"
     );
+    assert_families_contiguous(&prom);
 
     // the HTTP scrape endpoint serves the same exposition
     let front = MetricsFrontend::spawn(Arc::clone(&coord), "127.0.0.1:0").expect("metrics bind");
@@ -275,6 +276,26 @@ fn prom_endpoint_scrape_carries_worker_labels() {
         assert!(body.contains(&format!("worker=\"{i}\"")), "missing worker {i} labels:\n{body}");
     }
     assert!(body.contains("iam_dist_worker_frames_total"), "worker counters present");
+    assert_families_contiguous(body);
 
     coord.shutdown_cluster();
+}
+
+/// The text format wants each metric family as one group: every sample
+/// line must sit under its own family's `# TYPE` line, which appears once.
+fn assert_families_contiguous(prom: &str) {
+    let mut seen = BTreeSet::new();
+    let mut family = "";
+    for line in prom.lines().filter(|l| !l.is_empty()) {
+        if let Some(header) = line.strip_prefix("# TYPE ") {
+            family = header.split(' ').next().expect("family name");
+            assert!(seen.insert(family), "family {family} split across the exposition:\n{prom}");
+        } else if !line.starts_with('#') {
+            let name = line.split(['{', ' ']).next().expect("sample name");
+            assert!(
+                name.strip_prefix(family).is_some_and(|s| s.is_empty() || s.starts_with('_')),
+                "{name} sample outside its family's group (under {family}):\n{prom}"
+            );
+        }
+    }
 }

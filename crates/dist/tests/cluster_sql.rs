@@ -67,8 +67,8 @@ fn train(dataset: Dataset, seed: u64) -> IamEstimator {
 
 #[test]
 fn sql_through_coordinator_matches_single_process_and_fails_over() {
-    let mut twi = train(Dataset::Twi, 7);
-    let mut wisdm = train(Dataset::Wisdm, 11);
+    let twi = train(Dataset::Twi, 7);
+    let wisdm = train(Dataset::Wisdm, 11);
 
     // ground truth: the same statements through a single-process service
     let twi_local = Service::start(twi.clone(), "v1", ServeConfig::default());
@@ -81,10 +81,10 @@ fn sql_through_coordinator_matches_single_process_and_fails_over() {
         &["twi", "wisdm"],
         DistConfig { replicas: 2, ..DistConfig::default() },
     );
-    for outcome in coord.deploy_model("twi", &mut twi, "twi-v1").unwrap() {
+    for outcome in coord.deploy_model("twi", &twi, "twi-v1").unwrap() {
         outcome.result.expect("ship twi");
     }
-    for outcome in coord.deploy_model("wisdm", &mut wisdm, "wisdm-v1").unwrap() {
+    for outcome in coord.deploy_model("wisdm", &wisdm, "wisdm-v1").unwrap() {
         outcome.result.expect("ship wisdm");
     }
 

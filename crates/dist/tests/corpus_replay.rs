@@ -6,7 +6,7 @@
 //! crash artifacts saved by `iam-audit fuzz --save-crashes`. The file
 //! name's prefix routes it to the parser it targets:
 //!
-//! * `proto-*`   → `iam_dist::proto::read_msg` (framed) and `Msg::decode`
+//! * `proto-*`   → `iam_dist::proto::read_frame` (framed) and `Msg::decode`
 //! * `persist-*` → `iam_core::persist` via `IamEstimator::load_framed`
 //! * `line-*`    → `iam_serve::net::parse_query`
 //! * `sql-*`     → `iam_sql::parse`
@@ -16,7 +16,7 @@
 //! so a typo'd corpus file cannot silently pin nothing.
 
 use iam_core::IamEstimator;
-use iam_dist::proto::{read_msg, Msg, MAX_FRAME};
+use iam_dist::proto::{read_frame, Msg, MAX_FRAME};
 use iam_serve::net::parse_query;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -29,7 +29,7 @@ fn replay(path: &Path, bytes: &[u8]) {
     let name = path.file_name().unwrap().to_string_lossy().into_owned();
     let run: Box<dyn Fn()> = if name.starts_with("proto-") {
         Box::new(|| {
-            let _ = read_msg(&mut &bytes[..], MAX_FRAME);
+            let _ = read_frame(&mut &bytes[..], MAX_FRAME);
             // also feed the payload (sans frame header) to the raw decoder
             if bytes.len() >= 4 {
                 let _ = Msg::decode(&bytes[4..]);
@@ -93,7 +93,7 @@ fn dos_seeds_still_rejected() {
         match name {
             "proto-u32max-frame" => {
                 assert!(
-                    read_msg(&mut &bytes[..], MAX_FRAME).is_err(),
+                    read_frame(&mut &bytes[..], MAX_FRAME).is_err(),
                     "{name}: oversized frame no longer rejected"
                 );
             }

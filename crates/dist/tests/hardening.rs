@@ -4,16 +4,13 @@
 //! messages get an [`Msg::Error`] reply with the connection intact, and
 //! the worker keeps serving fresh connections throughout.
 
-use iam_dist::{read_msg, write_msg, DistError, Msg, WorkerConfig, WorkerHandle, MAX_FRAME};
+use iam_dist::{read_frame, write_frame, DistError, Msg, WorkerConfig, WorkerHandle, MAX_FRAME};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
 fn spawn_worker() -> WorkerHandle {
-    // tests only need control messages, so the tighter client-side frame
-    // bound is plenty and makes the oversized-prefix case cheap to trigger
-    let cfg = WorkerConfig { max_frame: MAX_FRAME, ..WorkerConfig::default() };
-    WorkerHandle::spawn("127.0.0.1:0", cfg).expect("spawn worker")
+    WorkerHandle::spawn("127.0.0.1:0", WorkerConfig::default()).expect("spawn worker")
 }
 
 fn connect(worker: &WorkerHandle) -> TcpStream {
@@ -22,9 +19,13 @@ fn connect(worker: &WorkerHandle) -> TcpStream {
     s
 }
 
+fn recv(stream: &mut TcpStream) -> Result<Option<Msg>, DistError> {
+    Ok(read_frame(stream, MAX_FRAME)?.map(|frame| frame.msg))
+}
+
 fn rpc(stream: &mut TcpStream, msg: &Msg) -> Result<Option<Msg>, DistError> {
-    write_msg(stream, msg)?;
-    read_msg(stream, MAX_FRAME)
+    write_frame(stream, msg, None, &[])?;
+    recv(stream)
 }
 
 /// Sanity: a well-formed round-trip works, so the failures below are
@@ -51,10 +52,10 @@ fn oversized_length_prefix_is_rejected_bounded() {
 
     // the worker answers with Msg::Error (mentioning the frame bound) and
     // then closes; EOF before the reply is also acceptable best-effort
-    match read_msg(&mut s, MAX_FRAME) {
+    match recv(&mut s) {
         Ok(Some(Msg::Error { message })) => {
             assert!(message.contains("frame"), "unhelpful error: {message}");
-            assert!(matches!(read_msg(&mut s, MAX_FRAME), Ok(None) | Err(_)));
+            assert!(matches!(recv(&mut s), Ok(None) | Err(_)));
         }
         Ok(None) | Err(_) => {}
         Ok(Some(other)) => panic!("expected error reply, got {other:?}"),
@@ -75,7 +76,7 @@ fn truncated_frame_does_not_poison_worker() {
         let mut s = connect(&worker);
         let frame = {
             let mut buf = Vec::new();
-            write_msg(&mut buf, &Msg::Version { table: "twi".into() }).unwrap();
+            write_frame(&mut buf, &Msg::Version { table: "twi".into() }, None, &[]).unwrap();
             buf
         };
         // send the length prefix plus half the payload, then vanish
@@ -105,7 +106,7 @@ fn garbage_payload_gets_error_reply_connection_survives() {
         s.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
         s.write_all(payload).unwrap();
         s.flush().unwrap();
-        match read_msg(&mut s, MAX_FRAME) {
+        match recv(&mut s) {
             Ok(Some(Msg::Error { .. })) => {}
             other => panic!("garbage {payload:?} expected Error reply, got {other:?}"),
         }

@@ -19,7 +19,8 @@
 //!   latency/batch-size histograms with a [`Metrics::snapshot`] API and a
 //!   plain-text dump;
 //! * [`net`] — a `TcpListener` line protocol (one query per line, one
-//!   selectivity per line) over the same [`Client`];
+//!   selectivity per line) over the same [`Client`], on the listener and
+//!   stop-aware connection `iam-dist` also serves on;
 //! * [`sql`] — execution of parsed `iam-sql` statements against a
 //!   [`Client`]: `COUNT(*)` through the estimator (bit-identical to the
 //!   line protocol for equivalent predicates), `SUM`/`AVG` through

@@ -39,14 +39,20 @@
 //! a q-error observation (see `iam_obs::qerror`). A `REPORT` whose qid was
 //! never sampled — tracking disabled, record evicted, or a bogus id —
 //! answers `ERR no record for qid`, counted but never fatal.
+//!
+//! The TCP edge itself — [`Listener`] and the stop-aware [`Conn`] it hands
+//! each connection — is shared with `iam-dist`'s worker and scrape
+//! endpoint, which speak their own protocols over it.
 
 use crate::error::ServeError;
 use crate::service::Client;
 use iam_data::{Interval, RangeQuery};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::ErrorKind::{TimedOut, WouldBlock};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 /// Longest accepted protocol line (bytes, newline included). Longer lines
@@ -153,124 +159,163 @@ pub fn render_query(rq: &RangeQuery) -> String {
     out
 }
 
-/// A running TCP front-end. [`TcpFrontend::stop`] closes the listener
-/// **and drains the connection handlers**: every handler polls the stop
-/// flag between reads (via a socket read timeout), finishes the line it is
-/// on, and exits; `stop` joins them all, so tests never leak threads and
-/// rebinding the port cannot flake on address reuse (bind with port 0 in
-/// tests regardless).
-pub struct TcpFrontend {
+/// One accepted connection, as its handler sees it. A read waits in
+/// `CONN_POLL`-long socket timeouts and checks the listener's stop flag
+/// after each: a timed-out poll is retried, so no received byte is lost,
+/// and a set flag reads as end of stream, so the handler finishes what it
+/// has and exits. Replies are written to [`Conn::stream`].
+pub struct Conn {
+    stream: TcpStream,
+    stop: Arc<AtomicBool>,
+}
+
+impl Conn {
+    /// The socket, for writing replies.
+    pub fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
+}
+
+impl Read for &Conn {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match (&self.stream).read(buf) {
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => {
+                    if self.stop.load(Relaxed) {
+                        return Ok(0);
+                    }
+                }
+                r => return r,
+            }
+        }
+    }
+}
+
+/// A bound TCP listener running one handler thread per accepted
+/// connection. [`Listener::stop`] sets the flag every [`Conn`] read
+/// checks, then joins the accept thread, which joins every handler — so no
+/// thread outlives `stop` and rebinding the port cannot flake on address
+/// reuse (bind port 0 in tests regardless).
+pub struct Listener {
     /// The bound address (useful with port 0).
     pub addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_thread: std::thread::JoinHandle<()>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    accept_thread: JoinHandle<()>,
+}
+
+impl Listener {
+    /// Bind `addr` (e.g. `"127.0.0.1:0"`) and run `handler` for each
+    /// accepted connection on its own thread; threads are named
+    /// `{name}-accept` and `{name}-conn`.
+    pub fn spawn<A, F>(addr: A, name: &str, handler: F) -> io::Result<Listener>
+    where
+        A: ToSocketAddrs,
+        F: Fn(Conn) + Send + Sync + 'static,
+    {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let accept_thread = {
+            let (stop, conn_name) = (Arc::clone(&stop), format!("{name}-conn"));
+            thread::Builder::new()
+                .name(format!("{name}-accept"))
+                .spawn(move || accept_loop(listener, &conn_name, Arc::new(handler), &stop))?
+        };
+        Ok(Listener { addr, stop, accept_thread })
+    }
+
+    /// Stop accepting and join every connection handler (each notices the
+    /// stop flag within `CONN_POLL` of its last received byte).
+    pub fn stop(self) {
+        self.stop.store(true, Relaxed);
+        let _ = self.accept_thread.join();
+    }
+}
+
+fn accept_loop<F: Fn(Conn) + Send + Sync + 'static>(
+    listener: TcpListener,
+    name: &str,
+    handler: Arc<F>,
+    stop: &Arc<AtomicBool>,
+) {
+    let mut conns = Vec::new();
+    while !stop.load(Relaxed) {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                if stream.set_read_timeout(Some(CONN_POLL)).is_err() {
+                    continue;
+                }
+                let conn = Conn { stream, stop: Arc::clone(stop) };
+                let handler = Arc::clone(&handler);
+                // thread exhaustion is a transient resource failure: drop
+                // this connection (the stream closes) and keep accepting
+                if let Ok(h) = thread::Builder::new().name(name.into()).spawn(move || handler(conn))
+                {
+                    conns.push(h);
+                }
+            }
+            Err(e) if e.kind() == WouldBlock => {
+                thread::sleep(Duration::from_millis(10));
+            }
+            Err(_) => break,
+        }
+    }
+    for h in conns {
+        let _ = h.join();
+    }
+}
+
+/// A running TCP front-end: the line protocol over a [`Listener`].
+/// [`TcpFrontend::stop`] closes it and joins every connection handler.
+pub struct TcpFrontend {
+    /// The bound address (useful with port 0).
+    pub addr: SocketAddr,
+    listener: Listener,
 }
 
 impl TcpFrontend {
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and serve `client` over it.
     pub fn spawn<A: ToSocketAddrs>(client: Client, addr: A) -> io::Result<TcpFrontend> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let accept_thread = {
-            let (stop, conns) = (Arc::clone(&stop), Arc::clone(&conns));
-            std::thread::Builder::new()
-                .name("iam-serve-accept".into())
-                .spawn(move || accept_loop(listener, client, &stop, &conns))?
-        };
-        Ok(TcpFrontend { addr, stop, accept_thread, conns })
+        let listener = Listener::spawn(addr, "iam-serve", move |conn| {
+            let _ = handle_connection(&conn, &client);
+        })?;
+        Ok(TcpFrontend { addr: listener.addr, listener })
     }
 
-    /// Close the listener, then join the accept loop and every connection
-    /// handler thread (each notices the stop flag within `CONN_POLL`).
+    /// Close the listener and join every connection handler.
     pub fn stop(self) {
-        self.stop.store(true, Relaxed);
-        let _ = self.accept_thread.join();
-        let handles: Vec<_> = {
-            let mut conns = self.conns.lock().unwrap_or_else(|p| p.into_inner());
-            conns.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
+        self.listener.stop();
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    client: Client,
-    stop: &Arc<AtomicBool>,
-    conns: &Mutex<Vec<std::thread::JoinHandle<()>>>,
-) {
-    while !stop.load(Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let client = client.clone();
-                let stop = Arc::clone(stop);
-                let handle =
-                    std::thread::Builder::new().name("iam-serve-conn".into()).spawn(move || {
-                        let _ = handle_connection(stream, &client, &stop);
-                    });
-                if let Ok(h) = handle {
-                    conns.lock().unwrap_or_else(|p| p.into_inner()).push(h);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// Read one `\n`-terminated line into `line` (cleared first), tolerating
-/// read timeouts so the handler can notice `stop` while idle; partially
-/// read bytes accumulate across retries. Returns `Ok(false)` on clean
-/// close, stop, or an over-long line (after replying `ERR`).
-fn read_line_bounded(
-    reader: &mut BufReader<TcpStream>,
-    line: &mut Vec<u8>,
-    out: &mut BufWriter<TcpStream>,
-    stop: &AtomicBool,
-) -> io::Result<bool> {
-    line.clear();
-    loop {
-        match reader.read_until(b'\n', line) {
-            Ok(0) => return Ok(false), // peer closed
-            Ok(_) if line.last() == Some(&b'\n') => return Ok(true),
-            Ok(_) => continue, // more to come (read_until hit buffer edge)
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if stop.load(Relaxed) {
-                    return Ok(false);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-        if line.len() > MAX_LINE_BYTES {
-            out.write_all(b"ERR line too long\n")?;
-            out.flush()?;
-            return Ok(false);
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, client: &Client, stop: &AtomicBool) -> io::Result<()> {
-    stream.set_read_timeout(Some(CONN_POLL))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut out = BufWriter::new(stream);
+fn handle_connection(conn: &Conn, client: &Client) -> io::Result<()> {
+    let mut reader = BufReader::new(conn);
+    let mut out = BufWriter::new(conn.stream());
     let mut line = Vec::new();
-    while read_line_bounded(&mut reader, &mut line, &mut out, stop)? {
+    loop {
+        // the bound applies to the read itself: a line that never ends is
+        // cut off at MAX_LINE_BYTES however steadily its bytes arrive
+        line.clear();
+        (&mut reader).take(MAX_LINE_BYTES as u64).read_until(b'\n', &mut line)?;
+        if line.last() != Some(&b'\n') {
+            if line.len() == MAX_LINE_BYTES {
+                out.write_all(b"ERR line too long\n")?;
+                out.flush()?;
+                // FIN before close: closing over the line's unread rest
+                // resets the connection, and the peer should read this
+                // reply and then end of stream, not the reset
+                conn.stream().shutdown(Shutdown::Write)?;
+            }
+            return Ok(()); // peer closed, or stopping
+        }
         let trimmed = String::from_utf8_lossy(&line);
         let trimmed = trimmed.trim();
         if trimmed.is_empty() {
             continue;
         }
         match trimmed {
-            "QUIT" => break,
+            "QUIT" => return Ok(()),
             "STATS" => {
                 out.write_all(client.metrics().render().as_bytes())?;
                 out.write_all(b"END\n")?;
@@ -323,7 +368,6 @@ fn handle_connection(stream: TcpStream, client: &Client, stop: &AtomicBool) -> i
         }
         out.flush()?;
     }
-    Ok(())
 }
 
 #[cfg(test)]

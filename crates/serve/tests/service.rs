@@ -590,6 +590,40 @@ fn tcp_frontend_rejects_oversized_lines() {
     service.shutdown();
 }
 
+/// The line bound holds while bytes keep arriving: a client streaming one
+/// newline-less line without ever pausing is answered `ERR line too long`
+/// and cut off within a second, not buffered for as long as it streams.
+#[test]
+fn tcp_frontend_bounds_a_line_streamed_without_pause() {
+    let service = Service::start(tiny_model(16), "v1", ServeConfig::default());
+    let frontend = TcpFrontend::spawn(service.client(), "127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(frontend.addr).unwrap();
+    let t0 = Instant::now();
+    let reader = {
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        std::thread::spawn(move || {
+            let mut line = String::new();
+            let ok = reader.read_line(&mut line).is_ok() && line == "ERR line too long\n";
+            ok.then(|| t0.elapsed())
+        })
+    };
+    let chunk = [b'a'; 16 * 1024];
+    let mut write_failed = None;
+    while write_failed.is_none() && t0.elapsed() < Duration::from_secs(3) {
+        write_failed = (&stream).write_all(&chunk).is_err().then(|| t0.elapsed());
+    }
+    // unblocks the reader if no reply ever came
+    let _ = stream.shutdown(std::net::Shutdown::Both);
+    let replied = reader.join().unwrap();
+    let cut_off = write_failed.into_iter().chain(replied).min();
+    assert!(
+        cut_off.is_some_and(|t| t < Duration::from_secs(1)),
+        "write failed at {write_failed:?}, ERR read at {replied:?}"
+    );
+    frontend.stop();
+    service.shutdown();
+}
+
 /// Garbage on the line protocol — including non-UTF-8 bytes — gets an
 /// `ERR` reply, the connection stays open, and valid queries still work
 /// afterwards. No input may panic the handler.

@@ -38,7 +38,7 @@ fn train(dataset: Dataset, seed: u64) -> (IamEstimator, Vec<RangeQuery>) {
 fn main() {
     println!("training per-table models …");
     let (mut wisdm, wisdm_queries) = train(Dataset::Wisdm, 7);
-    let (mut twi, twi_queries) = train(Dataset::Twi, 11);
+    let (twi, twi_queries) = train(Dataset::Twi, 11);
 
     // --- cluster up: 3 workers, 2 replicas per table -------------------
     let workers: Vec<WorkerHandle> = (0..3)
@@ -53,10 +53,10 @@ fn main() {
     }
 
     // --- snapshot shipping: models reach every replica -----------------
-    for outcome in coord.deploy_model("wisdm", &mut wisdm, "wisdm-v1").unwrap() {
+    for outcome in coord.deploy_model("wisdm", &wisdm, "wisdm-v1").unwrap() {
         println!("ship wisdm → worker {}: {:?}", outcome.worker, outcome.result);
     }
-    for outcome in coord.deploy_model("twi", &mut twi, "twi-v1").unwrap() {
+    for outcome in coord.deploy_model("twi", &twi, "twi-v1").unwrap() {
         println!("ship twi   → worker {}: {:?}", outcome.worker, outcome.result);
     }
 
@@ -102,7 +102,7 @@ fn main() {
     println!("\nrefreshing wisdm (1 extra epoch) and shipping …");
     let table = Dataset::Wisdm.generate(4_000, 7);
     wisdm.train_epochs(&table, 1);
-    for outcome in coord.deploy_model("wisdm", &mut wisdm, "wisdm-v2").unwrap() {
+    for outcome in coord.deploy_model("wisdm", &wisdm, "wisdm-v2").unwrap() {
         println!("ship wisdm v2 → worker {}: {:?}", outcome.worker, outcome.result);
     }
     for (wid, v) in coord.versions("wisdm") {
