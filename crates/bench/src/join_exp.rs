@@ -1,4 +1,4 @@
-//! Shared machinery for the IMDB join experiments (Tables 5, 7, 8 and
+//! Shared machinery for the IMDB join experiments (Tables 5–8 and
 //! Figure 5).
 
 use crate::{BenchScale, EstimatorRow};
@@ -98,8 +98,21 @@ impl JoinExperiment {
     }
 }
 
-/// Run the Table-5 line-up (join-capable estimators only).
-pub fn run_join_lineup(exp: &JoinExperiment) -> Vec<EstimatorRow> {
+/// The Table-5 line-up: one evaluated row per estimator, plus the fitted
+/// models Table 7 times.
+pub struct JoinLineup {
+    /// One row per estimator, in Table 5's order.
+    pub rows: Vec<EstimatorRow>,
+    /// MSCN on the flat sample and its training workload.
+    pub mscn: MscnLite,
+    /// Neurocard on the flat sample.
+    pub neurocard: IamEstimator,
+    /// IAM on the flat sample.
+    pub iam: IamEstimator,
+}
+
+/// Fit and evaluate the Table-5 line-up (join-capable estimators only).
+pub fn run_join_lineup(exp: &JoinExperiment) -> JoinLineup {
     let mut rows = Vec::new();
     let cfg = exp.scale.iam_config();
 
@@ -154,7 +167,7 @@ pub fn run_join_lineup(exp: &JoinExperiment) -> Vec<EstimatorRow> {
     let mut iam = IamEstimator::fit(&exp.flat, cfg);
     push("IAM", t0, &mut iam);
 
-    rows
+    JoinLineup { rows, mscn, neurocard: nc, iam }
 }
 
 #[cfg(test)]

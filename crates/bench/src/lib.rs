@@ -1,22 +1,25 @@
-//! Shared harness for the paper-reproduction benchmarks.
+//! Shared harness of the `paper-tables` binary, which prints every table
+//! and figure of the paper's evaluation
+//! (`cargo run --release -p iam-bench --bin paper-tables -- all`). This
+//! library holds the common machinery: scale knobs (env-overridable),
+//! estimator construction, workload + ground-truth preparation and
+//! error/timing evaluation.
 //!
-//! Every table and figure of the paper has a `[[bench]]` target (harness =
-//! false) that prints paper-style rows. This library holds the common
-//! machinery: scale knobs (env-overridable), estimator construction,
-//! workload + ground-truth preparation, error/timing evaluation and table
-//! printing.
-//!
-//! Scale knobs (defaults chosen for a single-core CI box; raise for
+//! Scale knobs (defaults sized for a small CI box; raise for
 //! higher-fidelity runs):
 //!
 //! | env var              | default | meaning                           |
 //! |----------------------|---------|-----------------------------------|
 //! | `IAM_BENCH_ROWS`     | 20000   | rows per synthetic dataset        |
-//! | `IAM_BENCH_QUERIES`  | 200     | evaluation queries per dataset    |
-//! | `IAM_BENCH_TRAINQ`   | 600     | training queries (query-driven)   |
-//! | `IAM_BENCH_EPOCHS`   | 5       | AR training epochs                |
+//! | `IAM_BENCH_QUERIES`  | 150     | evaluation queries per dataset    |
+//! | `IAM_BENCH_TRAINQ`   | 500     | training queries (query-driven)   |
+//! | `IAM_BENCH_EPOCHS`   | 15      | AR training epochs                |
 //! | `IAM_BENCH_SAMPLES`  | 256     | progressive samples per query     |
 //! | `IAM_BENCH_TRAIN_THREADS` | 1  | training workers (0 = per core)   |
+//! | `IAM_BENCH_SEED`     | 42      | base seed                         |
+//!
+//! Table 8's `train_threads` sweep reads `IAM_BENCH_THREAD_SWEEP`
+//! (default `1,2,4`).
 
 #![deny(missing_docs)]
 
@@ -262,36 +265,6 @@ pub fn run_lineup(exp: &SingleTableExperiment, deep: bool) -> Vec<EstimatorRow> 
     }
 
     rows
-}
-
-/// Print a Tables-2–5-style error table.
-pub fn print_error_table(title: &str, rows: &[EstimatorRow]) {
-    println!("\n=== {title} ===");
-    println!(
-        "{:<12} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "Estimator", "Mean", "Median", "95th", "99th", "Max"
-    );
-    for r in rows {
-        println!("{}", r.errors.table_row(&r.name));
-    }
-}
-
-/// Print a Figure-4-style latency table.
-pub fn print_latency_table(title: &str, rows: &[EstimatorRow]) {
-    println!("\n=== {title} ===");
-    println!("{:<12} {:>12}", "Estimator", "ms/query");
-    for r in rows {
-        println!("{:<12} {:>12.2}", r.name, r.ms_per_query);
-    }
-}
-
-/// Print a Table-6-style size table row set.
-pub fn print_size_table(title: &str, rows: &[EstimatorRow]) {
-    println!("\n=== {title} ===");
-    println!("{:<12} {:>12}", "Estimator", "size (KB)");
-    for r in rows {
-        println!("{:<12} {:>12.1}", r.name, r.size_bytes as f64 / 1024.0);
-    }
 }
 
 #[cfg(test)]

@@ -220,12 +220,9 @@ impl IamEstimator {
                     Some(g) => {
                         truncated_normal_mean(g.gmm().means[k], g.gmm().stds[k], iv.lo, iv.hi)
                     }
-                    // histogram-family reducers: midpoint of bucket ∩ range
+                    // histogram-family reducers: the midpoint of the
+                    // constrained range (an unbounded side counts as 0 / lo)
                     None => {
-                        let mut mass = Vec::new();
-                        r.range_mass(&Interval::full(), &mut mass);
-                        // without richer reducer introspection use the
-                        // range midpoint clamped into the constraint
                         let lo = if iv.lo.is_finite() { iv.lo } else { 0.0 };
                         let hi = if iv.hi.is_finite() { iv.hi } else { lo };
                         (lo + hi) / 2.0

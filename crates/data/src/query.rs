@@ -1,7 +1,6 @@
 //! Conjunctive predicates and their normalised per-column range form.
 
 use crate::error::DataError;
-use crate::table::Table;
 
 /// Comparison operators supported by predicates (§2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,29 +61,6 @@ impl Query {
     /// Build a query from predicate triples.
     pub fn new(predicates: Vec<Predicate>) -> Self {
         Query { predicates }
-    }
-
-    /// Convenience constructor for a predicate referencing a column by name,
-    /// resolving categorical operands through the dictionary.
-    pub fn pred_by_name(
-        table: &Table,
-        name: &str,
-        op: Op,
-        operand: &str,
-    ) -> Result<Predicate, DataError> {
-        let col = table
-            .column_index(name)
-            .ok_or(DataError::ColumnOutOfBounds { col: usize::MAX, ncols: table.ncols() })?;
-        let value = match table.column(col)? {
-            crate::column::Column::Categorical(c) => c
-                .code_of(operand)
-                .ok_or_else(|| DataError::UnknownCategory { col, value: operand.to_string() })?
-                as f64,
-            crate::column::Column::Continuous(_) => {
-                operand.parse::<f64>().map_err(|_| DataError::TypeMismatch { col })?
-            }
-        };
-        Ok(Predicate { col, op, value })
     }
 
     /// Normalise the conjunction into one optional [`Interval`] per column.

@@ -191,14 +191,6 @@ impl<E: SelectivityEstimator> FlatJoinEstimator<E> {
     }
 }
 
-/// Convenience: estimate a batch of join queries.
-pub fn estimate_cards<E: SelectivityEstimator>(
-    est: &mut FlatJoinEstimator<E>,
-    queries: &[JoinQuery],
-) -> Vec<f64> {
-    queries.iter().map(|q| est.estimate_card(q)).collect()
-}
-
 /// Build the per-table `LocalRanges` triple used by
 /// [`StarSchema::exact_card`] from a join query.
 pub fn exact_card(star: &StarSchema, q: &JoinQuery) -> f64 {

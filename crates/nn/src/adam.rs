@@ -86,11 +86,6 @@ impl Adam {
             }
         });
     }
-
-    /// Change the learning rate (for simple schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.cfg.lr = lr;
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Pluggable sub-query cardinality estimation for the optimizer.
 
-use iam_data::{Column, SelectivityEstimator};
+use iam_data::SelectivityEstimator;
 use iam_join::flat::FlatSchema;
 use iam_join::star::StarSchema;
 use iam_join::workload::JoinQuery;
@@ -128,13 +128,6 @@ impl JoinCardEstimator for IndependenceCardEstimator {
         }
         card.max(0.0)
     }
-}
-
-/// Ensure columns referenced in tests exist (compile-time helper for the
-/// doc examples; not used at runtime).
-#[doc(hidden)]
-pub fn _column_kind(c: &Column) -> bool {
-    c.is_continuous()
 }
 
 #[cfg(test)]
