@@ -326,7 +326,7 @@ fn fuzz_persist(seed: u64, iters: u64) -> FuzzReport {
             }
         }
         let r = catch_unwind(AssertUnwindSafe(|| {
-            if let Ok(mut est) = IamEstimator::load_framed(&mut input.as_slice()) {
+            if let Ok(est) = IamEstimator::load_framed(&mut input.as_slice()) {
                 // a parse that survives hostile bytes must also *estimate*
                 // without tripping an invariant; bound the cost so a
                 // mutated sample budget cannot stall the run

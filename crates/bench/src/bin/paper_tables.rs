@@ -11,19 +11,18 @@
 //!
 //! A run fits each model once. Per dataset, one `run_lineup` feeds Tables
 //! 2–4, Figure 4 and Table 6; on the IMDB sample, one `run_join_lineup`
-//! feeds Tables 5–8. Figure 5, the sweeps (Tables 9–12, Figures 6–7), the
-//! ablations, Table 8's `train_threads` sweep and the probe fit the models
-//! only they use. Requested ids run in paper order, whatever order they are
-//! given in. The scale is read from the `IAM_BENCH_*` variables (see the
-//! `iam_bench` crate docs); progress goes to stderr.
+//! feeds Tables 5–8 and Figure 5. The sweeps (Tables 9–12, Figures 6–7),
+//! the ablations, Table 8's `train_threads` sweep and the probe fit the
+//! models only they use. Requested ids run in paper order, whatever order
+//! they are given in. The scale is read from the `IAM_BENCH_*` variables
+//! (see the `iam_bench` crate docs); progress goes to stderr.
 
 use iam_bench::join_exp::{run_join_lineup, JoinExperiment, JoinLineup};
 use iam_bench::{run_lineup, BenchScale, EstimatorRow, SingleTableExperiment};
-use iam_core::{neurocard_lite, IamConfig, IamEstimator, ReducerKind};
+use iam_core::{IamConfig, IamEstimator, ReducerKind};
 use iam_data::metrics::fmt3;
 use iam_data::synth::Dataset;
 use iam_data::{q_error, ErrorSummary, RangeQuery, SelectivityEstimator, Table};
-use iam_estimators::spn::{SpnConfig, SpnEstimator};
 use iam_join::workload::JoinWorkloadGenerator;
 use iam_opt::{
     execute, optimize, ExactCardEstimator, FlatCardEstimator, IndependenceCardEstimator,
@@ -190,7 +189,7 @@ impl Run {
     }
 
     /// The join line-up on the IMDB sample, with its experiment.
-    fn join_lineup(&mut self) -> (&JoinExperiment, &mut JoinLineup) {
+    fn join_lineup(&mut self) -> (&JoinExperiment, &JoinLineup) {
         let Imdb { exp, lineup } = self.imdb();
         let lineup = lineup.get_or_insert_with(|| {
             eprintln!("[paper-tables] fitting the IMDB line-up");
@@ -265,7 +264,7 @@ impl Run {
             .iter()
             .map(|q| exp.schema.rewrite(q))
             .collect();
-        let ms_per_query = |batch: usize, answer: &mut dyn FnMut(&[RangeQuery])| {
+        let ms_per_query = |batch: usize, answer: &dyn Fn(&[RangeQuery])| {
             let t0 = Instant::now();
             for chunk in rqs.chunks(batch) {
                 answer(chunk);
@@ -275,15 +274,14 @@ impl Run {
         let batches = [1, 64, 128];
         // MSCN featurises per query; batching only amortises dispatch
         let mscn = batches.map(|b| {
-            ms_per_query(b, &mut |c| {
+            ms_per_query(b, &|c| {
                 for q in c {
                     black_box(l.mscn.estimate(q));
                 }
             })
         });
         let ar = |est: &IamEstimator| {
-            batches
-                .map(|b| ms_per_query(b, &mut |c| drop(black_box(est.estimate_batch_shared(c, 1)))))
+            batches.map(|b| ms_per_query(b, &|c| drop(black_box(est.estimate_batch_shared(c, 1)))))
         };
         let (nc, iam) = (ar(&l.neurocard), ar(&l.iam));
         emit(
@@ -298,34 +296,26 @@ impl Run {
     }
 
     /// Figure 5: end-to-end execution on IMDB under each estimator's
-    /// cardinalities (Selinger DP optimizer + hash-join executor).
+    /// cardinalities (Selinger DP optimizer + hash-join executor), planning
+    /// with the Table 5 fits.
     fn fig5(&mut self) {
-        let scale = self.scale.clone();
-        let cfg = scale.iam_config();
-        let exp = &self.imdb().exp;
-        // own fits: IAM and Neurocard draw each estimate's sampling seed
-        // from the model's RNG, which Table 5's evaluation has advanced, so
-        // plans from the shared fits would differ from a fresh model's
-        eprintln!("[paper-tables] fitting DeepDB, Neurocard and IAM for Figure 5");
-        let spn = SpnEstimator::new(&exp.flat, SpnConfig::default());
-        let nc = IamEstimator::fit(&exp.flat, neurocard_lite(cfg.clone()));
-        let iam = IamEstimator::fit(&exp.flat, cfg);
-        let mut arms: Vec<(&str, Box<dyn JoinCardEstimator + '_>)> = vec![
+        let (seed, nqueries) = (self.scale.seed, self.scale.queries.min(60));
+        let (exp, l) = self.join_lineup();
+        let arms: [(&str, Box<dyn JoinCardEstimator + '_>); 5] = [
             ("exact", Box::new(ExactCardEstimator::new(&exp.star))),
             ("Postgres", Box::new(IndependenceCardEstimator::new(&exp.star))),
-            ("DeepDB", Box::new(FlatCardEstimator::new(spn, exp.schema.clone()))),
-            ("Neurocard", Box::new(FlatCardEstimator::new(nc, exp.schema.clone()))),
-            ("IAM", Box::new(FlatCardEstimator::new(iam, exp.schema.clone()))),
+            ("DeepDB", Box::new(FlatCardEstimator::new(&l.spn, &exp.schema))),
+            ("Neurocard", Box::new(FlatCardEstimator::new(&l.neurocard, &exp.schema))),
+            ("IAM", Box::new(FlatCardEstimator::new(&l.iam, &exp.schema))),
         ];
-        let queries = JoinWorkloadGenerator::new(&exp.star, scale.seed ^ 0x55)
-            .gen_queries(scale.queries.min(60));
+        let queries = JoinWorkloadGenerator::new(&exp.star, seed ^ 0x55).gen_queries(nqueries);
         let rows: Vec<String> = arms
-            .iter_mut()
+            .iter()
             .map(|(name, est)| {
                 let (mut work, mut exec_s, mut plan_s) = (0u64, 0.0f64, 0.0f64);
                 for q in &queries {
                     let t0 = Instant::now();
-                    let plan = optimize(q, est.as_mut());
+                    let plan = optimize(q, est.as_ref());
                     plan_s += t0.elapsed().as_secs_f64();
                     let rep = execute(&exp.star, q, &plan);
                     work += rep.intermediate_tuples;
@@ -437,8 +427,7 @@ impl Run {
             .flat_map(|&(kind, ks)| ks.iter().map(move |&k| (kind, k)))
             .map(|(reducer, components)| {
                 let cfg = IamConfig { reducer, components, ..scale.iam_config() };
-                let mut est = IamEstimator::fit(&exp.table, cfg);
-                let (errors, ms) = exp.evaluate(&mut est);
+                let (errors, ms) = exp.evaluate(&IamEstimator::fit(&exp.table, cfg));
                 let label = format!("{} ({components})", reducer.name());
                 format!(
                     "{label:<14} {:>9} {:>9} {:>9} {:>11.2}",
@@ -471,7 +460,7 @@ impl Run {
                 ks.iter()
                     .map(|&components| {
                         let cfg = IamConfig { components, ..base.clone() };
-                        exp.evaluate(&mut IamEstimator::fit(&exp.table, cfg)).0.p95
+                        exp.evaluate(&IamEstimator::fit(&exp.table, cfg)).0.p95
                     })
                     .collect()
             })
@@ -524,7 +513,7 @@ impl Run {
     fn ablations(&mut self) {
         let base = IamConfig { epochs: self.scale.epochs.min(8), ..self.scale.iam_config() };
         let variant = |exp: &SingleTableExperiment, cfg: IamConfig, label: &str| {
-            exp.evaluate(&mut IamEstimator::fit(&exp.table, cfg)).0.table_row(label)
+            exp.evaluate(&IamEstimator::fit(&exp.table, cfg)).0.table_row(label)
         };
         let twi = self.exp(Dataset::Twi);
         let rows = [
@@ -542,7 +531,7 @@ impl Run {
             Table::new("wisdm_rev", wisdm.table.columns.iter().rev().cloned().collect())
                 .expect("a permutation of a valid table");
         let ncols = rev_table.ncols();
-        let mut est = IamEstimator::fit(&rev_table, base);
+        let est = IamEstimator::fit(&rev_table, base);
         let errors: Vec<f64> = wisdm
             .eval
             .iter()
@@ -569,7 +558,7 @@ impl Run {
         iam_obs::span::reset();
         iam_obs::span::enable();
         let t0 = Instant::now();
-        let mut iam = IamEstimator::fit(&exp.table, cfg);
+        let iam = IamEstimator::fit(&exp.table, cfg);
         let fit_s = t0.elapsed().as_secs_f64();
         let mut worst: Vec<(f64, f64, f64, String)> = exp
             .eval

@@ -64,16 +64,12 @@ impl JoinExperiment {
     }
 
     /// Evaluate a flat-table estimator on the join workload.
-    pub fn evaluate_flat(&self, est: &mut dyn SelectivityEstimator) -> (ErrorSummary, f64) {
+    pub fn evaluate_flat(&self, est: &dyn SelectivityEstimator) -> (ErrorSummary, f64) {
         let started = Instant::now();
         let errs: Vec<f64> = self
             .eval
             .iter()
-            .map(|(q, truth)| {
-                let rq = self.schema.rewrite(q);
-                let card = est.estimate(&rq) * self.schema.foj_size;
-                q_error_card(*truth, card)
-            })
+            .map(|(q, truth)| q_error_card(*truth, self.schema.estimate_card(est, q)))
             .collect();
         let ms = started.elapsed().as_secs_f64() * 1000.0 / self.eval.len().max(1) as f64;
         (ErrorSummary::from_errors(&errs).expect("nonempty"), ms)
@@ -82,7 +78,7 @@ impl JoinExperiment {
     /// Evaluate the Postgres-style independence estimator.
     pub fn evaluate_postgres(&self) -> (ErrorSummary, f64, usize, f64) {
         let t0 = Instant::now();
-        let mut pg = IndependenceCardEstimator::new(&self.star);
+        let pg = IndependenceCardEstimator::new(&self.star);
         let train_s = t0.elapsed().as_secs_f64();
         let started = Instant::now();
         let errs: Vec<f64> = self
@@ -99,10 +95,12 @@ impl JoinExperiment {
 }
 
 /// The Table-5 line-up: one evaluated row per estimator, plus the fitted
-/// models Table 7 times.
+/// models Table 7 times and Figure 5 plans with.
 pub struct JoinLineup {
     /// One row per estimator, in Table 5's order.
     pub rows: Vec<EstimatorRow>,
+    /// DeepDB's SPN on the flat sample.
+    pub spn: SpnEstimator,
     /// MSCN on the flat sample and its training workload.
     pub mscn: MscnLite,
     /// Neurocard on the flat sample.
@@ -126,7 +124,7 @@ pub fn run_join_lineup(exp: &JoinExperiment) -> JoinLineup {
         train_seconds: train_s,
     });
 
-    let mut push = |name: &str, t0: Instant, est: &mut dyn SelectivityEstimator| {
+    let mut push = |name: &str, t0: Instant, est: &dyn SelectivityEstimator| {
         let train_s = t0.elapsed().as_secs_f64();
         let (errors, ms) = exp.evaluate_flat(est);
         rows.push(EstimatorRow {
@@ -139,35 +137,35 @@ pub fn run_join_lineup(exp: &JoinExperiment) -> JoinLineup {
     };
 
     let t0 = Instant::now();
-    let mut spn = SpnEstimator::new(&exp.flat, SpnConfig::default());
-    push("DeepDB", t0, &mut spn);
+    let spn = SpnEstimator::new(&exp.flat, SpnConfig::default());
+    push("DeepDB", t0, &spn);
 
     let t0 = Instant::now();
-    let mut mscn = MscnLite::fit(
+    let mscn = MscnLite::fit(
         &exp.flat,
         &exp.train,
         MscnConfig { seed: exp.scale.seed, ..Default::default() },
     );
-    push("MSCN", t0, &mut mscn);
+    push("MSCN", t0, &mscn);
 
     let t0 = Instant::now();
-    let mut nc = IamEstimator::fit(&exp.flat, neurocard_lite(cfg.clone()));
-    push("Neurocard", t0, &mut nc);
+    let nc = IamEstimator::fit(&exp.flat, neurocard_lite(cfg.clone()));
+    push("Neurocard", t0, &nc);
 
     let uae_cfg = iam_core::IamConfig { epochs: cfg.epochs.min(8), ..cfg.clone() };
     let t0 = Instant::now();
-    let mut uae = iam_estimators::uae_lite(&exp.flat, &exp.train, uae_cfg.clone());
-    push("UAE", t0, &mut uae);
+    let uae = iam_estimators::uae_lite(&exp.flat, &exp.train, uae_cfg.clone());
+    push("UAE", t0, &uae);
 
     let t0 = Instant::now();
-    let mut uae_q = iam_estimators::uae_q_lite(&exp.flat, &exp.train, uae_cfg);
-    push("UAE-Q", t0, &mut uae_q);
+    let uae_q = iam_estimators::uae_q_lite(&exp.flat, &exp.train, uae_cfg);
+    push("UAE-Q", t0, &uae_q);
 
     let t0 = Instant::now();
-    let mut iam = IamEstimator::fit(&exp.flat, cfg);
-    push("IAM", t0, &mut iam);
+    let iam = IamEstimator::fit(&exp.flat, cfg);
+    push("IAM", t0, &iam);
 
-    JoinLineup { rows, mscn, neurocard: nc, iam }
+    JoinLineup { rows, spn, mscn, neurocard: nc, iam }
 }
 
 #[cfg(test)]

@@ -142,7 +142,7 @@ impl SingleTableExperiment {
     }
 
     /// Evaluate one estimator: q-error summary + mean per-query latency.
-    pub fn evaluate(&self, est: &mut dyn SelectivityEstimator) -> (ErrorSummary, f64) {
+    pub fn evaluate(&self, est: &dyn SelectivityEstimator) -> (ErrorSummary, f64) {
         let started = Instant::now();
         let errors: Vec<f64> = self
             .eval
@@ -178,9 +178,9 @@ pub fn run_lineup(exp: &SingleTableExperiment, deep: bool) -> Vec<EstimatorRow> 
 
     if deep {
         let t0 = Instant::now();
-        let mut iam = IamEstimator::fit(&exp.table, cfg.clone());
+        let iam = IamEstimator::fit(&exp.table, cfg.clone());
         let train_s = t0.elapsed().as_secs_f64();
-        let (errors, ms) = exp.evaluate(&mut iam);
+        let (errors, ms) = exp.evaluate(&iam);
         rows.push(EstimatorRow {
             name: "IAM".into(),
             errors,
@@ -190,7 +190,7 @@ pub fn run_lineup(exp: &SingleTableExperiment, deep: bool) -> Vec<EstimatorRow> 
         });
     }
 
-    let mut push = |name: &str, t0: Instant, est: &mut dyn SelectivityEstimator| {
+    let mut push = |name: &str, t0: Instant, est: &dyn SelectivityEstimator| {
         let train_s = t0.elapsed().as_secs_f64();
         let (errors, ms) = exp.evaluate(est);
         rows.push(EstimatorRow {
@@ -213,55 +213,55 @@ pub fn run_lineup(exp: &SingleTableExperiment, deep: bool) -> Vec<EstimatorRow> 
         _ => 0.002,
     };
     let t0 = Instant::now();
-    let mut sampling = SamplingEstimator::new(&exp.table, fraction, scale.seed);
-    push("Sampling", t0, &mut sampling);
+    let sampling = SamplingEstimator::new(&exp.table, fraction, scale.seed);
+    push("Sampling", t0, &sampling);
 
     let t0 = Instant::now();
-    let mut pg = Postgres1d::new(&exp.table);
-    push("Postgres", t0, &mut pg);
+    let pg = Postgres1d::new(&exp.table);
+    push("Postgres", t0, &pg);
 
     let t0 = Instant::now();
-    let mut mhist = Mhist::new(&exp.table, 1000);
-    push("MHIST", t0, &mut mhist);
+    let mhist = Mhist::new(&exp.table, 1000);
+    push("MHIST", t0, &mhist);
 
     let t0 = Instant::now();
-    let mut bn = ChowLiuNet::new(&exp.table);
-    push("BayesNet", t0, &mut bn);
+    let bn = ChowLiuNet::new(&exp.table);
+    push("BayesNet", t0, &bn);
 
     let t0 = Instant::now();
-    let mut kde = KdeEstimator::new(&exp.table, 2000, scale.seed);
-    push("KDE", t0, &mut kde);
+    let kde = KdeEstimator::new(&exp.table, 2000, scale.seed);
+    push("KDE", t0, &kde);
 
     let t0 = Instant::now();
-    let mut spn = SpnEstimator::new(&exp.table, SpnConfig::default());
-    push("DeepDB", t0, &mut spn);
+    let spn = SpnEstimator::new(&exp.table, SpnConfig::default());
+    push("DeepDB", t0, &spn);
 
     let t0 = Instant::now();
-    let mut mscn = MscnLite::fit(
+    let mscn = MscnLite::fit(
         &exp.table,
         &exp.train,
         MscnConfig { seed: scale.seed, ..Default::default() },
     );
-    push("MSCN", t0, &mut mscn);
+    push("MSCN", t0, &mscn);
 
     let t0 = Instant::now();
-    let mut qs = QuickSelLite::fit(&exp.table, &exp.train, 300, 800);
-    push("QuickSel", t0, &mut qs);
+    let qs = QuickSelLite::fit(&exp.table, &exp.train, 300, 800);
+    push("QuickSel", t0, &qs);
 
     if deep {
         let t0 = Instant::now();
-        let mut nc = IamEstimator::fit(&exp.table, neurocard_lite(cfg.clone()));
-        push("Neurocard", t0, &mut nc);
+        let nc = IamEstimator::fit(&exp.table, neurocard_lite(cfg.clone()));
+        push("Neurocard", t0, &nc);
 
         // the UAE arms are "lite" reproductions; cap their training budget
         let uae_cfg = IamConfig { epochs: cfg.epochs.min(8), ..cfg.clone() };
         let t0 = Instant::now();
-        let mut uae = iam_estimators::uae_lite(&exp.table, &exp.train, uae_cfg.clone());
-        push("UAE", t0, &mut uae);
+        let uae = iam_estimators::uae_lite(&exp.table, &exp.train, uae_cfg.clone());
+        push("UAE", t0, &uae);
 
         let t0 = Instant::now();
-        let mut uae_q = iam_estimators::uae_q_lite(&exp.table, &exp.train, uae_cfg);
-        push("UAE-Q", t0, &mut uae_q);
+        let uae_q = iam_estimators::uae_q_lite(&exp.table, &exp.train, uae_cfg);
+        push("UAE-Q", t0, &uae_q);
     }
 
     rows

@@ -17,6 +17,7 @@
 
 use crate::estimator::IamEstimator;
 use crate::infer::{sample_range, sample_weighted};
+use crate::reduce::Reducer;
 use crate::schema::{ColumnHandler, SlotConstraint, SlotRole};
 use iam_data::{Interval, RangeQuery};
 use iam_gmm::math::{std_normal_cdf, std_normal_pdf};
@@ -214,20 +215,16 @@ impl IamEstimator {
                 let idx = slots[first_slot] * base + slots[first_slot + 1];
                 enc.decode(idx.min(enc.domain_size() - 1))
             }
-            ColumnHandler::Reduced(r) => {
+            ColumnHandler::Reduced(Reducer::Gmm(g)) => {
                 let k = slots[first_slot];
-                match r.as_gmm() {
-                    Some(g) => {
-                        truncated_normal_mean(g.gmm().means[k], g.gmm().stds[k], iv.lo, iv.hi)
-                    }
-                    // histogram-family reducers: the midpoint of the
-                    // constrained range (an unbounded side counts as 0 / lo)
-                    None => {
-                        let lo = if iv.lo.is_finite() { iv.lo } else { 0.0 };
-                        let hi = if iv.hi.is_finite() { iv.hi } else { lo };
-                        (lo + hi) / 2.0
-                    }
-                }
+                truncated_normal_mean(g.gmm().means[k], g.gmm().stds[k], iv.lo, iv.hi)
+            }
+            // histogram-family reducers: the midpoint of the constrained
+            // range (an unbounded side counts as 0 / lo)
+            ColumnHandler::Reduced(_) => {
+                let lo = if iv.lo.is_finite() { iv.lo } else { 0.0 };
+                let hi = if iv.hi.is_finite() { iv.hi } else { lo };
+                (lo + hi) / 2.0
             }
         }
     }

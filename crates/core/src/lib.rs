@@ -3,8 +3,8 @@
 //!
 //! The crate exposes:
 //!
-//! * [`reduce`] — the [`reduce::DomainReducer`] abstraction and its four
-//!   implementations: GMM (the paper's choice, §4.2), equi-depth histogram,
+//! * [`reduce`] — the closed [`reduce::Reducer`] type over its four
+//!   variants: GMM (the paper's choice, §4.2), equi-depth histogram,
 //!   spline histogram and uniform mixture model (the §6.6 alternatives);
 //! * [`schema`] — per-column handling (direct / reduced / factorised),
 //!   slot layout for the AR model, row encoding and query construction

@@ -14,7 +14,7 @@
 
 use crate::config::{IamConfig, RangeMassMode, ReducerKind};
 use crate::estimator::IamEstimator;
-use crate::reduce::{DomainReducer, GmmReducer, HistReducer, SplineReducer, UmmReducer};
+use crate::reduce::{GmmReducer, HistReducer, Reducer, SplineReducer, UmmReducer};
 use crate::schema::{ColumnHandler, IamSchema};
 use iam_data::{ColumnEncoding, SelectivityEstimator};
 use iam_gmm::Gmm1d;
@@ -160,33 +160,30 @@ fn r_str<R: Read>(r: &mut R) -> Result<String, PersistError> {
 
 // --- reducer round-trip --------------------------------------------------
 
-fn write_reducer<W: Write>(w: &mut W, r: &dyn DomainReducer) -> io::Result<()> {
-    match r.name() {
-        "GMM" => {
-            let g = r.as_gmm().expect("GMM reducer").gmm();
+fn write_reducer<W: Write>(w: &mut W, r: &Reducer) -> io::Result<()> {
+    match r {
+        Reducer::Gmm(g) => {
+            let g = g.gmm();
             w.write_all(&[0u8])?;
             w_vec_f64(w, &g.weights)?;
             w_vec_f64(w, &g.means)?;
             w_vec_f64(w, &g.stds)
         }
-        "Hist" => {
+        Reducer::Hist(h) => {
             w.write_all(&[1u8])?;
-            w_vec_f64(w, r.export_params().first().expect("hist bounds"))
+            w_vec_f64(w, &h.bounds)
         }
-        "Spline" => {
-            let p = r.export_params();
+        Reducer::Spline(s) => {
             w.write_all(&[2u8])?;
-            w_vec_f64(w, &p[0])?;
-            w_vec_f64(w, &p[1])
+            w_vec_f64(w, &s.knots_x)?;
+            w_vec_f64(w, &s.knots_f)
         }
-        "UMM" => {
-            let p = r.export_params();
+        Reducer::Umm(u) => {
             w.write_all(&[3u8])?;
-            w_vec_f64(w, &p[0])?;
-            w_vec_f64(w, &p[1])?;
-            w_vec_f64(w, &p[2])
+            w_vec_f64(w, &u.lo)?;
+            w_vec_f64(w, &u.hi)?;
+            w_vec_f64(w, &u.weights)
         }
-        other => panic!("unknown reducer {other}"),
     }
 }
 
@@ -201,7 +198,7 @@ fn read_reducer<R: Read>(
     r: &mut R,
     mode: RangeMassMode,
     seed: u64,
-) -> Result<Box<dyn DomainReducer>, PersistError> {
+) -> Result<Reducer, PersistError> {
     let bad = PersistError::BadFormat;
     let all_finite = |v: &[f64]| v.iter().all(|x| x.is_finite());
     let non_decreasing = |v: &[f64]| v.windows(2).all(|w| w[0] <= w[1]);
@@ -221,14 +218,14 @@ fn read_reducer<R: Read>(
             {
                 return Err(bad("degenerate GMM parameters"));
             }
-            Box::new(GmmReducer::new(Gmm1d::new(weights, means, stds), mode, seed))
+            Reducer::Gmm(GmmReducer::new(Gmm1d::new(weights, means, stds), mode, seed))
         }
         1 => {
             let bounds = r_vec_f64(r)?;
             if bounds.len() < 2 || !all_finite(&bounds) || !non_decreasing(&bounds) {
                 return Err(bad("degenerate histogram bounds"));
             }
-            Box::new(HistReducer::from_bounds(bounds))
+            Reducer::Hist(HistReducer::from_bounds(bounds))
         }
         2 => {
             let x = r_vec_f64(r)?;
@@ -239,7 +236,7 @@ fn read_reducer<R: Read>(
             if !non_decreasing(&f) || f.iter().any(|&v| !(0.0..=1.0).contains(&v)) {
                 return Err(bad("spline knot CDF not monotone in [0,1]"));
             }
-            Box::new(SplineReducer::from_knots(x, f))
+            Reducer::Spline(SplineReducer::from_knots(x, f))
         }
         3 => {
             let lo = r_vec_f64(r)?;
@@ -251,7 +248,7 @@ fn read_reducer<R: Read>(
             if !all_finite(&lo) || !all_finite(&hi) || !all_finite(&weights) {
                 return Err(bad("degenerate UMM parameters"));
             }
-            Box::new(UmmReducer::from_parts(lo, hi, weights))
+            Reducer::Umm(UmmReducer::from_parts(lo, hi, weights))
         }
         _ => return Err(PersistError::BadFormat("unknown reducer tag")),
     })
@@ -306,7 +303,7 @@ impl IamEstimator {
                 }
                 ColumnHandler::Reduced(r) => {
                     w.write_all(&[1u8])?;
-                    write_reducer(w, r.as_ref())?;
+                    write_reducer(w, r)?;
                 }
                 ColumnHandler::Factorized { enc, base } => {
                     w.write_all(&[2u8])?;
@@ -591,23 +588,20 @@ mod tests {
     #[test]
     fn save_load_round_trip_preserves_estimates() {
         let table = Dataset::Twi.generate(4000, 1);
-        let mut est = IamEstimator::fit(&table, cfg());
+        let est = IamEstimator::fit(&table, cfg());
         let mut buf = Vec::new();
         est.save(&mut buf).unwrap();
 
-        let mut loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
+        let loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
         assert_eq!(loaded.name(), est.name());
         assert_eq!(loaded.model_size_bytes(), est.model_size_bytes());
 
-        // identical seeds → identical sampling → identical estimates
+        // same model, same query → same sampling seed → same bits
         let mut gen = WorkloadGenerator::new(&table, WorkloadConfig::default(), 5);
-        est.reseed(99);
-        loaded.reseed(99);
         for q in gen.gen_queries(10) {
             let (rq, _) = q.normalize(2).unwrap();
-            let a = est.estimate(&rq);
-            let b = loaded.estimate(&rq);
-            assert!((a - b).abs() < 1e-12, "estimates diverge: {a} vs {b}");
+            let (a, b) = (est.estimate(&rq), loaded.estimate(&rq));
+            assert_eq!(a.to_bits(), b.to_bits(), "estimates diverge: {a} vs {b}");
         }
     }
 
@@ -678,16 +672,14 @@ mod tests {
         for kind in [ReducerKind::Hist, ReducerKind::Spline, ReducerKind::Umm] {
             let table = Dataset::Twi.generate(2500, 3);
             let c = IamConfig { reducer: kind, ..cfg() };
-            let mut est = IamEstimator::fit(&table, c);
+            let est = IamEstimator::fit(&table, c);
             let mut buf = Vec::new();
             est.save(&mut buf).unwrap();
-            let mut loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
-            est.reseed(7);
-            loaded.reseed(7);
+            let loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
             let mut gen = WorkloadGenerator::new(&table, WorkloadConfig::default(), 4);
             for q in gen.gen_queries(5) {
                 let (rq, _) = q.normalize(2).unwrap();
-                assert!((est.estimate(&rq) - loaded.estimate(&rq)).abs() < 1e-12);
+                assert_eq!(est.estimate(&rq).to_bits(), loaded.estimate(&rq).to_bits());
             }
         }
     }

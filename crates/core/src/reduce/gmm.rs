@@ -1,6 +1,5 @@
 //! The paper's reducer: one 1-D Gaussian mixture per column.
 
-use super::DomainReducer;
 use crate::config::RangeMassMode;
 use iam_data::Interval;
 use iam_gmm::model::ComponentSamples;
@@ -13,7 +12,7 @@ use rand::SeedableRng;
 pub struct GmmReducer {
     gmm: Gmm1d,
     /// `gmm`'s scoring kernel (its `ln φ_k`/`ln σ_k` hoisted out of
-    /// [`DomainReducer::reduce`]); refreshed wherever `gmm` is set.
+    /// [`Self::reduce`]); refreshed wherever `gmm` is set.
     scorer: Scorer,
     mode: RangeMassMode,
     /// Pre-drawn per-component samples for the Monte-Carlo mode; `None` in
@@ -42,9 +41,9 @@ impl GmmReducer {
     }
 
     /// Replace the mixture (joint training updates it every batch). Any
-    /// Monte-Carlo sample cache is invalidated and lazily rebuilt by
-    /// [`DomainReducer::finalize`]; until then range masses fall back to
-    /// the exact CDF form.
+    /// Monte-Carlo sample cache is invalidated and rebuilt by `finalize` at
+    /// the end of the epoch; until then range masses fall back to the exact
+    /// CDF form.
     pub fn set_gmm(&mut self, gmm: Gmm1d) {
         self.scorer = gmm.scorer();
         self.gmm = gmm;
@@ -55,22 +54,19 @@ impl GmmReducer {
     pub fn gmm(&self) -> &Gmm1d {
         &self.gmm
     }
-}
 
-impl DomainReducer for GmmReducer {
-    fn name(&self) -> &'static str {
-        "GMM"
-    }
-
-    fn k(&self) -> usize {
+    /// Number of reduced values `K`.
+    pub(crate) fn k(&self) -> usize {
         self.gmm.k()
     }
 
-    fn reduce(&self, v: f64) -> usize {
+    /// The reduced value of `v`.
+    pub(crate) fn reduce(&self, v: f64) -> usize {
         self.scorer.assign(v)
     }
 
-    fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
+    /// `out[j] = P(value ∈ iv | reduced value = j)`.
+    pub(crate) fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
         // open/closed bounds coincide for a continuous density
         out.clear();
         match &self.samples {
@@ -80,26 +76,17 @@ impl DomainReducer for GmmReducer {
         crate::invariant::check_mass_vector(out, "GMM range mass");
     }
 
-    fn size_bytes(&self) -> usize {
+    /// Model footprint in bytes.
+    pub(crate) fn size_bytes(&self) -> usize {
         // only the 3K mixture parameters persist in a serialized model; the
         // MC sample cache is a query-time scratch structure
         self.gmm.size_bytes()
     }
 
-    fn finalize(&mut self) {
+    /// Rebuild the Monte-Carlo component-sample cache after training
+    /// changed the mixture (no-op in exact mode).
+    pub(crate) fn finalize(&mut self) {
         self.rebuild_samples();
-    }
-
-    fn as_gmm_mut(&mut self) -> Option<&mut GmmReducer> {
-        Some(self)
-    }
-
-    fn as_gmm(&self) -> Option<&GmmReducer> {
-        Some(self)
-    }
-
-    fn clone_box(&self) -> Box<dyn DomainReducer> {
-        Box::new(self.clone())
     }
 }
 
@@ -107,6 +94,7 @@ impl DomainReducer for GmmReducer {
 mod tests {
     use super::*;
     use crate::reduce::testutil::empirical_consistency;
+    use crate::reduce::Reducer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -123,7 +111,8 @@ mod tests {
         let (gmm, data) = fitted();
         let r = GmmReducer::new(gmm, RangeMassMode::Exact, 0);
         for (lo, hi) in [(-4.0, -2.0), (-1.0, 4.0), (2.5, 3.5)] {
-            let (est, truth) = empirical_consistency(&r, &data, &Interval::closed(lo, hi));
+            let (est, truth) =
+                empirical_consistency(&Reducer::Gmm(r.clone()), &data, &Interval::closed(lo, hi));
             assert!((est - truth).abs() < 0.02, "[{lo},{hi}]: est {est} truth {truth}");
         }
     }

@@ -1,6 +1,6 @@
 //! Equi-depth histogram reducer — the first §6.6 alternative.
 
-use super::{clamp_interval, DomainReducer};
+use super::clamp_interval;
 use iam_data::Interval;
 
 /// Equi-depth buckets: each of the `K` buckets holds the same number of
@@ -11,7 +11,7 @@ use iam_data::Interval;
 pub struct HistReducer {
     /// `k + 1` bucket boundaries, ascending; bucket `j` spans
     /// `[bounds[j], bounds[j+1])` (last bucket closed on the right).
-    bounds: Vec<f64>,
+    pub(crate) bounds: Vec<f64>,
 }
 
 impl HistReducer {
@@ -40,18 +40,14 @@ impl HistReducer {
         assert!(bounds.len() >= 2, "need at least one bucket");
         HistReducer { bounds }
     }
-}
 
-impl DomainReducer for HistReducer {
-    fn name(&self) -> &'static str {
-        "Hist"
-    }
-
-    fn k(&self) -> usize {
+    /// Number of reduced values `K`.
+    pub(crate) fn k(&self) -> usize {
         self.bounds.len() - 1
     }
 
-    fn reduce(&self, v: f64) -> usize {
+    /// The reduced value of `v`.
+    pub(crate) fn reduce(&self, v: f64) -> usize {
         // values at a shared boundary go to the later bucket; values outside
         // the fitted range clamp to the edge buckets
         let k = self.k();
@@ -59,7 +55,8 @@ impl DomainReducer for HistReducer {
         idx.min(k - 1)
     }
 
-    fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
+    /// `out[j] = P(value ∈ iv | reduced value = j)`.
+    pub(crate) fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
         let (lo, hi) = clamp_interval(iv, self.bounds[0], self.bounds[self.k()]);
         out.clear();
         for j in 0..self.k() {
@@ -76,16 +73,9 @@ impl DomainReducer for HistReducer {
         crate::invariant::check_mass_vector(out, "histogram range mass");
     }
 
-    fn size_bytes(&self) -> usize {
+    /// Model footprint in bytes.
+    pub(crate) fn size_bytes(&self) -> usize {
         self.bounds.len() * std::mem::size_of::<f64>()
-    }
-
-    fn clone_box(&self) -> Box<dyn DomainReducer> {
-        Box::new(self.clone())
-    }
-
-    fn export_params(&self) -> Vec<Vec<f64>> {
-        vec![self.bounds.clone()]
     }
 }
 
@@ -93,6 +83,7 @@ impl DomainReducer for HistReducer {
 mod tests {
     use super::*;
     use crate::reduce::testutil::empirical_consistency;
+    use crate::reduce::Reducer;
 
     #[test]
     fn equi_depth_buckets_balance_counts() {
@@ -113,7 +104,11 @@ mod tests {
         let values: Vec<f64> = (0..10_000).map(|i| i as f64 / 10.0).collect();
         let h = HistReducer::fit(&values, 20);
         for (lo, hi) in [(100.0, 300.0), (0.0, 999.9), (512.3, 612.3)] {
-            let (est, truth) = empirical_consistency(&h, &values, &Interval::closed(lo, hi));
+            let (est, truth) = empirical_consistency(
+                &Reducer::Hist(h.clone()),
+                &values,
+                &Interval::closed(lo, hi),
+            );
             assert!((est - truth).abs() < 0.01, "[{lo},{hi}]: {est} vs {truth}");
         }
     }
@@ -125,7 +120,7 @@ mod tests {
         values.extend((1..=100).map(|i| i as f64));
         let h = HistReducer::fit(&values, 4);
         let iv = Interval::closed(50.0, 100.0);
-        let (est, truth) = empirical_consistency(&h, &values, &iv);
+        let (est, truth) = empirical_consistency(&Reducer::Hist(h.clone()), &values, &iv);
         // it should at least not be wildly negative/overshooting
         assert!((0.0..=1.0).contains(&est));
         // document the error direction: uniform assumption misprices the

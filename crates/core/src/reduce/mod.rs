@@ -1,6 +1,6 @@
 //! Domain reduction: map a huge continuous domain onto `K` reduced values.
 //!
-//! A [`DomainReducer`] supplies the two operations the IAM pipeline needs:
+//! A [`Reducer`] supplies the two operations the IAM pipeline needs:
 //! `reduce(v)` — the reduced attribute value `a'` fed to the AR model — and
 //! `range_mass(R)` — the per-reduced-value probability `P(v ∈ R | a' = k)`
 //! that corrects progressive sampling for range queries (§5.2).
@@ -17,53 +17,61 @@ pub use umm::UmmReducer;
 
 use iam_data::Interval;
 
-/// Maps raw continuous values into `[0, k)` and answers range-mass queries.
-pub trait DomainReducer: Send + Sync {
-    /// Reducer family name (for tables).
-    fn name(&self) -> &'static str;
+/// A fitted reducer: the paper's GMM or one of the three §6.6
+/// alternatives. Maps raw continuous values into `[0, k)` and answers
+/// range-mass queries.
+#[derive(Clone)]
+pub enum Reducer {
+    /// One 1-D Gaussian mixture (paper §4.2).
+    Gmm(GmmReducer),
+    /// Equi-depth histogram.
+    Hist(HistReducer),
+    /// Piecewise-linear CDF spline.
+    Spline(SplineReducer),
+    /// Uniform mixture model.
+    Umm(UmmReducer),
+}
 
+impl Reducer {
     /// Number of reduced values `K`.
-    fn k(&self) -> usize;
+    pub fn k(&self) -> usize {
+        match self {
+            Reducer::Gmm(r) => r.k(),
+            Reducer::Hist(r) => r.k(),
+            Reducer::Spline(r) => r.k(),
+            Reducer::Umm(r) => r.k(),
+        }
+    }
 
     /// The reduced value of `v` (paper Eq. 5 for GMMs).
-    fn reduce(&self, v: f64) -> usize;
+    pub fn reduce(&self, v: f64) -> usize {
+        match self {
+            Reducer::Gmm(r) => r.reduce(v),
+            Reducer::Hist(r) => r.reduce(v),
+            Reducer::Spline(r) => r.reduce(v),
+            Reducer::Umm(r) => r.reduce(v),
+        }
+    }
 
     /// `out[j] = P(value ∈ iv | reduced value = j)` — the bias-correction
     /// vector `P̂_GMM(R_i)` of §5.2 (its analogue for the other reducers).
-    fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>);
+    pub fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
+        match self {
+            Reducer::Gmm(r) => r.range_mass(iv, out),
+            Reducer::Hist(r) => r.range_mass(iv, out),
+            Reducer::Spline(r) => r.range_mass(iv, out),
+            Reducer::Umm(r) => r.range_mass(iv, out),
+        }
+    }
 
     /// Model footprint in bytes.
-    fn size_bytes(&self) -> usize;
-
-    /// Rebuild any query-time caches after training mutated the model
-    /// (e.g. the Monte-Carlo component-sample cache). Default: no-op.
-    fn finalize(&mut self) {}
-
-    /// Downcast hook for the joint training loop, which refreshes GMM
-    /// parameters every mini-batch. Non-GMM reducers return `None`.
-    fn as_gmm_mut(&mut self) -> Option<&mut GmmReducer> {
-        None
-    }
-
-    /// Read-only downcast counterpart of [`Self::as_gmm_mut`].
-    fn as_gmm(&self) -> Option<&GmmReducer> {
-        None
-    }
-
-    /// Export the reducer's parameter vectors for persistence (see
-    /// `iam-core::persist`). GMM reducers are saved via [`Self::as_gmm`]
-    /// instead and may leave this empty.
-    fn export_params(&self) -> Vec<Vec<f64>> {
-        Vec::new()
-    }
-
-    /// Clone into a box (reducers are held behind `dyn`).
-    fn clone_box(&self) -> Box<dyn DomainReducer>;
-}
-
-impl Clone for Box<dyn DomainReducer> {
-    fn clone(&self) -> Self {
-        self.clone_box()
+    pub fn size_bytes(&self) -> usize {
+        match self {
+            Reducer::Gmm(r) => r.size_bytes(),
+            Reducer::Hist(r) => r.size_bytes(),
+            Reducer::Spline(r) => r.size_bytes(),
+            Reducer::Umm(r) => r.size_bytes(),
+        }
     }
 }
 
@@ -76,17 +84,13 @@ pub(crate) fn clamp_interval(iv: &Interval, lo_default: f64, hi_default: f64) ->
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use super::DomainReducer;
+    use super::Reducer;
     use iam_data::Interval;
 
     /// Reference check used by every reducer's tests: the estimator
     /// `Σ_j count(a'=j) · range_mass(R)[j] / n` should approximate the true
     /// fraction of values in `R`, when the reducer fits the data well.
-    pub fn empirical_consistency(
-        reducer: &dyn DomainReducer,
-        values: &[f64],
-        iv: &Interval,
-    ) -> (f64, f64) {
+    pub fn empirical_consistency(reducer: &Reducer, values: &[f64], iv: &Interval) -> (f64, f64) {
         let n = values.len() as f64;
         let mut counts = vec![0usize; reducer.k()];
         for &v in values {

@@ -7,16 +7,16 @@
 //! index; range mass within a segment assumes the (linear-CDF ⇒ uniform)
 //! distribution between its knots.
 
-use super::{clamp_interval, DomainReducer};
+use super::clamp_interval;
 use iam_data::Interval;
 
 /// Piecewise-linear CDF spline over `K` segments.
 #[derive(Debug, Clone)]
 pub struct SplineReducer {
     /// `k + 1` knot x-positions, ascending.
-    knots_x: Vec<f64>,
+    pub(crate) knots_x: Vec<f64>,
     /// CDF value at each knot.
-    knots_f: Vec<f64>,
+    pub(crate) knots_f: Vec<f64>,
 }
 
 impl SplineReducer {
@@ -96,24 +96,21 @@ impl SplineReducer {
             f0
         }
     }
-}
 
-impl DomainReducer for SplineReducer {
-    fn name(&self) -> &'static str {
-        "Spline"
-    }
-
-    fn k(&self) -> usize {
+    /// Number of reduced values `K`.
+    pub(crate) fn k(&self) -> usize {
         self.segments()
     }
 
-    fn reduce(&self, v: f64) -> usize {
+    /// The reduced value of `v`.
+    pub(crate) fn reduce(&self, v: f64) -> usize {
         let k = self.segments();
         let idx = self.knots_x[1..k].partition_point(|&b| b <= v);
         idx.min(k - 1)
     }
 
-    fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
+    /// `out[j] = P(value ∈ iv | reduced value = j)`.
+    pub(crate) fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
         let last = self.segments();
         let (lo, hi) = clamp_interval(iv, self.knots_x[0], self.knots_x[last]);
         out.clear();
@@ -130,17 +127,10 @@ impl DomainReducer for SplineReducer {
         crate::invariant::check_mass_vector(out, "spline range mass");
     }
 
-    fn size_bytes(&self) -> usize {
+    /// Model footprint in bytes.
+    pub(crate) fn size_bytes(&self) -> usize {
         // x and F(x) per knot
         2 * self.knots_x.len() * std::mem::size_of::<f64>()
-    }
-
-    fn clone_box(&self) -> Box<dyn DomainReducer> {
-        Box::new(self.clone())
-    }
-
-    fn export_params(&self) -> Vec<Vec<f64>> {
-        vec![self.knots_x.clone(), self.knots_f.clone()]
     }
 }
 
@@ -148,6 +138,7 @@ impl DomainReducer for SplineReducer {
 mod tests {
     use super::*;
     use crate::reduce::testutil::empirical_consistency;
+    use crate::reduce::Reducer;
 
     #[test]
     fn knots_concentrate_where_cdf_bends() {
@@ -166,7 +157,11 @@ mod tests {
         values.extend((0..1000).map(|i| 5000.0 + i as f64)); // [5000,6000)
         let s = SplineReducer::fit(&values, 16);
         for (lo, hi) in [(0.0, 500.0), (900.0, 5500.0), (5100.0, 5900.0)] {
-            let (est, truth) = empirical_consistency(&s, &values, &Interval::closed(lo, hi));
+            let (est, truth) = empirical_consistency(
+                &Reducer::Spline(s.clone()),
+                &values,
+                &Interval::closed(lo, hi),
+            );
             assert!((est - truth).abs() < 0.03, "[{lo},{hi}]: {est} vs {truth}");
         }
     }

@@ -5,15 +5,15 @@
 //! bucket geometry comes from overlapping quantile spans and the weights
 //! are learned by EM (responsibilities are trivial for uniform densities).
 
-use super::{clamp_interval, DomainReducer};
+use super::clamp_interval;
 use iam_data::Interval;
 
 /// Weighted overlapping uniform buckets.
 #[derive(Debug, Clone)]
 pub struct UmmReducer {
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    weights: Vec<f64>,
+    pub(crate) lo: Vec<f64>,
+    pub(crate) hi: Vec<f64>,
+    pub(crate) weights: Vec<f64>,
 }
 
 impl UmmReducer {
@@ -71,18 +71,14 @@ impl UmmReducer {
         assert!(!lo.is_empty() && lo.len() == hi.len() && lo.len() == weights.len());
         UmmReducer { lo, hi, weights }
     }
-}
 
-impl DomainReducer for UmmReducer {
-    fn name(&self) -> &'static str {
-        "UMM"
-    }
-
-    fn k(&self) -> usize {
+    /// Number of reduced values `K`.
+    pub(crate) fn k(&self) -> usize {
         self.weights.len()
     }
 
-    fn reduce(&self, v: f64) -> usize {
+    /// The reduced value of `v`.
+    pub(crate) fn reduce(&self, v: f64) -> usize {
         // argmax posterior: weight/width among covering buckets; fall back
         // to the nearest bucket for out-of-support values
         let mut best = 0usize;
@@ -112,7 +108,8 @@ impl DomainReducer for UmmReducer {
         nearest
     }
 
-    fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
+    /// `out[j] = P(value ∈ iv | reduced value = j)`.
+    pub(crate) fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
         let glo = self.lo.iter().copied().fold(f64::INFINITY, f64::min);
         let ghi = self.hi.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let (lo, hi) = clamp_interval(iv, glo, ghi);
@@ -131,16 +128,9 @@ impl DomainReducer for UmmReducer {
         crate::invariant::check_mass_vector(out, "UMM range mass");
     }
 
-    fn size_bytes(&self) -> usize {
+    /// Model footprint in bytes.
+    pub(crate) fn size_bytes(&self) -> usize {
         3 * self.k() * std::mem::size_of::<f64>()
-    }
-
-    fn clone_box(&self) -> Box<dyn DomainReducer> {
-        Box::new(self.clone())
-    }
-
-    fn export_params(&self) -> Vec<Vec<f64>> {
-        vec![self.lo.clone(), self.hi.clone(), self.weights.clone()]
     }
 }
 
@@ -148,6 +138,7 @@ impl DomainReducer for UmmReducer {
 mod tests {
     use super::*;
     use crate::reduce::testutil::empirical_consistency;
+    use crate::reduce::Reducer;
 
     #[test]
     fn weights_form_a_distribution() {
@@ -162,7 +153,8 @@ mod tests {
         let values: Vec<f64> = (0..5000).map(|i| i as f64).collect();
         let u = UmmReducer::fit(&values, 15, 25);
         for (lo, hi) in [(1000.0, 2000.0), (0.0, 4999.0)] {
-            let (est, truth) = empirical_consistency(&u, &values, &Interval::closed(lo, hi));
+            let (est, truth) =
+                empirical_consistency(&Reducer::Umm(u.clone()), &values, &Interval::closed(lo, hi));
             assert!((est - truth).abs() < 0.05, "[{lo},{hi}]: {est} vs {truth}");
         }
     }

@@ -5,7 +5,7 @@
 //!
 //! * **Direct** — the ordinal encoding of the column's distinct values is
 //!   fed to the AR model as-is (small domains);
-//! * **Reduced** — a [`DomainReducer`] (GMM in IAM proper) replaces each
+//! * **Reduced** — a [`Reducer`] (GMM in IAM proper) replaces each
 //!   value by its reduced value `a'` (large continuous domains);
 //! * **Factorized** — Neurocard's column factorisation splits the ordinal
 //!   code `v` into `(v / base, v % base)`, two AR *slots* (large domains
@@ -16,17 +16,18 @@
 //! two consecutive slots, everything else one.
 
 use crate::config::{IamConfig, ReducerKind};
-use crate::reduce::{DomainReducer, GmmReducer, HistReducer, SplineReducer, UmmReducer};
+use crate::reduce::{GmmReducer, HistReducer, Reducer, SplineReducer, UmmReducer};
 use iam_data::{Column, ColumnEncoding, RangeQuery, Table};
 use iam_gmm::VbgmConfig;
 use std::borrow::Cow;
 
 /// How one table column is presented to the AR model.
+#[derive(Clone)]
 pub enum ColumnHandler {
     /// Ordinal encoding used directly.
     Direct(ColumnEncoding),
     /// Domain reduced by a mixture/histogram model.
-    Reduced(Box<dyn DomainReducer>),
+    Reduced(Reducer),
     /// Ordinal encoding split into two subcolumns of size `≤ base`.
     Factorized {
         /// The ordinal encoding of the raw domain.
@@ -34,18 +35,6 @@ pub enum ColumnHandler {
         /// Subcolumn base: code `v` becomes `(v / base, v % base)`.
         base: usize,
     },
-}
-
-impl Clone for ColumnHandler {
-    fn clone(&self) -> Self {
-        match self {
-            ColumnHandler::Direct(e) => ColumnHandler::Direct(e.clone()),
-            ColumnHandler::Reduced(r) => ColumnHandler::Reduced(r.clone_box()),
-            ColumnHandler::Factorized { enc, base } => {
-                ColumnHandler::Factorized { enc: enc.clone(), base: *base }
-            }
-        }
-    }
 }
 
 /// The role of one AR slot.
@@ -172,7 +161,7 @@ impl IamSchema {
             } else {
                 Cow::Borrowed(values)
             };
-            let reducer: Box<dyn DomainReducer> = match cfg.reducer {
+            let reducer = match cfg.reducer {
                 ReducerKind::Gmm => {
                     let init = if cfg.auto_components {
                         iam_gmm::fit_vbgm(
@@ -182,11 +171,11 @@ impl IamSchema {
                     } else {
                         iam_gmm::fit_em(&sample, cfg.components, 40, 1e-7).gmm
                     };
-                    Box::new(GmmReducer::new(init, cfg.range_mass, cfg.seed ^ 0x9e3779b9))
+                    Reducer::Gmm(GmmReducer::new(init, cfg.range_mass, cfg.seed ^ 0x9e3779b9))
                 }
-                ReducerKind::Hist => Box::new(HistReducer::fit(&sample, cfg.components)),
-                ReducerKind::Spline => Box::new(SplineReducer::fit(&sample, cfg.components)),
-                ReducerKind::Umm => Box::new(UmmReducer::fit(&sample, cfg.components, 25)),
+                ReducerKind::Hist => Reducer::Hist(HistReducer::fit(&sample, cfg.components)),
+                ReducerKind::Spline => Reducer::Spline(SplineReducer::fit(&sample, cfg.components)),
+                ReducerKind::Umm => Reducer::Umm(UmmReducer::fit(&sample, cfg.components, 25)),
             };
             ColumnHandler::Reduced(reducer)
         } else if domain > cfg.factorize_threshold {

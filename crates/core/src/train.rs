@@ -16,6 +16,7 @@
 
 use crate::config::IamConfig;
 use crate::probes;
+use crate::reduce::Reducer;
 use crate::schema::{ColumnHandler, IamSchema, SlotRole};
 use iam_data::{Column, Table};
 use iam_gmm::{GmmSgdTrainer, SgdConfig};
@@ -170,10 +171,8 @@ fn gmm_chunk_step(
             raw.clear();
             raw.extend(chunk.iter().map(|&r| cc.values[r]));
             let loss = trainer.step(raw);
-            if let ColumnHandler::Reduced(red) = &mut **handler {
-                if let Some(g) = red.as_gmm_mut() {
-                    g.set_gmm(trainer.snapshot());
-                }
+            if let ColumnHandler::Reduced(Reducer::Gmm(g)) = &mut **handler {
+                g.set_gmm(trainer.snapshot());
             }
             loss
         };
@@ -292,8 +291,8 @@ pub fn train_epoch(
 
     // refresh any query-time caches invalidated by GMM updates
     for h in &mut schema.handlers {
-        if let ColumnHandler::Reduced(r) = h {
-            r.finalize();
+        if let ColumnHandler::Reduced(Reducer::Gmm(g)) = h {
+            g.finalize();
         }
     }
 
@@ -325,12 +324,10 @@ pub fn make_gmm_trainers(schema: &IamSchema, cfg: &IamConfig) -> Vec<Option<GmmS
         .handlers
         .iter()
         .map(|h| match h {
-            ColumnHandler::Reduced(r) => r.as_gmm().map(|g| {
-                GmmSgdTrainer::from_init(
-                    g.gmm(),
-                    SgdConfig { lr: (cfg.lr as f64) * 2.0, ..Default::default() },
-                )
-            }),
+            ColumnHandler::Reduced(Reducer::Gmm(g)) => Some(GmmSgdTrainer::from_init(
+                g.gmm(),
+                SgdConfig { lr: (cfg.lr as f64) * 2.0, ..Default::default() },
+            )),
             _ => None,
         })
         .collect()

@@ -27,7 +27,7 @@ fn registry_epoch_stats_and_span_views_agree() {
         seed: 11,
         ..IamConfig::default()
     };
-    let mut est = IamEstimator::fit(&table, cfg);
+    let est = IamEstimator::fit(&table, cfg);
 
     let mut gen = WorkloadGenerator::new(&table, WorkloadConfig::default(), 5);
     let mut queries: Vec<RangeQuery> = gen

@@ -12,7 +12,7 @@ pub trait SelectivityEstimator {
     fn name(&self) -> &str;
 
     /// Estimated selectivity in `[0, 1]` for a conjunctive range query.
-    fn estimate(&mut self, q: &RangeQuery) -> f64;
+    fn estimate(&self, q: &RangeQuery) -> f64;
 
     /// In-memory footprint of the trained model in bytes (Table 6/12).
     fn model_size_bytes(&self) -> usize {
@@ -28,7 +28,7 @@ impl EstimatorHarness {
     /// Estimate a predicate [`Query`], rewriting `Ne` conjuncts as
     /// `sel(rest) − sel(A=v ∧ rest)` recursively.
     pub fn estimate_query<E: SelectivityEstimator + ?Sized>(
-        est: &mut E,
+        est: &E,
         q: &Query,
         ncols: usize,
     ) -> f64 {
@@ -40,7 +40,7 @@ impl EstimatorHarness {
     }
 
     fn estimate_with_nes<E: SelectivityEstimator + ?Sized>(
-        est: &mut E,
+        est: &E,
         rq: RangeQuery,
         nes: &[Predicate],
     ) -> f64 {
@@ -72,7 +72,7 @@ impl EstimatorHarness {
     /// number of disjuncts. Exponential in the number of disjuncts, which is
     /// fine for the small disjunctions the paper targets.
     pub fn estimate_disjunction<E: SelectivityEstimator + ?Sized>(
-        est: &mut E,
+        est: &E,
         disjuncts: &[Query],
         ncols: usize,
     ) -> f64 {
@@ -119,7 +119,7 @@ impl SelectivityEstimator for ExactOracle {
         "exact"
     }
 
-    fn estimate(&mut self, q: &RangeQuery) -> f64 {
+    fn estimate(&self, q: &RangeQuery) -> f64 {
         crate::exec::exact_selectivity_ranges(&self.table, q)
     }
 
@@ -153,8 +153,8 @@ mod tests {
             Predicate { col: 0, op: Op::Le, value: 5.0 },
         ]);
         let truth = exact_selectivity(&t, &q);
-        let mut oracle = ExactOracle::new(t);
-        let est = EstimatorHarness::estimate_query(&mut oracle, &q, 1);
+        let oracle = ExactOracle::new(t);
+        let est = EstimatorHarness::estimate_query(&oracle, &q, 1);
         assert!((est - truth).abs() < 1e-12, "{est} vs {truth}");
     }
 
@@ -166,8 +166,8 @@ mod tests {
             Predicate { col: 0, op: Op::Ne, value: 7.0 },
         ]);
         let truth = exact_selectivity(&t, &q);
-        let mut oracle = ExactOracle::new(t);
-        let est = EstimatorHarness::estimate_query(&mut oracle, &q, 1);
+        let oracle = ExactOracle::new(t);
+        let est = EstimatorHarness::estimate_query(&oracle, &q, 1);
         assert!((est - truth).abs() < 1e-12);
     }
 
@@ -177,8 +177,8 @@ mod tests {
         // x <= 2 OR x >= 8  -> 5/10
         let q1 = Query::new(vec![Predicate { col: 0, op: Op::Le, value: 2.0 }]);
         let q2 = Query::new(vec![Predicate { col: 0, op: Op::Ge, value: 8.0 }]);
-        let mut oracle = ExactOracle::new(t);
-        let est = EstimatorHarness::estimate_disjunction(&mut oracle, &[q1, q2], 1);
+        let oracle = ExactOracle::new(t);
+        let est = EstimatorHarness::estimate_disjunction(&oracle, &[q1, q2], 1);
         assert!((est - 0.5).abs() < 1e-12);
     }
 
@@ -188,8 +188,8 @@ mod tests {
         // x <= 5 OR x >= 3 -> everything
         let q1 = Query::new(vec![Predicate { col: 0, op: Op::Le, value: 5.0 }]);
         let q2 = Query::new(vec![Predicate { col: 0, op: Op::Ge, value: 3.0 }]);
-        let mut oracle = ExactOracle::new(t);
-        let est = EstimatorHarness::estimate_disjunction(&mut oracle, &[q1, q2], 1);
+        let oracle = ExactOracle::new(t);
+        let est = EstimatorHarness::estimate_disjunction(&oracle, &[q1, q2], 1);
         assert!((est - 1.0).abs() < 1e-12);
     }
 
@@ -200,7 +200,7 @@ mod tests {
             Predicate { col: 0, op: Op::Gt, value: 5.0 },
             Predicate { col: 0, op: Op::Lt, value: 5.0 },
         ]);
-        let mut oracle = ExactOracle::new(t);
-        assert_eq!(EstimatorHarness::estimate_query(&mut oracle, &q, 1), 0.0);
+        let oracle = ExactOracle::new(t);
+        assert_eq!(EstimatorHarness::estimate_query(&oracle, &q, 1), 0.0);
     }
 }

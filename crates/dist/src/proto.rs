@@ -20,20 +20,19 @@
 //! open (malformed *framing* closes it, since resynchronisation inside a
 //! byte stream is impossible).
 //!
-//! # Envelope versions
+//! # The envelope
 //!
-//! The original (v1) payload starts directly with the message tag; tags
-//! are small (1..=15) and `0xFF` can never be one. Version 2 exploits
-//! that: a payload whose first byte is [`ENVELOPE_MARKER`] (`0xFF`)
-//! carries an *envelope* — `[0xFF][version][flags][optional trace
-//! context][optional span records]` — followed by an ordinary v1 message
-//! payload. [`Frame::decode`] accepts both shapes, so a v2 reader
-//! interoperates with v1 peers bidirectionally: old frames decode as
-//! envelopes with no context, and a v2 frame sent without tracing enabled
-//! is byte-identical to a v1 frame. The trace context is a 128-bit trace
-//! id plus parent span id ([`TraceCtx`]); span records piggyback worker
-//! span buffers onto replies so the coordinator can stitch one
-//! cross-process trace tree (see `iam_obs::tracetree`).
+//! Every payload opens with an *envelope* — `[0xFF][version][flags]
+//! [optional trace context][optional span records]` — followed by the
+//! message bytes of [`Msg::encode`]. [`ENVELOPE_MARKER`] (`0xFF`) is never
+//! a message tag (tags are 1..=15), so a payload without it is a bare
+//! message from a peer that predates the envelope. [`Frame::decode`]
+//! rejects that, and any version other than [`ENVELOPE_VERSION`], as a
+//! [`DistError::Protocol`] error: every peer is built from this workspace,
+//! so version skew is reported, never guessed at. The trace context is a
+//! 128-bit trace id plus parent span id ([`TraceCtx`]); span records
+//! piggyback worker span buffers onto replies so the coordinator can
+//! stitch one cross-process trace tree (see `iam_obs::tracetree`).
 
 use crate::error::DistError;
 use iam_data::{Interval, RangeQuery};
@@ -46,8 +45,8 @@ pub const MAX_FRAME: u32 = 16 << 20;
 /// Hard bound on snapshot-bearing frame payloads: 1 GiB.
 pub const MAX_SNAPSHOT_FRAME: u32 = 1 << 30;
 
-/// First payload byte announcing a versioned envelope (never a valid v1
-/// message tag).
+/// First payload byte, opening the envelope (never a valid message
+/// tag).
 pub const ENVELOPE_MARKER: u8 = 0xFF;
 /// Current envelope version.
 pub const ENVELOPE_VERSION: u8 = 2;
@@ -423,14 +422,9 @@ fn decode_span(cur: &mut Cur) -> Result<SpanRecord, DistError> {
 }
 
 /// Encode a message and its envelope extras into a payload (no frame
-/// header). Without context or spans this is a bare v1 payload —
-/// byte-identical to [`Msg::encode`] — so tracing-off clusters speak
-/// exactly the old protocol, and v1 peers only ever see bytes they
-/// understand as long as tracing stays off.
+/// header): the envelope header, then the message. Without context or
+/// spans the envelope is its three header bytes.
 fn encode_frame(msg: &Msg, ctx: Option<TraceCtx>, spans: &[SpanRecord]) -> Vec<u8> {
-    if ctx.is_none() && spans.is_empty() {
-        return msg.encode();
-    }
     let mut out = Vec::new();
     out.push(ENVELOPE_MARKER);
     out.push(ENVELOPE_VERSION);
@@ -458,14 +452,12 @@ fn encode_frame(msg: &Msg, ctx: Option<TraceCtx>, spans: &[SpanRecord]) -> Vec<u
 }
 
 impl Frame {
-    /// Decode a payload in either envelope version: a leading
-    /// [`ENVELOPE_MARKER`] byte introduces a v2 envelope, anything else is
-    /// a bare v1 message (backward compatibility — old-version frames
-    /// decode as frames with no context or spans). Unknown *future*
-    /// envelope versions are rejected rather than misparsed.
+    /// Decode an enveloped payload. A payload that does not open with
+    /// [`ENVELOPE_MARKER`] (a bare message from an older peer) and an
+    /// envelope of another version are rejected, not misparsed.
     pub fn decode(buf: &[u8]) -> Result<Frame, DistError> {
         if buf.first() != Some(&ENVELOPE_MARKER) {
-            return Ok(Frame { msg: Msg::decode(buf)?, ctx: None, spans: Vec::new() });
+            return Err(DistError::Protocol("payload has no version envelope".into()));
         }
         let mut cur = Cur { buf, pos: 1 };
         let version = cur.u8()?;
@@ -523,7 +515,7 @@ pub fn write_frame<W: Write>(
 /// hostile length prefix reserves nothing of consequence.
 const PAYLOAD_CHUNK: usize = 16 * 1024;
 
-/// Read one frame in either envelope version, rejecting length prefixes
+/// Read one frame, rejecting length prefixes
 /// above `max_frame` before any allocation. `Ok(None)` means the peer
 /// closed the stream at a frame boundary (or inside the length prefix).
 pub fn read_frame<R: Read>(r: &mut R, max_frame: u32) -> Result<Option<Frame>, DistError> {
@@ -659,7 +651,7 @@ mod tests {
                         00401e18240a0600d204000000000000";
         let ctx_hex = "070000000000000009000000000000002a00000000000000";
         let golden = [
-            (None, &[][..], "0a000000".to_string()),
+            (None, &[][..], "0d000000ff0200".to_string()),
             (ctx, &[][..], format!("25000000ff0201{ctx_hex}")),
             (None, &spans[..], format!("69000000ff0202{span_hex}")),
             (ctx, &spans[..], format!("81000000ff0203{ctx_hex}{span_hex}")),
@@ -680,27 +672,19 @@ mod tests {
     }
 
     #[test]
-    fn bare_frames_stay_v1_byte_identical() {
-        // no ctx, no spans → the payload must be exactly Msg::encode, so a
-        // tracing-off v2 process emits bytes a v1 peer understands
-        let m = Msg::Version { table: "t".into() };
-        assert_eq!(encode_frame(&m, None, &[]), m.encode());
-    }
-
-    #[test]
-    fn old_version_frames_decode_through_frame() {
-        // a v1 peer's payload (no envelope) decodes as a frame without extras
+    fn bare_and_other_version_payloads_are_rejected() {
+        // a pre-envelope peer's payload (the message alone) is a protocol
+        // error, not a message
         let m =
             Msg::EstimateBatch { table: "t".into(), queries: vec![RangeQuery::unconstrained(1)] };
-        let frame = Frame::decode(&m.encode()).unwrap();
-        assert_eq!(frame.msg, m);
-        assert_eq!(frame.ctx, None);
-        assert!(frame.spans.is_empty());
-        // while a *future* envelope version is rejected, not misparsed
-        let mut future =
-            encode_frame(&Msg::Ping, Some(TraceCtx { trace_id: 1, parent_span: 0 }), &[]);
-        future[1] = 3; // version bump
-        assert!(Frame::decode(&future).is_err());
+        assert!(matches!(Frame::decode(&m.encode()), Err(DistError::Protocol(_))));
+        // and so is an envelope of another version
+        for version in [1, 3] {
+            let mut other =
+                encode_frame(&Msg::Ping, Some(TraceCtx { trace_id: 1, parent_span: 0 }), &[]);
+            other[1] = version;
+            assert!(matches!(Frame::decode(&other), Err(DistError::Protocol(_))));
+        }
     }
 
     #[test]

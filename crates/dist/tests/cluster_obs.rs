@@ -205,14 +205,21 @@ fn scattered_batch_stitches_into_one_trace_tree() {
     assert_eq!(ids2.len(), 1);
     assert_ne!(ids2[0], trace_ids[0], "each batch gets its own trace id");
 
-    // --- backward compatibility: bare v1 frames still work ----------------
-    // speak the old protocol directly to a worker: no envelope, no trace
-    // context — the worker must answer in kind
-    let mut raw = TcpStream::connect(workers[0].addr).expect("raw v1 connect");
-    write_frame(&mut raw, &Msg::Ping, None, &[]).expect("v1 write");
-    match read_frame(&mut raw, 1 << 20).expect("v1 read").map(|frame| frame.msg) {
+    // --- version skew: a payload without the envelope ---------------------
+    // a peer that predates the envelope sends the bare message; the worker
+    // names the problem in an Error reply and keeps the connection open
+    let mut raw = TcpStream::connect(workers[0].addr).expect("raw connect");
+    let bare = Msg::Ping.encode();
+    raw.write_all(&(bare.len() as u32).to_le_bytes()).expect("bare length");
+    raw.write_all(&bare).expect("bare payload");
+    match read_frame(&mut raw, 1 << 20).expect("skew reply").map(|frame| frame.msg) {
+        Some(Msg::Error { message }) => assert!(message.contains("envelope"), "{message}"),
+        other => panic!("bare ping got {other:?}"),
+    }
+    write_frame(&mut raw, &Msg::Ping, None, &[]).expect("enveloped write");
+    match read_frame(&mut raw, 1 << 20).expect("ping reply").map(|frame| frame.msg) {
         Some(Msg::Pong) => {}
-        other => panic!("v1 ping got {other:?}"),
+        other => panic!("ping after skew got {other:?}"),
     }
     drop(raw);
 

@@ -252,7 +252,7 @@ impl SelectivityEstimator for ChowLiuNet {
         "BayesNet"
     }
 
-    fn estimate(&mut self, q: &RangeQuery) -> f64 {
+    fn estimate(&self, q: &RangeQuery) -> f64 {
         let d = self.bins.len();
         assert_eq!(q.cols.len(), d);
         let coverage: Vec<Vec<f64>> = (0..d)
@@ -332,7 +332,7 @@ mod tests {
     #[test]
     fn captures_pairwise_correlation() {
         let t = chain_table(8000, 2);
-        let mut net = ChowLiuNet::new(&t);
+        let net = ChowLiuNet::new(&t);
         // a=3 AND b=3 is far more likely than independence suggests
         let q = Query::new(vec![
             Predicate { col: 0, op: Op::Eq, value: 3.0 },
@@ -351,7 +351,7 @@ mod tests {
     #[test]
     fn range_on_continuous_child() {
         let t = chain_table(8000, 3);
-        let mut net = ChowLiuNet::new(&t);
+        let net = ChowLiuNet::new(&t);
         let q = Query::new(vec![
             Predicate { col: 1, op: Op::Eq, value: 5.0 },
             Predicate { col: 2, op: Op::Ge, value: 50.0 },
@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn unconstrained_is_one() {
         let t = chain_table(1000, 4);
-        let mut net = ChowLiuNet::new(&t);
+        let net = ChowLiuNet::new(&t);
         assert!((net.estimate(&RangeQuery::unconstrained(3)) - 1.0).abs() < 1e-6);
     }
 
@@ -377,7 +377,7 @@ mod tests {
             vec![Column::Continuous(ContColumn::new("x", (0..1000).map(|i| i as f64).collect()))],
         )
         .unwrap();
-        let mut net = ChowLiuNet::new(&t);
+        let net = ChowLiuNet::new(&t);
         let q = Query::new(vec![Predicate { col: 0, op: Op::Le, value: 249.0 }]);
         let (rq, _) = q.normalize(1).unwrap();
         assert!((net.estimate(&rq) - 0.25).abs() < 0.03);

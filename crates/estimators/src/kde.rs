@@ -66,7 +66,7 @@ impl SelectivityEstimator for KdeEstimator {
         "KDE"
     }
 
-    fn estimate(&mut self, q: &RangeQuery) -> f64 {
+    fn estimate(&self, q: &RangeQuery) -> f64 {
         assert_eq!(q.cols.len(), self.d);
         let mut total = 0.0f64;
         for s in 0..self.m {
@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn accurate_on_smooth_continuous_data() {
         let t = smooth_table(20_000);
-        let mut kde = KdeEstimator::new(&t, 2000, 1);
+        let kde = KdeEstimator::new(&t, 2000, 1);
         for bound in [25.0, 50.0, 90.0] {
             let q = Query::new(vec![Predicate { col: 0, op: Op::Le, value: bound }]);
             let (rq, _) = q.normalize(2).unwrap();
@@ -135,7 +135,7 @@ mod tests {
         let n = 5000;
         let vals: Vec<f64> = (0..n).map(|i| (i % 2) as f64).collect();
         let t = Table::new("d", vec![Column::Continuous(ContColumn::new("a", vals))]).unwrap();
-        let mut kde = KdeEstimator::new(&t, 500, 2);
+        let kde = KdeEstimator::new(&t, 500, 2);
         let q = Query::new(vec![Predicate { col: 0, op: Op::Eq, value: 0.0 }]);
         let (rq, _) = q.normalize(1).unwrap();
         // a point query has zero kernel mass
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn unconstrained_is_one() {
         let t = smooth_table(500);
-        let mut kde = KdeEstimator::new(&t, 100, 4);
+        let kde = KdeEstimator::new(&t, 100, 4);
         assert!((kde.estimate(&RangeQuery::unconstrained(2)) - 1.0).abs() < 1e-9);
     }
 }

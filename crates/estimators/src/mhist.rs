@@ -141,7 +141,7 @@ impl SelectivityEstimator for Mhist {
         "MHIST"
     }
 
-    fn estimate(&mut self, q: &RangeQuery) -> f64 {
+    fn estimate(&self, q: &RangeQuery) -> f64 {
         assert_eq!(q.cols.len(), self.ncols);
         let mut total = 0.0f64;
         for leaf in &self.leaves {
@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn accurate_on_cluster_queries() {
         let t = clustered_table(5000, 2);
-        let mut m = Mhist::new(&t, 128);
+        let m = Mhist::new(&t, 128);
         // the whole low cluster
         let q = Query::new(vec![
             Predicate { col: 0, op: Op::Le, value: 50.0 },
@@ -231,7 +231,7 @@ mod tests {
         // the low cluster on col a has ONLY low values on col b; a cross
         // query (low a, high b) selects nothing — MHIST should see that
         let t = clustered_table(5000, 3);
-        let mut m = Mhist::new(&t, 128);
+        let m = Mhist::new(&t, 128);
         let q = Query::new(vec![
             Predicate { col: 0, op: Op::Le, value: 50.0 },
             Predicate { col: 1, op: Op::Ge, value: 50.0 },
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn unconstrained_is_one() {
         let t = clustered_table(500, 4);
-        let mut m = Mhist::new(&t, 16);
+        let m = Mhist::new(&t, 16);
         assert!((m.estimate(&RangeQuery::unconstrained(2)) - 1.0).abs() < 1e-9);
     }
 }

@@ -159,12 +159,11 @@ impl SelectivityEstimator for MscnLite {
         "MSCN"
     }
 
-    fn estimate(&mut self, q: &RangeQuery) -> f64 {
+    fn estimate(&self, q: &RangeQuery) -> f64 {
         let mut feat = Vec::new();
         self.featurize(q, &mut feat);
         let mut out = Vec::new();
-        let mlp = &mut self.mlp;
-        mlp.predict(&feat, 1, &mut out);
+        self.mlp.predict(&feat, 1, &mut out);
         self.sel_of(out[0])
     }
 
@@ -206,7 +205,7 @@ mod tests {
     fn learns_the_workload_distribution() {
         let t = table(10_000);
         let train = workload(&t, 400, 1);
-        let mut m = MscnLite::fit(&t, &train, MscnConfig { epochs: 40, ..Default::default() });
+        let m = MscnLite::fit(&t, &train, MscnConfig { epochs: 40, ..Default::default() });
         let test = workload(&t, 60, 2);
         let mut errs: Vec<f64> = test
             .iter()

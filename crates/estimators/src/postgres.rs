@@ -130,7 +130,7 @@ impl SelectivityEstimator for Postgres1d {
         "Postgres"
     }
 
-    fn estimate(&mut self, q: &RangeQuery) -> f64 {
+    fn estimate(&self, q: &RangeQuery) -> f64 {
         let mut sel = 1.0;
         for (stats, iv) in self.cols.iter().zip(&q.cols) {
             if let Some(iv) = iv {
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn single_range_is_accurate() {
         let t = table();
-        let mut pg = Postgres1d::new(&t);
+        let pg = Postgres1d::new(&t);
         let q = Query::new(vec![Predicate { col: 0, op: Op::Le, value: 2499.0 }]);
         let (rq, _) = q.normalize(2).unwrap();
         let truth = exact_selectivity(&t, &q);
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn categorical_equality_uses_mcv() {
         let t = table();
-        let mut pg = Postgres1d::new(&t);
+        let pg = Postgres1d::new(&t);
         let q = Query::new(vec![Predicate { col: 1, op: Op::Eq, value: 3.0 }]);
         let (rq, _) = q.normalize(2).unwrap();
         assert!((pg.estimate(&rq) - 0.1).abs() < 0.01);
@@ -203,7 +203,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut pg = Postgres1d::new(&t);
+        let pg = Postgres1d::new(&t);
         let q = Query::new(vec![
             Predicate { col: 0, op: Op::Le, value: 99.0 },
             Predicate { col: 1, op: Op::Le, value: 99.0 },
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn unconstrained_is_one() {
         let t = table();
-        let mut pg = Postgres1d::new(&t);
+        let pg = Postgres1d::new(&t);
         assert_eq!(pg.estimate(&RangeQuery::unconstrained(2)), 1.0);
     }
 

@@ -126,7 +126,7 @@ impl SelectivityEstimator for QuickSelLite {
         "QuickSel"
     }
 
-    fn estimate(&mut self, q: &RangeQuery) -> f64 {
+    fn estimate(&self, q: &RangeQuery) -> f64 {
         assert_eq!(q.cols.len(), self.ncols);
         self.buckets
             .iter()
@@ -176,7 +176,7 @@ mod tests {
     fn fits_training_workload_on_uniform_data() {
         let t = uniform_table(5000);
         let training = training_set(&t, 200, 1);
-        let mut qs = QuickSelLite::fit(&t, &training, 100, 1000);
+        let qs = QuickSelLite::fit(&t, &training, 100, 1000);
         // held-out queries on genuinely uniform data: UMM's best case.
         // QuickSel is a coarse model even here, so check the *mean* error.
         let test = training_set(&t, 50, 2);
@@ -201,7 +201,7 @@ mod tests {
     fn unconstrained_estimates_about_one() {
         let t = uniform_table(1000);
         let training = training_set(&t, 50, 4);
-        let mut qs = QuickSelLite::fit(&t, &training, 30, 100);
+        let qs = QuickSelLite::fit(&t, &training, 30, 100);
         let est = qs.estimate(&RangeQuery::unconstrained(2));
         assert!(est > 0.95, "{est}");
     }

@@ -63,7 +63,7 @@ impl SelectivityEstimator for SamplingEstimator {
         "Sampling"
     }
 
-    fn estimate(&mut self, q: &RangeQuery) -> f64 {
+    fn estimate(&self, q: &RangeQuery) -> f64 {
         assert_eq!(q.cols.len(), self.ncols);
         let mut hits = 0usize;
         for row in self.sample.chunks_exact(self.ncols) {
@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn full_sample_is_exact() {
         let t = table(500);
-        let mut s = SamplingEstimator::new(&t, 1.0, 1);
+        let s = SamplingEstimator::new(&t, 1.0, 1);
         let q = Query::new(vec![Predicate { col: 0, op: Op::Le, value: 99.0 }]);
         let (rq, _) = q.normalize(2).unwrap();
         assert!((s.estimate(&rq) - exact_selectivity(&t, &q)).abs() < 1e-12);
@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn partial_sample_approximates() {
         let t = table(20_000);
-        let mut s = SamplingEstimator::new(&t, 0.05, 2);
+        let s = SamplingEstimator::new(&t, 0.05, 2);
         assert_eq!(s.nsamples(), 1000);
         let q = Query::new(vec![Predicate { col: 1, op: Op::Le, value: 48.0 }]);
         let (rq, _) = q.normalize(2).unwrap();
@@ -130,7 +130,7 @@ mod tests {
     fn misses_rare_values_in_small_sample() {
         // the paper's observed failure mode: low-selectivity queries
         let t = table(10_000);
-        let mut s = SamplingEstimator::new(&t, 0.001, 4);
+        let s = SamplingEstimator::new(&t, 0.001, 4);
         let mut rq = RangeQuery::unconstrained(2);
         rq.cols[0] = Some(Interval::point(7777.0));
         // with 10 samples the point query is almost surely estimated 0

@@ -355,7 +355,7 @@ impl SelectivityEstimator for SpnEstimator {
         "DeepDB"
     }
 
-    fn estimate(&mut self, q: &RangeQuery) -> f64 {
+    fn estimate(&self, q: &RangeQuery) -> f64 {
         assert_eq!(q.cols.len(), self.ncols);
         Self::eval(&self.root, q).clamp(0.0, 1.0)
     }
@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn learns_cluster_structure() {
         let t = clustered(6000, 1);
-        let mut spn = SpnEstimator::new(&t, SpnConfig::default());
+        let spn = SpnEstimator::new(&t, SpnConfig::default());
         // cluster-consistent query
         let q = Query::new(vec![
             Predicate { col: 0, op: Op::Eq, value: 2.0 },
@@ -419,7 +419,7 @@ mod tests {
     #[test]
     fn marginals_are_accurate() {
         let t = clustered(6000, 2);
-        let mut spn = SpnEstimator::new(&t, SpnConfig::default());
+        let spn = SpnEstimator::new(&t, SpnConfig::default());
         let q = Query::new(vec![Predicate { col: 0, op: Op::Le, value: 0.0 }]);
         let (rq, _) = q.normalize(3).unwrap();
         let truth = exact_selectivity(&t, &q);
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn unconstrained_is_one() {
         let t = clustered(1000, 3);
-        let mut spn = SpnEstimator::new(&t, SpnConfig::default());
+        let spn = SpnEstimator::new(&t, SpnConfig::default());
         assert!((spn.estimate(&RangeQuery::unconstrained(3)) - 1.0).abs() < 1e-6);
     }
 

@@ -209,7 +209,7 @@ mod tests {
         let t = table(4000, 4);
         let w = workload(&t, 150, 5);
         use iam_data::SelectivityEstimator;
-        let mut est = uae_lite(&t, &w, quick());
+        let est = uae_lite(&t, &w, quick());
         assert_eq!(est.name(), "UAE");
         let test = workload(&t, 25, 6);
         let mut errs: Vec<f64> = test
@@ -225,7 +225,7 @@ mod tests {
         let t = table(2000, 7);
         let w = workload(&t, 60, 8);
         use iam_data::SelectivityEstimator;
-        let mut est = uae_q_lite(&t, &w, quick());
+        let est = uae_q_lite(&t, &w, quick());
         assert_eq!(est.name(), "UAE-Q");
         let sel = est.estimate(&RangeQuery::unconstrained(2));
         assert!((sel - 1.0).abs() < 1e-9);

@@ -157,37 +157,11 @@ impl FlatSchema {
         }
         rq
     }
-}
 
-/// Wraps any flat-table estimator into a join-cardinality estimator:
-/// `card(q) = sel(rewrite(q)) × |FOJ|`.
-pub struct FlatJoinEstimator<E> {
-    /// The underlying flat-table estimator.
-    pub inner: E,
-    /// Flat layout metadata.
-    pub schema: FlatSchema,
-}
-
-impl<E: SelectivityEstimator> FlatJoinEstimator<E> {
-    /// Wrap.
-    pub fn new(inner: E, schema: FlatSchema) -> Self {
-        FlatJoinEstimator { inner, schema }
-    }
-
-    /// Estimated inner-join cardinality of `q`.
-    pub fn estimate_card(&mut self, q: &JoinQuery) -> f64 {
-        let rq = self.schema.rewrite(q);
-        self.inner.estimate(&rq) * self.schema.foj_size
-    }
-
-    /// Underlying estimator name.
-    pub fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    /// Underlying model size.
-    pub fn model_size_bytes(&self) -> usize {
-        self.inner.model_size_bytes()
+    /// Estimated inner-join cardinality of `q` under a flat-table
+    /// estimator: `sel(rewrite(q)) × |FOJ|`.
+    pub fn estimate_card(&self, est: &dyn SelectivityEstimator, q: &JoinQuery) -> f64 {
+        est.estimate(&self.rewrite(q)) * self.foj_size
     }
 }
 
@@ -226,13 +200,13 @@ mod tests {
         // sel × |FOJ| — validating both the sampler and the rewrite
         let (star, flat, schema) = setup();
         let foj = schema.foj_size;
-        let mut est = FlatJoinEstimator::new(ExactOracle::new(flat), schema);
+        let oracle = ExactOracle::new(flat);
         let mut gen = JoinWorkloadGenerator::new(&star, 11);
         let mut ok = 0;
         let queries: Vec<JoinQuery> = (0..30).map(|_| gen.gen_query()).collect();
         for q in &queries {
             let truth = exact_card(&star, q);
-            let est_card = est.estimate_card(q);
+            let est_card = schema.estimate_card(&oracle, q);
             // sample-based: require agreement within 3× when truth is
             // non-trivial relative to the sampling resolution
             if truth >= foj / 2000.0 {

@@ -21,7 +21,7 @@ pub mod imdb;
 pub mod star;
 pub mod workload;
 
-pub use flat::{FlatJoinEstimator, FlatSchema};
+pub use flat::FlatSchema;
 pub use imdb::{synthetic_imdb, ImdbConfig};
 pub use star::{DimTable, StarSchema};
 pub use workload::{JoinQuery, JoinWorkloadGenerator, TablePredicate};

@@ -19,15 +19,12 @@ pub struct MlpConfig {
     pub seed: u64,
 }
 
-/// MLP with scalar output. The layers are stateless; `bufs[l]` is layer
-/// `l`'s input and `masks[l]` its ReLU pattern, kept from the last forward
-/// for the backward pass of [`Mlp::train_batch`].
+/// MLP with scalar output. Like the layers it is built from, it holds
+/// parameters and gradient accumulators only: activations live in the
+/// locals of [`Mlp::predict`] and [`Mlp::train_batch`].
 #[derive(Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    bufs: Vec<Vec<f32>>,
-    masks: Vec<Vec<bool>>,
-    grads: Vec<Vec<f32>>,
 }
 
 impl Mlp {
@@ -41,43 +38,43 @@ impl Mlp {
             prev = h;
         }
         layers.push(Linear::new(prev, 1, &mut init));
-        let nl = layers.len();
-        Mlp {
-            layers,
-            bufs: vec![Vec::new(); nl + 1],
-            masks: vec![Vec::new(); nl - 1],
-            grads: vec![Vec::new(); nl + 1],
-        }
+        Mlp { layers }
     }
 
     /// Forward `batch` rows of features; returns one scalar per row.
-    pub fn predict(&mut self, x: &[f32], batch: usize, out: &mut Vec<f32>) {
-        self.forward(x, batch);
-        out.clear();
-        out.extend_from_slice(&self.bufs[self.layers.len()]);
+    pub fn predict(&self, x: &[f32], batch: usize, out: &mut Vec<f32>) {
+        let (mut acts, _) = self.forward(x, batch);
+        *out = acts.pop().expect("the output layer's activations");
     }
 
-    fn forward(&mut self, x: &[f32], batch: usize) {
-        self.bufs[0].clear();
-        self.bufs[0].extend_from_slice(x);
+    /// One forward pass: `acts[l]` is layer `l`'s input (the last entry is
+    /// the output) and `masks[l]` hidden layer `l`'s ReLU pattern — what
+    /// the backward pass of [`Self::train_batch`] needs.
+    fn forward(&self, x: &[f32], batch: usize) -> (Vec<Vec<f32>>, Vec<Vec<bool>>) {
         let nl = self.layers.len();
-        for l in 0..nl {
-            let (head, tail) = self.bufs.split_at_mut(l + 1);
-            let y = &mut tail[0];
-            self.layers[l].forward(&head[l], batch, y);
+        let mut acts = Vec::with_capacity(nl + 1);
+        let mut masks = Vec::with_capacity(nl - 1);
+        acts.push(x.to_vec());
+        for (l, layer) in self.layers.iter().enumerate() {
+            let mut y = Vec::new();
+            layer.forward(&acts[l], batch, &mut y);
             if l + 1 < nl {
-                Relu::forward_masked(y, &mut self.masks[l]);
+                let mut mask = Vec::new();
+                Relu::forward_masked(&mut y, &mut mask);
+                masks.push(mask);
             }
+            acts.push(y);
         }
+        (acts, masks)
     }
 
     /// One MSE training step on `(x, y)`; gradients accumulated for the
     /// optimiser. Returns the batch MSE.
     pub fn train_batch(&mut self, x: &[f32], y: &[f32], batch: usize) -> f32 {
         assert_eq!(y.len(), batch);
-        self.forward(x, batch);
+        let (acts, masks) = self.forward(x, batch);
         let nl = self.layers.len();
-        let preds = &self.bufs[nl];
+        let preds = &acts[nl];
         let mut loss = 0.0f32;
         let mut dy = vec![0.0f32; batch];
         let scale = 1.0 / batch as f32;
@@ -87,14 +84,13 @@ impl Mlp {
             dy[b] = 2.0 * err * scale;
         }
         loss *= scale;
-        self.grads[nl] = dy;
+        let mut dx = Vec::new();
         for l in (0..nl).rev() {
-            let (head, tail) = self.grads.split_at_mut(l + 1);
-            let (gin, gout) = (&mut head[l], &mut tail[0]);
             if l + 1 < nl {
-                Relu::backward_masked(gout, &self.masks[l]);
+                Relu::backward_masked(&mut dy, &masks[l]);
             }
-            self.layers[l].backward(&self.bufs[l], gout, batch, gin);
+            self.layers[l].backward(&acts[l], &dy, batch, &mut dx);
+            std::mem::swap(&mut dy, &mut dx);
         }
         loss
     }
@@ -155,7 +151,7 @@ mod tests {
 
     #[test]
     fn predict_is_pure() {
-        let mut mlp = Mlp::new(&MlpConfig { in_dim: 3, hidden: vec![8], seed: 5 });
+        let mlp = Mlp::new(&MlpConfig { in_dim: 3, hidden: vec![8], seed: 5 });
         let x = [0.1, 0.2, 0.3];
         let mut a = Vec::new();
         let mut b = Vec::new();

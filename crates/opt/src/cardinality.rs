@@ -13,7 +13,7 @@ pub trait JoinCardEstimator {
     fn name(&self) -> &str;
 
     /// Estimated cardinality of the sub-join.
-    fn card(&mut self, q: &JoinQuery, include_hub: bool, dims: &[bool]) -> f64;
+    fn card(&self, q: &JoinQuery, include_hub: bool, dims: &[bool]) -> f64;
 }
 
 /// Ground truth (the "true cardinalities" arm of Figure 5).
@@ -33,34 +33,33 @@ impl JoinCardEstimator for ExactCardEstimator<'_> {
         "exact"
     }
 
-    fn card(&mut self, q: &JoinQuery, include_hub: bool, dims: &[bool]) -> f64 {
+    fn card(&self, q: &JoinQuery, include_hub: bool, dims: &[bool]) -> f64 {
         let hub = if include_hub { q.hub.clone() } else { vec![None; q.hub.len()] };
         self.star.exact_card(dims, &hub, &q.dims)
     }
 }
 
 /// Any flat-FOJ estimator (IAM, Neurocard-lite, SPN, …) lifted to
-/// sub-query cardinalities through the FOJ rewrite.
-pub struct FlatCardEstimator<E> {
-    inner: E,
-    schema: FlatSchema,
-    name: String,
+/// sub-query cardinalities through the FOJ rewrite. Borrows the estimator,
+/// so the fits a table evaluates can also plan.
+pub struct FlatCardEstimator<'a> {
+    inner: &'a dyn SelectivityEstimator,
+    schema: &'a FlatSchema,
 }
 
-impl<E: SelectivityEstimator> FlatCardEstimator<E> {
+impl<'a> FlatCardEstimator<'a> {
     /// Wrap a flat-table estimator.
-    pub fn new(inner: E, schema: FlatSchema) -> Self {
-        let name = inner.name().to_string();
-        FlatCardEstimator { inner, schema, name }
+    pub fn new(inner: &'a dyn SelectivityEstimator, schema: &'a FlatSchema) -> Self {
+        FlatCardEstimator { inner, schema }
     }
 }
 
-impl<E: SelectivityEstimator> JoinCardEstimator for FlatCardEstimator<E> {
+impl JoinCardEstimator for FlatCardEstimator<'_> {
     fn name(&self) -> &str {
-        &self.name
+        self.inner.name()
     }
 
-    fn card(&mut self, q: &JoinQuery, include_hub: bool, dims: &[bool]) -> f64 {
+    fn card(&self, q: &JoinQuery, include_hub: bool, dims: &[bool]) -> f64 {
         let mut sub = q.clone();
         sub.join_dims = dims.to_vec();
         if !include_hub {
@@ -72,8 +71,7 @@ impl<E: SelectivityEstimator> JoinCardEstimator for FlatCardEstimator<E> {
                 sub.dims[t] = vec![None; sub.dims[t].len()];
             }
         }
-        let rq = self.schema.rewrite(&sub);
-        self.inner.estimate(&rq) * self.schema.foj_size
+        self.schema.estimate_card(self.inner, &sub)
     }
 }
 
@@ -99,7 +97,7 @@ impl IndependenceCardEstimator {
         IndependenceCardEstimator { tables, sizes, hub_rows: star.hub.nrows() as f64 }
     }
 
-    fn table_card(&mut self, idx: usize, ranges: &[Option<iam_data::Interval>]) -> f64 {
+    fn table_card(&self, idx: usize, ranges: &[Option<iam_data::Interval>]) -> f64 {
         let rq = iam_data::RangeQuery { cols: ranges.to_vec() };
         self.tables[idx].estimate(&rq) * self.sizes[idx]
     }
@@ -110,7 +108,7 @@ impl JoinCardEstimator for IndependenceCardEstimator {
         "Postgres"
     }
 
-    fn card(&mut self, q: &JoinQuery, include_hub: bool, dims: &[bool]) -> f64 {
+    fn card(&self, q: &JoinQuery, include_hub: bool, dims: &[bool]) -> f64 {
         let mut card = 1.0f64;
         let mut ntables = 0usize;
         if include_hub {
@@ -143,7 +141,7 @@ mod tests {
         let star = synthetic_imdb(&ImdbConfig { movies: 400, seed: 1 });
         let mut gen = JoinWorkloadGenerator::new(&star, 2);
         let q = gen.gen_query();
-        let mut est = ExactCardEstimator::new(&star);
+        let est = ExactCardEstimator::new(&star);
         let full = est.card(&q, true, &q.join_dims);
         assert_eq!(full, star.exact_card(&q.join_dims, &q.hub, &q.dims));
         // single-table sub-plan ≥ full plan is not guaranteed, but the
@@ -156,8 +154,9 @@ mod tests {
     fn flat_estimator_tracks_exact_on_oracle() {
         let star = synthetic_imdb(&ImdbConfig { movies: 400, seed: 3 });
         let (flat, schema) = flatten_foj(&star, 15_000, 4);
-        let mut exact = ExactCardEstimator::new(&star);
-        let mut est = FlatCardEstimator::new(ExactOracle::new(flat), schema);
+        let exact = ExactCardEstimator::new(&star);
+        let oracle = ExactOracle::new(flat);
+        let est = FlatCardEstimator::new(&oracle, &schema);
         assert_eq!(est.name(), "exact");
         let mut gen = JoinWorkloadGenerator::new(&star, 5);
         let mut close = 0;
@@ -181,7 +180,7 @@ mod tests {
     #[test]
     fn independence_estimator_is_finite() {
         let star = synthetic_imdb(&ImdbConfig { movies: 400, seed: 6 });
-        let mut est = IndependenceCardEstimator::new(&star);
+        let est = IndependenceCardEstimator::new(&star);
         let mut gen = JoinWorkloadGenerator::new(&star, 7);
         for _ in 0..20 {
             let q = gen.gen_query();

@@ -109,10 +109,10 @@ mod tests {
     fn execution_count_matches_exact_card() {
         let star = synthetic_imdb(&ImdbConfig { movies: 500, seed: 1 });
         let mut gen = JoinWorkloadGenerator::new(&star, 2);
-        let mut exact = ExactCardEstimator::new(&star);
+        let exact = ExactCardEstimator::new(&star);
         for _ in 0..15 {
             let q = gen.gen_query();
-            let plan = optimize(&q, &mut exact);
+            let plan = optimize(&q, &exact);
             let rep = execute(&star, &q, &plan);
             assert_eq!(rep.card as f64, exact_card(&star, &q), "plan {:?}", plan.order);
         }
@@ -144,12 +144,12 @@ mod tests {
         // intermediate work than deliberately reversed (anti-optimal) plans
         let star = synthetic_imdb(&ImdbConfig { movies: 800, seed: 5 });
         let mut gen = JoinWorkloadGenerator::new(&star, 6);
-        let mut exact = ExactCardEstimator::new(&star);
+        let exact = ExactCardEstimator::new(&star);
         let mut good = 0u64;
         let mut bad = 0u64;
         for _ in 0..25 {
             let q = gen.gen_query();
-            let plan = optimize(&q, &mut exact);
+            let plan = optimize(&q, &exact);
             let mut worst = plan.clone();
             worst.order.reverse();
             good += execute(&star, &q, &plan).intermediate_tuples;

@@ -27,7 +27,7 @@ pub struct Plan {
 
 /// Enumerate all left-deep orders of the query's tables by subset DP and
 /// return the cheapest under `est`.
-pub fn optimize(q: &JoinQuery, est: &mut dyn JoinCardEstimator) -> Plan {
+pub fn optimize(q: &JoinQuery, est: &dyn JoinCardEstimator) -> Plan {
     // participating tables: hub + joined dims
     let mut tables = vec![TableRef::Hub];
     for (t, &j) in q.join_dims.iter().enumerate() {
@@ -41,7 +41,7 @@ pub fn optimize(q: &JoinQuery, est: &mut dyn JoinCardEstimator) -> Plan {
 
     // cardinality of a subset
     let mut card_memo: Vec<f64> = vec![f64::NAN; 1 << n];
-    let mut card_of = |mask: u32, est: &mut dyn JoinCardEstimator| -> f64 {
+    let mut card_of = |mask: u32| -> f64 {
         let cached = card_memo[mask as usize];
         if !cached.is_nan() {
             return cached;
@@ -65,13 +65,13 @@ pub fn optimize(q: &JoinQuery, est: &mut dyn JoinCardEstimator) -> Plan {
     let mut best = vec![(f64::INFINITY, usize::MAX); (full + 1) as usize];
     for i in 0..n {
         let mask = 1u32 << i;
-        best[mask as usize] = (card_of(mask, est), i);
+        best[mask as usize] = (card_of(mask), i);
     }
     for mask in 1..=full {
         if mask.count_ones() < 2 {
             continue;
         }
-        let join_card = card_of(mask, est);
+        let join_card = card_of(mask);
         for i in 0..n {
             if mask >> i & 1 == 0 {
                 continue;
@@ -104,7 +104,7 @@ mod tests {
     use iam_join::star::LocalRanges;
 
     /// `f(include_hub, dims)` → cardinality.
-    type ScriptFn = Box<dyn FnMut(bool, &[bool]) -> f64>;
+    type ScriptFn = Box<dyn Fn(bool, &[bool]) -> f64>;
 
     /// A scripted estimator for deterministic plan tests.
     struct Scripted {
@@ -115,7 +115,7 @@ mod tests {
         fn name(&self) -> &str {
             "scripted"
         }
-        fn card(&mut self, _q: &JoinQuery, include_hub: bool, dims: &[bool]) -> f64 {
+        fn card(&self, _q: &JoinQuery, include_hub: bool, dims: &[bool]) -> f64 {
             (self.f)(include_hub, dims)
         }
     }
@@ -137,7 +137,7 @@ mod tests {
         // dim0 is very selective (card 10), dim1 huge (card 10_000);
         // hub card 1000; full join 50. A good plan joins small things first.
         let q = query(2, &[0, 1]);
-        let mut est = Scripted {
+        let est = Scripted {
             f: Box::new(|hub, dims| {
                 let key = (hub, dims[0], dims[1]);
                 match key {
@@ -152,7 +152,7 @@ mod tests {
                 }
             }),
         };
-        let plan = optimize(&q, &mut est);
+        let plan = optimize(&q, &est);
         assert_eq!(plan.order.len(), 3);
         // the expensive dim1 must come last
         assert_eq!(*plan.order.last().unwrap(), TableRef::Dim(1));
@@ -164,7 +164,7 @@ mod tests {
     fn bad_estimates_produce_a_different_plan() {
         let q = query(2, &[0, 1]);
         // an estimator that thinks dim1 is tiny
-        let mut bad = Scripted {
+        let bad = Scripted {
             f: Box::new(|hub, dims| match (hub, dims[0], dims[1]) {
                 (true, false, false) => 1000.0,
                 (false, true, false) => 10_000.0, // wrongly huge
@@ -176,15 +176,15 @@ mod tests {
                 _ => 1.0,
             }),
         };
-        let plan = optimize(&q, &mut bad);
+        let plan = optimize(&q, &bad);
         assert_eq!(plan.order[0], TableRef::Dim(1));
     }
 
     #[test]
     fn single_join_still_plans() {
         let q = query(3, &[2]);
-        let mut est = Scripted { f: Box::new(|_, _| 5.0) };
-        let plan = optimize(&q, &mut est);
+        let est = Scripted { f: Box::new(|_, _| 5.0) };
+        let plan = optimize(&q, &est);
         assert_eq!(plan.order.len(), 2);
         assert!(plan.order.contains(&TableRef::Hub));
         assert!(plan.order.contains(&TableRef::Dim(2)));

@@ -115,7 +115,7 @@ impl JoinCardEstimator for SqlIndependence {
         "sql-independence"
     }
 
-    fn card(&mut self, _q: &JoinQuery, include_hub: bool, dims: &[bool]) -> f64 {
+    fn card(&self, _q: &JoinQuery, include_hub: bool, dims: &[bool]) -> f64 {
         let mut card = 1.0f64;
         let mut ntables = 0usize;
         if include_hub {
@@ -189,7 +189,7 @@ pub fn explain(sel: &Select, src: &mut dyn CardSource) -> Result<String, SqlErro
         }
         cards.push(s * n as f64);
     }
-    let mut est = SqlIndependence { cards, from_rows };
+    let est = SqlIndependence { cards, from_rows };
 
     // the optimizer works over hub-plus-dims shapes: the FROM table plays
     // the hub, each JOINed table a dimension; predicate details are
@@ -197,7 +197,7 @@ pub fn explain(sel: &Select, src: &mut dyn CardSource) -> Result<String, SqlErro
     let ndims = tables.len() - 1;
     let jq =
         JoinQuery { join_dims: vec![true; ndims], hub: Vec::new(), dims: vec![Vec::new(); ndims] };
-    let plan = iam_opt::optimize(&jq, &mut est);
+    let plan = iam_opt::optimize(&jq, &est);
 
     let name_of = |r: TableRef| match r {
         TableRef::Hub => tables[0],

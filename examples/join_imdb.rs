@@ -6,7 +6,7 @@
 //! ```
 
 use iam_core::{IamConfig, IamEstimator};
-use iam_join::flat::{exact_card, flatten_foj, FlatJoinEstimator};
+use iam_join::flat::{exact_card, flatten_foj};
 use iam_join::imdb::{synthetic_imdb, ImdbConfig};
 use iam_join::workload::JoinWorkloadGenerator;
 
@@ -31,14 +31,13 @@ fn main() {
     );
     let cfg = IamConfig { epochs: 6, samples: 512, factorize_threshold: 256, ..IamConfig::small() };
     let iam = IamEstimator::fit(&flat, cfg);
-    let mut est = FlatJoinEstimator::new(iam, schema);
 
     // 3. JOB-light-style join queries with exact ground truth
     let mut gen = JoinWorkloadGenerator::new(&star, 23);
     println!("\n{:<28} {:>12} {:>12} {:>8}", "join graph + preds", "actual", "estimate", "q-err");
     for q in gen.gen_queries(10) {
         let truth = exact_card(&star, &q);
-        let got = est.estimate_card(&q);
+        let got = schema.estimate_card(&iam, &q);
         let tables: Vec<&str> = q
             .join_dims
             .iter()

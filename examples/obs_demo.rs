@@ -39,7 +39,7 @@ fn main() {
 
     let table = Dataset::Twi.generate(10_000, 42);
     let cfg = IamConfig { epochs: EPOCHS, samples: SAMPLES, ..IamConfig::small() };
-    let mut iam = IamEstimator::fit(&table, cfg);
+    let iam = IamEstimator::fit(&table, cfg);
 
     let mut gen = WorkloadGenerator::new(&table, WorkloadConfig::default(), 7);
     for q in gen.gen_queries(QUERIES) {

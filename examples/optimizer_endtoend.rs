@@ -22,22 +22,22 @@ fn main() {
     let iam = IamEstimator::fit(&flat, cfg.clone());
     let nc = IamEstimator::fit(&flat, neurocard_lite(cfg));
 
-    let mut arms: Vec<(&str, Box<dyn JoinCardEstimator>)> = vec![
+    let arms: Vec<(&str, Box<dyn JoinCardEstimator>)> = vec![
         ("exact", Box::new(ExactCardEstimator::new(&star))),
         ("Postgres", Box::new(IndependenceCardEstimator::new(&star))),
-        ("Neurocard", Box::new(FlatCardEstimator::new(nc, schema.clone()))),
-        ("IAM", Box::new(FlatCardEstimator::new(iam, schema))),
+        ("Neurocard", Box::new(FlatCardEstimator::new(&nc, &schema))),
+        ("IAM", Box::new(FlatCardEstimator::new(&iam, &schema))),
     ];
 
     let mut gen = JoinWorkloadGenerator::new(&star, 33);
     let queries = gen.gen_queries(30);
 
     println!("\n{:<12} {:>14} {:>14}", "estimator", "work (tuples)", "exec time (s)");
-    for (name, est) in arms.iter_mut() {
+    for (name, est) in &arms {
         let mut work = 0u64;
         let mut secs = 0.0f64;
         for q in &queries {
-            let plan = optimize(q, est.as_mut());
+            let plan = optimize(q, est.as_ref());
             let rep = execute(&star, q, &plan);
             work += rep.intermediate_tuples;
             secs += rep.seconds;

@@ -26,7 +26,7 @@ fn main() {
     // 3. Train. GMMs are fitted per continuous column and refined jointly
     //    with the AR model (Eq. 6 of the paper).
     let t0 = std::time::Instant::now();
-    let mut iam = IamEstimator::fit(&table, cfg);
+    let iam = IamEstimator::fit(&table, cfg);
     println!(
         "trained in {:.1}s — model size {:.1} KB, final loss {:.3}",
         t0.elapsed().as_secs_f64(),

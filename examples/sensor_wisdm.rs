@@ -23,7 +23,7 @@ fn main() {
     );
 
     let cfg = IamConfig { epochs: 6, samples: 512, ..IamConfig::small() };
-    let mut iam = IamEstimator::fit(&table, cfg);
+    let iam = IamEstimator::fit(&table, cfg);
     println!("trained; model {:.1} KB", {
         use iam_data::SelectivityEstimator;
         iam.model_size_bytes() as f64 / 1024.0
@@ -63,7 +63,7 @@ fn main() {
     for (desc, q) in &questions {
         let truth = exact_selectivity(&table, q);
         // Ne is handled by the harness via inclusion-exclusion
-        let est = EstimatorHarness::estimate_query(&mut iam, q, ncols);
+        let est = EstimatorHarness::estimate_query(&iam, q, ncols);
         println!(
             "{desc:<42} {truth:>10.5} {est:>10.5} {:>8.2}",
             q_error(truth, est, table.nrows())
@@ -73,7 +73,7 @@ fn main() {
     // disjunction: sedentary OR vigorous activity codes
     let d1 = Query::new(vec![Predicate { col: 1, op: Op::Le, value: 2.0 }]);
     let d2 = Query::new(vec![Predicate { col: 1, op: Op::Ge, value: 15.0 }]);
-    let est = EstimatorHarness::estimate_disjunction(&mut iam, &[d1.clone(), d2.clone()], ncols);
+    let est = EstimatorHarness::estimate_disjunction(&iam, &[d1.clone(), d2.clone()], ncols);
     let truth = {
         let a = exact_selectivity(&table, &d1);
         let b = exact_selectivity(&table, &d2);

@@ -22,9 +22,9 @@ fn main() {
 
     let cfg = IamConfig { epochs: 6, samples: 512, factorize_threshold: 256, ..IamConfig::small() };
     println!("training IAM (GMM-reduced domains)...");
-    let mut iam = IamEstimator::fit(&table, cfg.clone());
+    let iam = IamEstimator::fit(&table, cfg.clone());
     println!("training Neurocard-style ablation (factorised domains)...");
-    let mut nc = IamEstimator::fit(&table, neurocard_lite(cfg));
+    let nc = IamEstimator::fit(&table, neurocard_lite(cfg));
 
     // rectangle queries: lat/lon windows of random position and size
     let mut rng = StdRng::seed_from_u64(99);

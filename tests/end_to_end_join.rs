@@ -2,7 +2,7 @@
 //! optimizer pipeline on the synthetic IMDB schema.
 
 use iam_core::{IamConfig, IamEstimator};
-use iam_join::flat::{exact_card, flatten_foj, FlatJoinEstimator};
+use iam_join::flat::{exact_card, flatten_foj};
 use iam_join::imdb::{synthetic_imdb, ImdbConfig};
 use iam_join::workload::JoinWorkloadGenerator;
 use iam_opt::{
@@ -29,12 +29,11 @@ fn iam_join_estimates_are_sane() {
     let star = synthetic_imdb(&ImdbConfig { movies: 1500, seed: 1 });
     let (flat, schema) = flatten_foj(&star, 9000, 2);
     let iam = IamEstimator::fit(&flat, quick_cfg(2));
-    let mut est = FlatJoinEstimator::new(iam, schema);
     let mut gen = JoinWorkloadGenerator::new(&star, 3);
     let mut errs: Vec<f64> = Vec::new();
     for q in gen.gen_queries(25) {
         let truth = exact_card(&star, &q).max(1.0);
-        let got = est.estimate_card(&q).max(1.0);
+        let got = schema.estimate_card(&iam, &q).max(1.0);
         errs.push((truth / got).max(got / truth));
     }
     errs.sort_by(f64::total_cmp);
@@ -49,16 +48,16 @@ fn optimizer_plans_execute_to_the_same_cardinality() {
     let star = synthetic_imdb(&ImdbConfig { movies: 800, seed: 4 });
     let (flat, schema) = flatten_foj(&star, 5000, 5);
     let iam = IamEstimator::fit(&flat, quick_cfg(5));
-    let mut arms: Vec<Box<dyn JoinCardEstimator>> = vec![
+    let arms: Vec<Box<dyn JoinCardEstimator>> = vec![
         Box::new(ExactCardEstimator::new(&star)),
         Box::new(IndependenceCardEstimator::new(&star)),
-        Box::new(FlatCardEstimator::new(iam, schema)),
+        Box::new(FlatCardEstimator::new(&iam, &schema)),
     ];
     let mut gen = JoinWorkloadGenerator::new(&star, 6);
     for q in gen.gen_queries(12) {
         let truth = exact_card(&star, &q) as u64;
-        for est in arms.iter_mut() {
-            let plan = optimize(&q, est.as_mut());
+        for est in &arms {
+            let plan = optimize(&q, est.as_ref());
             let rep = execute(&star, &q, &plan);
             assert_eq!(rep.card, truth, "estimator {} broke correctness", est.name());
         }
@@ -68,13 +67,13 @@ fn optimizer_plans_execute_to_the_same_cardinality() {
 #[test]
 fn better_estimates_do_not_increase_work() {
     let star = synthetic_imdb(&ImdbConfig { movies: 1200, seed: 7 });
-    let mut exact = ExactCardEstimator::new(&star);
-    let mut pg = IndependenceCardEstimator::new(&star);
+    let exact = ExactCardEstimator::new(&star);
+    let pg = IndependenceCardEstimator::new(&star);
     let mut gen = JoinWorkloadGenerator::new(&star, 8);
     let (mut w_exact, mut w_pg) = (0u64, 0u64);
     for q in gen.gen_queries(30) {
-        let p1 = optimize(&q, &mut exact);
-        let p2 = optimize(&q, &mut pg);
+        let p1 = optimize(&q, &exact);
+        let p2 = optimize(&q, &pg);
         w_exact += execute(&star, &q, &p1).intermediate_tuples;
         w_pg += execute(&star, &q, &p2).intermediate_tuples;
     }

@@ -21,7 +21,7 @@ fn quick_cfg(seed: u64) -> IamConfig {
     }
 }
 
-fn median_q_error(est: &mut dyn SelectivityEstimator, table: &iam_data::Table, n: usize) -> f64 {
+fn median_q_error(est: &dyn SelectivityEstimator, table: &iam_data::Table, n: usize) -> f64 {
     let mut gen = WorkloadGenerator::new(table, WorkloadConfig::default(), 1234);
     let mut errs: Vec<f64> = gen
         .gen_queries(n)
@@ -39,16 +39,16 @@ fn median_q_error(est: &mut dyn SelectivityEstimator, table: &iam_data::Table, n
 #[test]
 fn iam_tracks_truth_on_twi() {
     let table = Dataset::Twi.generate(8000, 5);
-    let mut iam = IamEstimator::fit(&table, quick_cfg(5));
-    let median = median_q_error(&mut iam, &table, 40);
+    let iam = IamEstimator::fit(&table, quick_cfg(5));
+    let median = median_q_error(&iam, &table, 40);
     assert!(median < 1.8, "median q-error {median}");
 }
 
 #[test]
 fn iam_tracks_truth_on_wisdm_mixed_types() {
     let table = Dataset::Wisdm.generate(8000, 6);
-    let mut iam = IamEstimator::fit(&table, quick_cfg(6));
-    let median = median_q_error(&mut iam, &table, 40);
+    let iam = IamEstimator::fit(&table, quick_cfg(6));
+    let median = median_q_error(&iam, &table, 40);
     assert!(median < 2.5, "median q-error {median}");
 }
 
@@ -56,8 +56,8 @@ fn iam_tracks_truth_on_wisdm_mixed_types() {
 fn neurocard_mode_is_competitive_but_larger() {
     let table = Dataset::Twi.generate(6000, 7);
     let iam = IamEstimator::fit(&table, quick_cfg(7));
-    let mut nc = IamEstimator::fit(&table, neurocard_lite(quick_cfg(7)));
-    let m_nc = median_q_error(&mut nc, &table, 30);
+    let nc = IamEstimator::fit(&table, neurocard_lite(quick_cfg(7)));
+    let m_nc = median_q_error(&nc, &table, 30);
     assert!(m_nc < 3.0, "Neurocard median {m_nc}");
     assert!(
         iam.model_size_bytes() < nc.model_size_bytes(),
@@ -70,8 +70,8 @@ fn neurocard_mode_is_competitive_but_larger() {
 #[test]
 fn monte_carlo_range_mass_matches_exact_mode() {
     let table = Dataset::Twi.generate(5000, 8);
-    let mut exact = IamEstimator::fit(&table, quick_cfg(8));
-    let mut mc = IamEstimator::fit(
+    let exact = IamEstimator::fit(&table, quick_cfg(8));
+    let mc = IamEstimator::fit(
         &table,
         IamConfig {
             range_mass: RangeMassMode::MonteCarlo { samples_per_component: 10_000 },
@@ -92,8 +92,8 @@ fn alternative_reducers_run_end_to_end() {
     let table = Dataset::Higgs.generate(5000, 9);
     for kind in [ReducerKind::Hist, ReducerKind::Spline, ReducerKind::Umm] {
         let cfg = IamConfig { reducer: kind, ..quick_cfg(9) };
-        let mut est = IamEstimator::fit(&table, cfg);
-        let median = median_q_error(&mut est, &table, 20);
+        let est = IamEstimator::fit(&table, cfg);
+        let median = median_q_error(&est, &table, 20);
         assert!(median < 5.0, "{}: median {median}", kind.name());
         let sel = est.estimate(&RangeQuery::unconstrained(table.ncols()));
         assert!((sel - 1.0).abs() < 1e-9, "{}: unconstrained {sel}", kind.name());
@@ -106,8 +106,8 @@ fn separate_training_still_works() {
     // training must remain correct
     let table = Dataset::Twi.generate(5000, 10);
     let cfg = IamConfig { joint_training: false, ..quick_cfg(10) };
-    let mut est = IamEstimator::fit(&table, cfg);
-    let median = median_q_error(&mut est, &table, 25);
+    let est = IamEstimator::fit(&table, cfg);
+    let median = median_q_error(&est, &table, 25);
     assert!(median < 2.5, "median {median}");
 }
 
@@ -115,8 +115,8 @@ fn separate_training_still_works() {
 fn wildcard_skipping_off_is_supported() {
     let table = Dataset::Twi.generate(4000, 11);
     let cfg = IamConfig { wildcard_skipping: false, ..quick_cfg(11) };
-    let mut est = IamEstimator::fit(&table, cfg);
-    let median = median_q_error(&mut est, &table, 20);
+    let est = IamEstimator::fit(&table, cfg);
+    let median = median_q_error(&est, &table, 20);
     assert!(median < 3.0, "median {median}");
 }
 

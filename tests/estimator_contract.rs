@@ -47,7 +47,7 @@ fn all_estimators(t: &Table) -> Vec<(Box<dyn SelectivityEstimator>, bool)> {
 #[test]
 fn unconstrained_estimates_one() {
     let t = table();
-    for (mut est, _) in all_estimators(&t) {
+    for (est, _) in all_estimators(&t) {
         let sel = est.estimate(&RangeQuery::unconstrained(t.ncols()));
         assert!(sel > 0.9, "{}: unconstrained sel {sel}", est.name());
     }
@@ -59,7 +59,7 @@ fn contradictions_estimate_near_zero() {
     let mut rq = RangeQuery::unconstrained(t.ncols());
     // x (col 2) simultaneously below and above its support
     rq.cols[2] = Some(Interval::closed(1e8, 2e8));
-    for (mut est, _) in all_estimators(&t) {
+    for (est, _) in all_estimators(&t) {
         let sel = est.estimate(&rq);
         assert!(sel < 0.05, "{}: impossible query sel {sel}", est.name());
     }
@@ -68,7 +68,7 @@ fn contradictions_estimate_near_zero() {
 #[test]
 fn widening_a_range_is_monotone_for_deterministic_estimators() {
     let t = table();
-    for (mut est, monotone) in all_estimators(&t) {
+    for (est, monotone) in all_estimators(&t) {
         if !monotone {
             continue;
         }
@@ -93,7 +93,7 @@ fn estimates_are_valid_probabilities_across_a_workload() {
     let mut gen = WorkloadGenerator::new(&t, WorkloadConfig::default(), 77);
     let queries: Vec<RangeQuery> =
         gen.gen_queries(60).into_iter().map(|q| q.normalize(t.ncols()).unwrap().0).collect();
-    for (mut est, _) in all_estimators(&t) {
+    for (est, _) in all_estimators(&t) {
         for rq in &queries {
             let sel = est.estimate(rq);
             assert!(

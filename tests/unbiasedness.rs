@@ -124,12 +124,13 @@ fn exhaustive_model_selectivity(est: &IamEstimator, rq: &RangeQuery) -> f64 {
     recurse(est, &plan, &mut prefix, 0, nslots)
 }
 
-fn check_unbiased(mut est: IamEstimator, rq: &RangeQuery, runs: usize, tol: f64) {
+fn check_unbiased(est: IamEstimator, rq: &RangeQuery, runs: usize, tol: f64) {
     let expected = exhaustive_model_selectivity(&est, rq);
     let mut total = 0.0;
     for r in 0..runs {
-        est.reseed(0xBEEF + r as u64);
-        total += est.estimate(rq);
+        // one independent sampling run per seed
+        let seed = StdRng::seed_from_u64(0xBEEF + r as u64).random::<u64>();
+        total += est.estimate_seeded(std::slice::from_ref(rq), &[seed], 1)[0];
     }
     let mean = total / runs as f64;
     assert!(
@@ -194,7 +195,7 @@ fn unbiased_on_mixed_constraints() {
 #[test]
 fn interval_edge_cases_agree() {
     let table = small_table(3000, 4);
-    let mut est = IamEstimator::fit(&table, cfg());
+    let est = IamEstimator::fit(&table, cfg());
     // full-domain range over the reduced column behaves like no constraint
     let mut rq_full = RangeQuery::unconstrained(3);
     rq_full.cols[2] = Some(Interval::closed(-1e9, 1e9));
