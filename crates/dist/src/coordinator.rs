@@ -15,7 +15,11 @@
 //!    application error such as a replica that missed its snapshot) tears
 //!    down that worker's connection and retries the group on the next
 //!    replica in the rotation; when every replica has failed the group's
-//!    queries are *skipped with an error* rather than stalling the batch;
+//!    queries are *skipped with an error* rather than stalling the batch.
+//!    Each RPC splits into `dist.rpc.{encode,write,wait,read,decode}`
+//!    (`wait` ends when the reply's length prefix arrives, `read` covers
+//!    its payload); queueing for a worker's connection behind another RPC
+//!    is `dist.conn_wait`, outside `dist.rpc`;
 //! 3. **merge** (`dist.merge`) — scatter results are written back into
 //!    input order.
 //!
@@ -33,11 +37,12 @@
 
 use crate::error::DistError;
 use crate::placement::{PlacementMap, WorkerId};
-use crate::proto::{read_frame, write_frame, Msg, MAX_FRAME};
+use crate::proto::{encode_frame, read_len, read_payload, Frame, Msg, MAX_FRAME};
 use iam_core::IamEstimator;
 use iam_data::RangeQuery;
 use iam_obs::{Registry, TraceCtx};
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -266,9 +271,6 @@ impl Coordinator {
             if attempt > 0 {
                 self.failovers.inc();
             }
-            // worker spans parent under this attempt's rpc span, so a
-            // failover shows up as sibling rpc spans in the trace
-            let _s = iam_obs::span!("dist.rpc");
             match self.rpc(wid, msg, deadline, &want) {
                 Ok(v) => return Ok(v),
                 Err(DistError::Remote(message)) => remote = Some(message),
@@ -299,21 +301,53 @@ impl Coordinator {
     ) -> Result<T, DistError> {
         self.rpcs[wid].inc();
         let worker = &self.workers[wid];
-        let mut guard = worker.stream.lock().unwrap_or_else(|p| p.into_inner());
+        // RPCs to one worker take turns on its connection: the time spent
+        // queueing for it is its own span, a sibling of the RPC's
+        let mut guard = {
+            let _s = iam_obs::span!("dist.conn_wait");
+            worker.stream.lock().unwrap_or_else(|p| p.into_inner())
+        };
+        // worker spans parent under this attempt's rpc span, so a
+        // failover shows up as sibling rpc spans in the trace
+        let _s = iam_obs::span!("dist.rpc");
         let remaining =
             || deadline.checked_duration_since(Instant::now()).ok_or(DistError::Timeout);
         let reply = (|| {
             if guard.is_none() {
                 let timeout = self.cfg.connect_timeout.min(remaining()?);
-                *guard = Some(TcpStream::connect_timeout(&worker.addr, timeout)?);
+                let stream = TcpStream::connect_timeout(&worker.addr, timeout)?;
+                // Nagle holds a small write while earlier bytes are
+                // unacknowledged, and the worker may delay that ACK by up
+                // to 40 ms
+                stream.set_nodelay(true)?;
+                *guard = Some(stream);
             }
             let stream = guard.as_mut().expect("connected above");
             let remaining = remaining()?;
             stream.set_write_timeout(Some(remaining))?;
             stream.set_read_timeout(Some(remaining))?;
-            write_frame(stream, msg, iam_obs::tracetree::child_ctx(), &[])?;
-            read_frame(stream, MAX_FRAME)?
-                .ok_or_else(|| DistError::Protocol("worker closed mid-rpc".into()))
+            // the stages of `proto::{write_frame, read_frame}`, one span
+            // each; the worker's spans parent under `dist.rpc`, not a stage
+            let ctx = iam_obs::tracetree::child_ctx();
+            let wire = {
+                let _s = iam_obs::span!("dist.rpc.encode");
+                encode_frame(msg, ctx, &[])?
+            };
+            {
+                let _s = iam_obs::span!("dist.rpc.write");
+                stream.write_all(&wire)?;
+            }
+            let len = {
+                let _s = iam_obs::span!("dist.rpc.wait");
+                read_len(stream, MAX_FRAME)?
+            }
+            .ok_or_else(|| DistError::Protocol("worker closed mid-rpc".into()))?;
+            let payload = {
+                let _s = iam_obs::span!("dist.rpc.read");
+                read_payload(stream, len)?
+            };
+            let _s = iam_obs::span!("dist.rpc.decode");
+            Frame::decode(&payload)
         })();
         if reply.is_err() {
             *guard = None;

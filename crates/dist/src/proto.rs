@@ -257,75 +257,80 @@ impl Msg {
     /// Encode into a payload (no frame header).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the payload encoding to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Msg::Ping => out.push(1),
             Msg::Pong => out.push(2),
             Msg::LoadSnapshot { table, label, bytes } => {
                 out.push(3);
-                w_str(&mut out, table);
-                w_str(&mut out, label);
-                w_bytes(&mut out, bytes);
+                w_str(out, table);
+                w_str(out, label);
+                w_bytes(out, bytes);
             }
             Msg::LoadAck { table, version } => {
                 out.push(4);
-                w_str(&mut out, table);
-                w_u64(&mut out, *version);
+                w_str(out, table);
+                w_u64(out, *version);
             }
             Msg::EstimateBatch { table, queries } => {
                 out.push(5);
-                w_str(&mut out, table);
-                w_u64(&mut out, queries.len() as u64);
+                w_str(out, table);
+                w_u64(out, queries.len() as u64);
                 for q in queries {
-                    encode_query(&mut out, q);
+                    encode_query(out, q);
                 }
             }
             Msg::EstimateReply { results } => {
                 out.push(6);
-                w_u64(&mut out, results.len() as u64);
+                w_u64(out, results.len() as u64);
                 for r in results {
                     match r {
                         Ok(v) => {
                             out.push(0);
-                            w_u64(&mut out, v.to_bits());
+                            w_u64(out, v.to_bits());
                         }
                         Err(e) => {
                             out.push(1);
-                            w_str(&mut out, e);
+                            w_str(out, e);
                         }
                     }
                 }
             }
             Msg::Version { table } => {
                 out.push(7);
-                w_str(&mut out, table);
+                w_str(out, table);
             }
             Msg::VersionReply { version, label } => {
                 out.push(8);
-                w_u64(&mut out, *version);
-                w_str(&mut out, label);
+                w_u64(out, *version);
+                w_str(out, label);
             }
             Msg::Shutdown => out.push(9),
             Msg::ShutdownAck => out.push(10),
             Msg::Error { message } => {
                 out.push(11);
-                w_str(&mut out, message);
+                w_str(out, message);
             }
             Msg::Stats => out.push(12),
             Msg::StatsReply { prom } => {
                 out.push(13);
-                w_str(&mut out, prom);
+                w_str(out, prom);
             }
             Msg::Sql { table, stmt } => {
                 out.push(14);
-                w_str(&mut out, table);
-                w_str(&mut out, stmt);
+                w_str(out, table);
+                w_str(out, stmt);
             }
             Msg::SqlReply { body } => {
                 out.push(15);
-                w_str(&mut out, body);
+                w_str(out, body);
             }
         }
-        out
     }
 
     /// Decode a payload. The whole slice must be consumed — trailing bytes
@@ -421,11 +426,17 @@ fn decode_span(cur: &mut Cur) -> Result<SpanRecord, DistError> {
     })
 }
 
-/// Encode a message and its envelope extras into a payload (no frame
-/// header): the envelope header, then the message. Without context or
+/// Encode one frame exactly as it goes on the wire: the `u32` LE length
+/// prefix, the envelope header (plus context and span records when
+/// present), then the message, in one buffer. The prefix is reserved up
+/// front and patched once the payload length is known. Without context or
 /// spans the envelope is its three header bytes.
-fn encode_frame(msg: &Msg, ctx: Option<TraceCtx>, spans: &[SpanRecord]) -> Vec<u8> {
-    let mut out = Vec::new();
+pub(crate) fn encode_frame(
+    msg: &Msg,
+    ctx: Option<TraceCtx>,
+    spans: &[SpanRecord],
+) -> Result<Vec<u8>, DistError> {
+    let mut out = vec![0u8; 4];
     out.push(ENVELOPE_MARKER);
     out.push(ENVELOPE_VERSION);
     let mut flags = 0u8;
@@ -447,8 +458,12 @@ fn encode_frame(msg: &Msg, ctx: Option<TraceCtx>, spans: &[SpanRecord]) -> Vec<u
             encode_span(&mut out, s);
         }
     }
-    out.extend_from_slice(&msg.encode());
-    out
+    msg.encode_into(&mut out);
+    let payload = out.len() - 4;
+    let len = u32::try_from(payload)
+        .map_err(|_| DistError::FrameTooLarge { len: payload as u64, max: u32::MAX as u64 })?;
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    Ok(out)
 }
 
 impl Frame {
@@ -492,20 +507,18 @@ impl Frame {
 /// Write one frame: `msg` with its envelope extras (a request's trace
 /// context, a reply's span records). The message is borrowed, so the
 /// coordinator reuses one request across failover attempts without
-/// cloning snapshot bytes. Length and payload are two `write_all`s.
+/// cloning snapshot bytes. The whole frame, length prefix included, is
+/// encoded into one buffer and handed to one `write_all`: a frame split
+/// over two writes lets Nagle hold its second half until the peer's
+/// delayed ACK of the first (≈ 40 ms on Linux) on a socket without
+/// `TCP_NODELAY`.
 pub fn write_frame<W: Write>(
     w: &mut W,
     msg: &Msg,
     ctx: Option<TraceCtx>,
     spans: &[SpanRecord],
 ) -> Result<(), DistError> {
-    let payload = encode_frame(msg, ctx, spans);
-    let len = u32::try_from(payload.len()).map_err(|_| DistError::FrameTooLarge {
-        len: payload.len() as u64,
-        max: u32::MAX as u64,
-    })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&payload)?;
+    w.write_all(&encode_frame(msg, ctx, spans)?)?;
     w.flush()?;
     Ok(())
 }
@@ -519,6 +532,16 @@ const PAYLOAD_CHUNK: usize = 16 * 1024;
 /// above `max_frame` before any allocation. `Ok(None)` means the peer
 /// closed the stream at a frame boundary (or inside the length prefix).
 pub fn read_frame<R: Read>(r: &mut R, max_frame: u32) -> Result<Option<Frame>, DistError> {
+    match read_len(r, max_frame)? {
+        Some(len) => Frame::decode(&read_payload(r, len)?).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// Read a frame's length prefix and check it against `max_frame`. This is
+/// where a reader waits for the peer; `Ok(None)` is a close at (or inside)
+/// the prefix.
+pub(crate) fn read_len<R: Read>(r: &mut R, max_frame: u32) -> Result<Option<usize>, DistError> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -529,11 +552,16 @@ pub fn read_frame<R: Read>(r: &mut R, max_frame: u32) -> Result<Option<Frame>, D
     if len > max_frame {
         return Err(DistError::FrameTooLarge { len: len as u64, max: max_frame as u64 });
     }
+    usize::try_from(len)
+        .map(Some)
+        .map_err(|_| DistError::Protocol("frame length exceeds platform usize".into()))
+}
+
+/// Read the `len`-byte payload behind a checked length prefix.
+pub(crate) fn read_payload<R: Read>(r: &mut R, len: usize) -> Result<Vec<u8>, DistError> {
     // chunked read: the length prefix is untrusted until the bytes behind
     // it arrive, so allocation tracks delivered input (a hostile 4-byte
     // header on a snapshot channel must not reserve a gigabyte upfront)
-    let len = usize::try_from(len)
-        .map_err(|_| DistError::Protocol("frame length exceeds platform usize".into()))?;
     let mut payload = Vec::with_capacity(len.min(PAYLOAD_CHUNK));
     let mut chunk = [0u8; PAYLOAD_CHUNK];
     let mut remaining = len;
@@ -543,7 +571,7 @@ pub fn read_frame<R: Read>(r: &mut R, max_frame: u32) -> Result<Option<Frame>, D
         payload.extend_from_slice(&chunk[..take]);
         remaining -= take;
     }
-    Frame::decode(&payload).map(Some)
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -555,6 +583,11 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, m, None, &[]).unwrap();
         wire
+    }
+
+    /// One frame's payload: the wire bytes after the length prefix.
+    fn payload(m: &Msg, ctx: Option<TraceCtx>, spans: &[SpanRecord]) -> Vec<u8> {
+        encode_frame(m, ctx, spans).unwrap().split_off(4)
     }
 
     fn roundtrip(m: Msg) {
@@ -671,6 +704,47 @@ mod tests {
         }
     }
 
+    /// A sink that counts `write` calls, as a socket counts syscalls.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        let trace = (7u128 << 64) | 9;
+        let snapshot = Msg::LoadSnapshot {
+            table: "t".into(),
+            label: "v1".into(),
+            bytes: (0..=255u8).cycle().take(40 * 1024).collect(),
+        };
+        let reply = Msg::EstimateReply { results: vec![Ok(0.25), Err("bad".into())] };
+        let spans = [span(trace, 1, 0), span(trace, 2, 1)];
+        for (msg, spans, min_len) in
+            [(&Msg::Ping, &[][..], 0), (&reply, &spans[..], 0), (&snapshot, &[][..], 16 * 1024)]
+        {
+            let mut w = CountingWrite::default();
+            write_frame(&mut w, msg, None, spans).unwrap();
+            assert_eq!(w.writes, 1, "{} spans, {} bytes", spans.len(), w.bytes.len());
+            assert!(w.bytes.len() > min_len);
+            let frame = read_frame(&mut w.bytes.as_slice(), MAX_SNAPSHOT_FRAME).unwrap().unwrap();
+            assert_eq!(frame, Frame { msg: msg.clone(), ctx: None, spans: spans.to_vec() });
+        }
+    }
+
     #[test]
     fn bare_and_other_version_payloads_are_rejected() {
         // a pre-envelope peer's payload (the message alone) is a protocol
@@ -681,7 +755,7 @@ mod tests {
         // and so is an envelope of another version
         for version in [1, 3] {
             let mut other =
-                encode_frame(&Msg::Ping, Some(TraceCtx { trace_id: 1, parent_span: 0 }), &[]);
+                payload(&Msg::Ping, Some(TraceCtx { trace_id: 1, parent_span: 0 }), &[]);
             other[1] = version;
             assert!(matches!(Frame::decode(&other), Err(DistError::Protocol(_))));
         }
@@ -704,7 +778,7 @@ mod tests {
         s.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(Frame::decode(&s).is_err());
         // mutated garbage around a valid envelope
-        let good = encode_frame(
+        let good = payload(
             &Msg::EstimateReply { results: vec![Ok(0.5)] },
             Some(TraceCtx { trace_id: 77, parent_span: 3 }),
             &[span(77, 9, 3)],

@@ -24,7 +24,7 @@ use iam_obs::Registry;
 use iam_serve::net::{Conn, Listener};
 use iam_serve::{ServeConfig, Service};
 use std::collections::HashMap;
-use std::io::{self, BufWriter};
+use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -227,7 +227,8 @@ impl WorkerHandle {
 
 fn handle_connection(conn: &Conn, state: &WorkerState) -> Result<(), DistError> {
     let mut reader = conn;
-    let mut out = BufWriter::new(conn.stream());
+    // a frame is one write already: nothing to gain from a buffer
+    let mut out = conn.stream();
     loop {
         let frame = match read_frame(&mut reader, MAX_SNAPSHOT_FRAME) {
             Ok(Some(f)) => f,

@@ -146,6 +146,24 @@ fn scattered_batch_stitches_into_one_trace_tree() {
         .map(|r| r.span_id)
         .collect();
     assert_eq!(rpc_ids.len(), 3, "one rpc span per table group");
+    // each rpc splits into its five stages, recorded as each one ends
+    for &rpc in &rpc_ids {
+        let names: Vec<&str> = records
+            .iter()
+            .filter(|r| r.proc == "coord" && r.parent_span == rpc)
+            .map(|r| r.name.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "dist.rpc.encode",
+                "dist.rpc.write",
+                "dist.rpc.wait",
+                "dist.rpc.read",
+                "dist.rpc.decode"
+            ]
+        );
+    }
     let worker_serve: Vec<&SpanRecord> =
         records.iter().filter(|r| r.name == "worker.serve").collect();
     assert_eq!(worker_serve.len(), 3, "one worker.serve span per group");

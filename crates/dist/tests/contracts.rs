@@ -1,7 +1,7 @@
 //! Coordinator contracts over in-process workers: the error each request
 //! reports when the cluster cannot answer it, how a slow-but-alive replica
-//! spends a batch's shared deadline, and the scrape endpoint with an idle
-//! connection open.
+//! spends a batch's shared deadline, the scrape endpoint with an idle
+//! connection open, and round trips that never wait out a delayed ACK.
 
 use iam_core::{IamConfig, IamEstimator};
 use iam_data::synth::Dataset;
@@ -125,4 +125,21 @@ fn idle_scrape_connection_stalls_neither_scrapes_nor_stop() {
     front.stop();
     assert!(t0.elapsed() < Duration::from_secs(1), "stop took {:?}", t0.elapsed());
     w.stop();
+}
+
+#[test]
+fn round_trips_do_not_wait_out_delayed_acks() {
+    // a frame split over two writes, or a socket left with Nagle on,
+    // costs a round trip the peer's delayed ACK (≈ 40 ms on Linux): 20
+    // pings would take ≈ 830 ms; on loopback they take well under 10 ms
+    let w = worker();
+    let coord = Coordinator::new(vec![w.addr], &["t"], DistConfig::default());
+    coord.ping(0).expect("warm-up ping connects");
+    let start = Instant::now();
+    for _ in 0..20 {
+        coord.ping(0).expect("ping");
+    }
+    let took = start.elapsed();
+    w.stop();
+    assert!(took < Duration::from_millis(200), "20 pings took {took:?}");
 }

@@ -243,7 +243,12 @@ fn accept_loop<F: Fn(Conn) + Send + Sync + 'static>(
     while !stop.load(Relaxed) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if stream.set_read_timeout(Some(CONN_POLL)).is_err() {
+                // Nagle holds a small write while earlier bytes are
+                // unacknowledged, and the peer may delay that ACK by up to
+                // 40 ms: every protocol on this edge is request/reply
+                if stream.set_read_timeout(Some(CONN_POLL)).is_err()
+                    || stream.set_nodelay(true).is_err()
+                {
                     continue;
                 }
                 let conn = Conn { stream, stop: Arc::clone(stop) };
@@ -448,6 +453,19 @@ mod tests {
         let mut rq = RangeQuery::unconstrained(1);
         rq.cols[0] = Some(Interval { lo: 2.0, hi: 2.0, lo_strict: false, hi_strict: true });
         assert!(parse_query(&render_query(&rq), 1).unwrap().cols[0].unwrap().is_empty());
+    }
+
+    #[test]
+    fn accepted_connections_set_nodelay() {
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        let listener = Listener::spawn("127.0.0.1:0", "nodelay-test", move |conn| {
+            let _ = tx.send(conn.stream().nodelay().ok());
+        })
+        .unwrap();
+        let _client = TcpStream::connect(listener.addr).unwrap();
+        let nodelay = rx.recv_timeout(Duration::from_secs(10)).expect("handler ran");
+        listener.stop();
+        assert_eq!(nodelay, Some(true));
     }
 
     #[test]
