@@ -353,8 +353,10 @@ mod tests {
     fn fused_forward_flags_plain_column_forward_in_core_inference() {
         // production inference has one forward path: the plain full
         // forward is the reference the tests pin it to, nothing more
-        let src = "fn sample_region(net: &MadeNet) {\n    net.forward(&i, n, &mut l);\n    net.forward_column_fused(t, &mut s, &i, n, slot, &mut l);\n}\n";
-        for file in ["crates/core/src/infer.rs", "crates/core/src/aqp.rs"] {
+        let src = "fn sample(net: &MadeNet) {\n    net.forward(&i, n, &mut l);\n    net.forward_column_fused(t, &mut s, &i, n, slot, &mut l);\n}\n";
+        for file in
+            ["crates/core/src/infer.rs", "crates/core/src/aqp.rs", "crates/core/src/reference.rs"]
+        {
             let r = lint_source(file, src);
             assert_eq!(r.findings.len(), 1, "{file}: {:?}", r.findings);
             assert!(r.findings.iter().all(|f| f.message.contains("plain")));

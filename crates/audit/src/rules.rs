@@ -252,6 +252,7 @@ fn fused_forward(relpath: &str, lines: &[Line], st: &Structure) -> Vec<RawFindin
         ),
         ("crates/core/src/infer.rs", ".forward(", PLAIN_FORWARD_MSG),
         ("crates/core/src/aqp.rs", ".forward(", PLAIN_FORWARD_MSG),
+        ("crates/core/src/reference.rs", ".forward(", PLAIN_FORWARD_MSG),
     ];
 
     let mut out = Vec::new();

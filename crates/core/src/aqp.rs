@@ -2,26 +2,30 @@
 //! work ("extend IAM on other approximate query processing queries, such
 //! as AVG and SUM queries", §8).
 //!
-//! The unbiased progressive sampler already draws tuples from the model
-//! restricted to the query region, each carrying an importance weight
-//! `p̂(s) = Π_i P̂(A_i ∈ R_i | s_<i)`. Aggregates follow by self-normalised
-//! importance sampling: for a target column `c`,
+//! The unbiased progressive sampler draws tuples from the model restricted
+//! to the query region, each carrying an importance weight
+//! `p̂(s) = Π_i P̂(A_i ∈ R_i | s_<i)`. AQP draws them with the plain
+//! per-query reference sampler (`reference.rs`, the spec the batched
+//! selectivity kernel is pinned to), after turning every wildcard slot into
+//! a full range so the target column is always sampled. Aggregates follow
+//! by self-normalised importance sampling: for a target column `c`,
 //!
 //! * `AVG(c | R) ≈ Σ_s p̂(s) · v_c(s) / Σ_s p̂(s)`
 //! * `SUM(c | R) ≈ AVG · sel(R) · |T|`, `COUNT(R) ≈ sel(R) · |T|`
 //!
 //! where `v_c(s)` is the tuple's reconstructed value for column `c`: the
-//! decoded ordinal for direct/factorised columns, and the *truncated
-//! component mean* `E[X | component k, X ∈ R_c]` for GMM-reduced columns
-//! (closed form via the standard truncated-normal identity).
+//! decoded ordinal for direct/factorised columns, the *truncated component
+//! mean* `E[X | component k, X ∈ R_c]` for GMM-reduced columns (closed form
+//! via the standard truncated-normal identity), and the midpoint of the
+//! sampled token's span ∩ `R_c` for the histogram-family reducers (bucket,
+//! spline segment or uniform component).
 
 use crate::estimator::IamEstimator;
-use crate::infer::{sample_range, sample_weighted};
 use crate::reduce::Reducer;
+use crate::reference;
 use crate::schema::{ColumnHandler, SlotConstraint, SlotRole};
 use iam_data::{Interval, RangeQuery};
 use iam_gmm::math::{std_normal_cdf, std_normal_pdf};
-use iam_nn::InferScratch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -98,9 +102,22 @@ impl IamEstimator {
                 return AggregateEstimate { avg: f64::NAN, sum: 0.0, count: 0.0, selectivity: 0.0 }
             }
         };
+        // the target column may be unconstrained, and every slot must be
+        // materialised to reconstruct it: wildcards become full ranges
+        let plan: Vec<SlotConstraint> = plan
+            .into_iter()
+            .zip(&self.schema.slot_domains)
+            .map(|(c, &d)| match c {
+                SlotConstraint::Wildcard => SlotConstraint::Range(0, d - 1),
+                other => other,
+            })
+            .collect();
         let samples = self.cfg.samples;
         let mut rng = StdRng::seed_from_u64(seed);
-        let (tuples, weights) = self.sample_region(&plan, samples, &mut rng);
+        let (tuples, weights) = {
+            let _span = iam_obs::span!("aqp.sample");
+            reference::sample(self.net(), self.fused(), &plan, samples, &mut rng)
+        };
         let sel: f64 = weights.iter().sum::<f64>() / samples.max(1) as f64;
         let target_iv = rq.cols[target_col].unwrap_or(Interval::full());
 
@@ -124,85 +141,6 @@ impl IamEstimator {
         }
     }
 
-    /// Draw `n` tuples from the model restricted to `plan`, returning slot
-    /// values and importance weights (wildcard slots are *sampled from the
-    /// full conditional* here, since the aggregate's target column may be
-    /// unconstrained). Forwards run through the estimator's fused tables
-    /// with local scratch, and draws use the selectivity sampler's
-    /// reference samplers, so concurrent callers never contend.
-    fn sample_region(
-        &self,
-        plan: &[SlotConstraint],
-        n: usize,
-        rng: &mut StdRng,
-    ) -> (Vec<Vec<usize>>, Vec<f64>) {
-        let _span = iam_obs::span!("aqp.sample_region");
-        // aggregate sampling must materialise every slot, so replace
-        // wildcards with full ranges
-        let full_plan: Vec<SlotConstraint> = plan
-            .iter()
-            .enumerate()
-            .map(|(s, c)| match c {
-                SlotConstraint::Wildcard => {
-                    SlotConstraint::Range(0, self.schema.slot_domains[s] - 1)
-                }
-                other => other.clone(),
-            })
-            .collect();
-        let nslots = self.schema.nslots();
-        let net = self.net();
-        let tables = self.fused();
-        let mut scratch = InferScratch::new();
-        let mut inputs: Vec<usize> = (0..n)
-            .flat_map(|_| (0..nslots).map(|s| net.mask_token(s)).collect::<Vec<_>>())
-            .collect();
-        let mut weights = vec![1.0f64; n];
-        let mut logits = Vec::new();
-        let mut probs = Vec::new();
-        let mut weighted = Vec::new();
-
-        for slot in 0..nslots {
-            let width = net.domain_size(slot);
-            // gather inputs (all rows still alive)
-            let batch_inputs = inputs.clone();
-            net.forward_column_fused(tables, &mut scratch, &batch_inputs, n, slot, &mut logits);
-            for row in 0..n {
-                if weights[row] <= 0.0 {
-                    continue;
-                }
-                net.row_softmax(&logits, row, width, &mut probs);
-                let pick = match &full_plan[slot] {
-                    SlotConstraint::Range(a, b) => {
-                        sample_range(&probs, *a, *b, &mut weights[row], rng)
-                    }
-                    SlotConstraint::Weights(w) => {
-                        weighted.clear();
-                        weighted.extend(probs.iter().zip(w).map(|(&p, &m)| p as f64 * m));
-                        sample_weighted(&weighted, &mut weights[row], rng)
-                    }
-                    SlotConstraint::FactorLo { lo_idx, hi_idx, base } => {
-                        let hi_s = inputs[row * nslots + slot - 1];
-                        let a = if hi_s == lo_idx / base { lo_idx % base } else { 0 };
-                        let b = if hi_s == hi_idx / base { hi_idx % base } else { base - 1 };
-                        let b = b.min(width - 1);
-                        if a > b {
-                            weights[row] = 0.0;
-                            None
-                        } else {
-                            sample_range(&probs, a, b, &mut weights[row], rng)
-                        }
-                    }
-                    SlotConstraint::Wildcard => unreachable!("wildcards replaced above"),
-                };
-                if let Some(v) = pick {
-                    inputs[row * nslots + slot] = v;
-                }
-            }
-        }
-        let tuples = (0..n).map(|row| inputs[row * nslots..(row + 1) * nslots].to_vec()).collect();
-        (tuples, weights)
-    }
-
     /// Reconstruct a representative raw value of `col` from sampled slots.
     fn reconstruct_value(&self, slots: &[usize], col: usize, iv: &Interval) -> f64 {
         // locate the slot(s) of this column
@@ -219,12 +157,11 @@ impl IamEstimator {
                 let k = slots[first_slot];
                 truncated_normal_mean(g.gmm().means[k], g.gmm().stds[k], iv.lo, iv.hi)
             }
-            // histogram-family reducers: the midpoint of the constrained
-            // range (an unbounded side counts as 0 / lo)
-            ColumnHandler::Reduced(_) => {
-                let lo = if iv.lo.is_finite() { iv.lo } else { 0.0 };
-                let hi = if iv.hi.is_finite() { iv.hi } else { lo };
-                (lo + hi) / 2.0
+            // histogram family: the midpoint of the sampled token's span
+            // (bucket, segment or uniform component) ∩ the range
+            ColumnHandler::Reduced(r) => {
+                let (lo, hi) = r.span(slots[first_slot]);
+                (lo.max(iv.lo) + hi.min(iv.hi)) / 2.0
             }
         }
     }
@@ -327,6 +264,31 @@ mod tests {
         let truth = sel.iter().sum::<f64>() / sel.len() as f64;
         assert!((agg.avg - truth).abs() < 1.5, "est {} truth {truth}", agg.avg);
         assert!(agg.avg >= 15.0, "AVG over x≥15 cannot be below 15: {}", agg.avg);
+    }
+
+    #[test]
+    fn histogram_avg_reconstructs_from_the_sampled_bucket() {
+        // a Hist-reduced target's value is the midpoint of the sampled
+        // bucket ∩ the query range — not of the query range alone, which
+        // reads an unbounded side as 0
+        let t = table(6000, 1);
+        let est = IamEstimator::fit(&t, IamConfig { reducer: crate::ReducerKind::Hist, ..cfg() });
+        let Column::Continuous(xc) = &t.columns[1] else { unreachable!() };
+        let Column::Categorical(gc) = &t.columns[0] else { unreachable!() };
+        let mean = |keep: &dyn Fn(usize) -> bool| {
+            let v: Vec<f64> = (0..t.nrows()).filter(|&r| keep(r)).map(|r| xc.values[r]).collect();
+            v.iter().sum::<f64>() / v.len() as f64
+        };
+        // AVG(x) with x unconstrained (truth ≈ 20), then over x ≥ 15
+        let cases = [
+            (Predicate { col: 0, op: Op::Eq, value: 2.0 }, mean(&|r| gc.codes[r] == 2)),
+            (Predicate { col: 1, op: Op::Ge, value: 15.0 }, mean(&|r| xc.values[r] >= 15.0)),
+        ];
+        for (pred, truth) in cases {
+            let (rq, _) = Query::new(vec![pred]).normalize(2).unwrap();
+            let agg = est.estimate_aggregate_shared(&rq, 1, t.nrows());
+            assert!((agg.avg - truth).abs() < 1.5, "{pred:?}: est {} truth {truth}", agg.avg);
+        }
     }
 
     #[test]

@@ -1,12 +1,18 @@
-//! Unbiased progressive sampling (paper §5.2, Algorithm 1), batched.
+//! Unbiased progressive sampling (paper §5.2, Algorithm 1), batched — the
+//! one inference entry point, [`estimate_batch`].
 //!
-//! For each query, `S_p` samples advance slot by slot. At slot `i` the AR
-//! conditional `P̂_AR(A'_i | s_<i)` is renormalised over the constrained
-//! support; for a GMM-reduced column the support is the whole reduced
-//! domain and the conditional is re-weighted by `P̂_GMM(R_i)` — the bias
-//! correction that makes the sampler unbiased (Theorem 5.1). The factor
-//! `P̂(A_i ∈ R_i | s_<i)` multiplies into the sample's running probability;
-//! the query estimate is the mean over its samples.
+//! The kernel computes what the plain per-query sampler in `reference.rs`
+//! computes, bit for bit: `S_p` samples advance slot by slot; at slot `i`
+//! the AR conditional `P̂_AR(A'_i | s_<i)` is renormalised over the
+//! constrained support (for a GMM-reduced column the whole reduced domain,
+//! re-weighted by `P̂_GMM(R_i)` — the bias correction of Theorem 5.1); the
+//! factor `P̂(A_i ∈ R_i | s_<i)` multiplies into the sample's running
+//! probability, and the estimate is the clamped mean over the samples. The
+//! oracle test in `reference.rs` pins the two together. Everything the
+//! kernel adds buys speed and changes no bit: forwards batched across a
+//! chunk's queries, rows with equal sampled prefixes forwarded once, window
+//! mass and pick accumulators hoisted per (query, unique prefix), and no
+//! draw at a query's last constrained slot.
 //!
 //! # Determinism and parallelism
 //!
@@ -24,6 +30,7 @@
 //! Inference", Table 7) is preserved.
 
 use crate::probes;
+use crate::reference;
 use crate::schema::{IamSchema, SlotConstraint};
 use iam_nn::{FusedTables, InferScratch, MadeNet};
 use rand::rngs::StdRng;
@@ -70,18 +77,18 @@ impl std::hash::Hasher for PrefixHasher {
 
 type PrefixBuildHasher = std::hash::BuildHasherDefault<PrefixHasher>;
 
-/// Hoisted sampling state for one (query, unique-prefix) pair at one slot
-/// step of the batched sampling pass in [`sample_chunk`].
-#[derive(Debug, Clone, Copy)]
-enum Hoisted {
-    /// One-token window at the index (`sample_point` fast path).
-    Point(usize),
-    /// Multi-token window starting at `a`, with its mass and a
-    /// precomputed `pick_in_window` accumulator at `cum[start..start+len]`
-    /// (`last` is the fallback last-nonzero offset within the window).
-    Window { a: usize, mass: f64, start: usize, len: usize, last: Option<usize> },
-    /// Empty FactorLo window: kills the sample without drawing.
-    Dead,
+/// Hoisted sampling window for one (query, unique-prefix) pair at one slot
+/// step of [`sample_chunk`]: it starts at token `a` and has mass `mass`,
+/// and `cum[start..start + len]` is its precomputed `pick_in_window`
+/// accumulator (`last` is the fallback last-nonzero offset within it). A
+/// point `[a, a]` is a 1-wide window; an empty FactorLo window has mass 0.
+#[derive(Debug, Clone, Copy, Default)]
+struct Window {
+    a: usize,
+    mass: f64,
+    start: usize,
+    len: usize,
+    last: Option<usize>,
 }
 
 /// Reusable per-worker buffers for progressive-sampling runs: the network
@@ -103,7 +110,7 @@ pub struct QueryScratch {
     weighted: Vec<f64>,
     cum: Vec<f64>,
     stamp: Vec<u32>,
-    hoisted: Vec<Hoisted>,
+    hoisted: Vec<Window>,
     group: Vec<u32>,
     intern: HashMap<u64, u32, PrefixBuildHasher>,
     id_seen: Vec<u32>,
@@ -388,8 +395,8 @@ fn sample_chunk(
         //
         // RNG draw order is pinned: rows are visited in `gather_rows`
         // order and each surviving row draws exactly one `f64` from its
-        // query's stream (zero-mass and empty-window rows draw nothing),
-        // exactly as the unbatched per-row path did.
+        // query's stream (zero-mass windows draw nothing), exactly as the
+        // per-query reference sampler does.
         // per-(query, unique-prefix) hoisted state, directly indexed by the
         // unique id `u` — no hashing in the per-row loop. `stamp[u]` holds
         // the epoch (query ordinal within this slot) that last wrote
@@ -398,7 +405,7 @@ fn sample_chunk(
         stamp.clear();
         stamp.resize(nuniq, 0);
         hoisted.clear();
-        hoisted.resize(nuniq, Hoisted::Dead);
+        hoisted.resize(nuniq, Window::default());
         cum.clear();
         intern.clear(); // fresh (group, token) interning per slot
         let mut epoch = 0u32;
@@ -406,6 +413,7 @@ fn sample_chunk(
         let mut terminal = false;
         for (gi, &row) in gather_rows.iter().enumerate() {
             let li = row / sp;
+            let plan = plans[live[li]].as_ref().expect("live query has a plan");
             if li != cur_li {
                 // next query: its plan differs, so hoisted state resets
                 cur_li = li;
@@ -413,27 +421,19 @@ fn sample_chunk(
                 cum.clear();
                 // a query's last constrained slot: the sampled token and
                 // the rest of its RNG stream are never read again
-                let plan = plans[live[li]].as_ref().expect("live query has a plan");
                 terminal = plan[slot + 1..].iter().all(|c| *c == SlotConstraint::Wildcard);
             }
-            let q = live[li];
-            let rng = &mut rngs[li];
-            let plan = plans[q].as_ref().expect("live query has a plan");
             let u = unique_of[gi] as usize;
-            let probs = &probs_all[u * width..(u + 1) * width];
             if stamp[u] != epoch {
                 stamp[u] = epoch;
-                hoisted[u] = match &plan[slot] {
+                let probs = &probs_all[u * width..(u + 1) * width];
+                let range = |cum: &mut Vec<f64>, a: usize, b: usize| {
+                    hoist(cum, a, probs[a..=b].iter().map(|&p| p as f64))
+                };
+                hoisted[u] = match plan[slot] {
                     SlotConstraint::Wildcard => unreachable!("wildcards were filtered"),
-                    SlotConstraint::Range(a, b) if a == b => Hoisted::Point(*a),
-                    SlotConstraint::Range(a, b) => {
-                        // identical expression to sample_range's mass
-                        let mass: f64 = probs[*a..=*b].iter().map(|&p| p as f64).sum();
-                        let (start, len, last) =
-                            push_cum(cum, probs[*a..=*b].iter().map(|&p| p as f64));
-                        Hoisted::Window { a: *a, mass, start, len, last }
-                    }
-                    SlotConstraint::Weights(w) => {
+                    SlotConstraint::Range(a, b) => range(cum, a, b),
+                    SlotConstraint::Weights(ref w) => {
                         debug_assert_eq!(w.len(), width);
                         weighted.clear();
                         weighted.extend(probs.iter().zip(w).map(|(&p, &m)| p as f64 * m));
@@ -441,86 +441,22 @@ fn sample_chunk(
                             weighted,
                             "bias-corrected slot weights",
                         );
-                        let mass: f64 = weighted.iter().sum();
-                        let (start, len, last) = push_cum(cum, weighted.iter().copied());
-                        Hoisted::Window { a: 0, mass, start, len, last }
+                        hoist(cum, 0, weighted.iter().copied())
                     }
                     SlotConstraint::FactorLo { lo_idx, hi_idx, base } => {
                         // the hi slot precedes this one, so its sampled
                         // token is part of the unique prefix row
-                        let hi_sampled = gather_inputs[u * nslots + slot - 1];
-                        let first_block = lo_idx / base;
-                        let last_block = hi_idx / base;
-                        let a = if hi_sampled == first_block { lo_idx % base } else { 0 };
-                        let b = if hi_sampled == last_block { hi_idx % base } else { base - 1 };
-                        let b = b.min(width - 1);
+                        let hi = gather_inputs[u * nslots + slot - 1];
+                        let (a, b) = reference::factor_lo_window(hi, lo_idx, hi_idx, base, width);
                         if a > b {
-                            Hoisted::Dead
-                        } else if a == b {
-                            Hoisted::Point(a)
+                            Window::default()
                         } else {
-                            let mass: f64 = probs[a..=b].iter().map(|&p| p as f64).sum();
-                            let (start, len, last) =
-                                push_cum(cum, probs[a..=b].iter().map(|&p| p as f64));
-                            Hoisted::Window { a, mass, start, len, last }
+                            range(cum, a, b)
                         }
                     }
                 };
             }
-            if terminal {
-                // Mass-only fast path for the query's final constrained
-                // slot: p̂ updates are the reference arms' exact
-                // expressions, and the skipped draw/pick/intern work is
-                // observable only through this query's own later slots
-                // and RNG stream — of which there are none.
-                match hoisted[u] {
-                    Hoisted::Dead => p_hat[row] = 0.0,
-                    Hoisted::Point(a) => {
-                        let mass = probs[a] as f64;
-                        if mass <= 0.0 {
-                            p_hat[row] = 0.0;
-                        } else {
-                            p_hat[row] *= mass.min(1.0);
-                        }
-                    }
-                    Hoisted::Window { mass, .. } => {
-                        if mass <= 0.0 {
-                            p_hat[row] = 0.0;
-                        } else {
-                            p_hat[row] *= mass.min(1.0);
-                        }
-                    }
-                }
-                continue;
-            }
-            let picked = match hoisted[u] {
-                Hoisted::Dead => {
-                    p_hat[row] = 0.0;
-                    None
-                }
-                Hoisted::Point(a) => sample_point(probs, a, &mut p_hat[row], rng),
-                Hoisted::Window { a, mass, start, len, last } => {
-                    if mass <= 0.0 {
-                        p_hat[row] = 0.0;
-                        None
-                    } else {
-                        p_hat[row] *= mass.min(1.0);
-                        let draw = rng.random::<f64>() * mass;
-                        // precomputed pick_in_window walk: `cum[j]` is the
-                        // running sum after entry j (NaN at zero-mass
-                        // entries, which therefore never satisfy `<=`)
-                        let mut pick = last;
-                        for (j, &c) in cum[start..start + len].iter().enumerate() {
-                            if draw <= c {
-                                pick = Some(j);
-                                break;
-                            }
-                        }
-                        pick.map(|j| a + j)
-                    }
-                }
-            };
-            if let Some(v) = picked {
+            if let Some(v) = hoisted[u].step(cum, &mut p_hat[row], terminal, &mut rngs[li]) {
                 inputs[row * nslots + slot] = v;
                 // refine the row's prefix-group id: rows picking the same
                 // token out of the same group stay together
@@ -550,22 +486,20 @@ fn sample_chunk(
     p.dedup_hits.add(dedup_hits);
 }
 
-/// Append one window's `pick_in_window` accumulator to `arena`: entry `j`
-/// holds the running sum after including window value `j`, computed with
-/// the same skip-zeros sequential adds as [`pick_in_window`] — so a scan
-/// for the first `draw <= cum[j]` returns exactly the index the walk
-/// would. Zero-mass entries store NaN (every `<=` against NaN is false,
-/// so they can never be picked), and the returned fallback mirrors the
-/// walk's last-nonzero index. Returns `(start, len, last_nonzero)`.
-fn push_cum(
-    arena: &mut Vec<f64>,
-    window: impl Iterator<Item = f64>,
-) -> (usize, usize, Option<usize>) {
+/// Hoist one window of values starting at token `a`: its mass — the
+/// reference samplers' exact sequential sum — and its `pick_in_window`
+/// accumulator, appended to `arena`. Entry `j` holds the running sum after
+/// value `j`, with the same skip-zeros sequential adds as
+/// `pick_in_window`, so [`Window::step`] picks exactly the index the walk
+/// would. Zero-mass entries store NaN (every `<=` against NaN is false, so
+/// they can never be picked), and `last` mirrors the walk's last-nonzero
+/// fallback.
+fn hoist(arena: &mut Vec<f64>, a: usize, values: impl Iterator<Item = f64> + Clone) -> Window {
+    let mass: f64 = values.clone().sum();
     let start = arena.len();
     let mut acc = 0.0f64;
     let mut last = None;
-    let mut len = 0usize;
-    for (j, p) in window.enumerate() {
+    for (j, p) in values.enumerate() {
         if p > 0.0 {
             acc += p;
             last = Some(j);
@@ -573,101 +507,35 @@ fn push_cum(
         } else {
             arena.push(f64::NAN);
         }
-        len += 1;
     }
-    (start, len, last)
+    Window { a, mass, start, len: arena.len() - start, last }
 }
 
-/// Walk a probability window's running sum and return the first index at
-/// which the cumulative mass reaches `u`, never returning a zero-mass
-/// index. Zero entries are skipped outright (adding `0.0` to the
-/// accumulator is exact, so the walk is unchanged for every reachable
-/// index) — boundary draws (`u == 0.0` with leading zeros, or `u` at the
-/// full mass with trailing zeros) used to land on them. When float
-/// round-off leaves `u` beyond the final cumulative sum, the fallback is
-/// the last *nonzero*-probability index: falling back to the window's last
-/// index could select a zero-probability value and condition every later
-/// slot on an impossible prefix. Returns `None` only when every entry is
-/// `<= 0` (callers check the mass first).
-fn pick_in_window(window: impl Iterator<Item = f64>, u: f64) -> Option<usize> {
-    let mut acc = 0.0f64;
-    let mut last_nonzero = None;
-    for (j, p) in window.enumerate() {
-        if p > 0.0 {
-            acc += p;
-            last_nonzero = Some(j);
-            if u <= acc {
-                return Some(j);
-            }
+impl Window {
+    /// One row's step through this window, in the reference samplers'
+    /// order: zero mass kills the sample without a draw, the mass folds
+    /// into `p_hat`, then one draw scans the accumulator for the token. At
+    /// a `terminal` slot (the query's last constrained one) nothing reads
+    /// the token or the rest of the RNG stream, so the draw is skipped.
+    fn step(self, cum: &[f64], p_hat: &mut f64, terminal: bool, rng: &mut StdRng) -> Option<usize> {
+        if self.mass <= 0.0 {
+            *p_hat = 0.0;
+            return None;
         }
+        *p_hat *= self.mass.min(1.0);
+        if terminal {
+            return None;
+        }
+        let draw = rng.random::<f64>() * self.mass;
+        let cum = &cum[self.start..self.start + self.len];
+        cum.iter().position(|&c| draw <= c).or(self.last).map(|j| self.a + j)
     }
-    last_nonzero
-}
-
-/// Renormalise `probs` over `[a, b]`, fold the mass into `p_hat` and draw an
-/// index. Returns `None` (and kills the sample) on zero mass.
-///
-/// Reference implementation: the batched sampling pass in
-/// [`sample_chunk`] hoists this window's mass sum and cumulative walk per
-/// (query, unique prefix) via [`push_cum`] and must stay
-/// bitwise-equivalent — the equivalence tests below compare against this
-/// function. The AQP sampler (`aqp::sample_region`) draws with it directly.
-pub(crate) fn sample_range(
-    probs: &[f32],
-    a: usize,
-    b: usize,
-    p_hat: &mut f64,
-    rng: &mut StdRng,
-) -> Option<usize> {
-    debug_assert!(a <= b && b < probs.len());
-    let mass: f64 = probs[a..=b].iter().map(|&p| p as f64).sum();
-    if mass <= 0.0 {
-        *p_hat = 0.0;
-        return None;
-    }
-    *p_hat *= mass.min(1.0);
-    let u = rng.random::<f64>() * mass;
-    pick_in_window(probs[a..=b].iter().map(|&p| p as f64), u).map(|j| a + j)
-}
-
-/// Point-constraint short-circuit for `sample_range(probs, a, a, ..)`: a
-/// one-element window has mass `probs[a]` and only one pickable index, so
-/// the cumulative walk is skipped entirely. The RNG stream must stay
-/// identical to the general path, which draws exactly once *after* its
-/// zero-mass check — so this draws (and discards) one `f64` in the same
-/// place, and draws nothing when the mass is zero.
-fn sample_point(probs: &[f32], a: usize, p_hat: &mut f64, rng: &mut StdRng) -> Option<usize> {
-    debug_assert!(a < probs.len());
-    let mass = probs[a] as f64;
-    if mass <= 0.0 {
-        *p_hat = 0.0;
-        return None;
-    }
-    *p_hat *= mass.min(1.0);
-    let _ = rng.random::<f64>();
-    Some(a)
-}
-
-/// Same, but over an already bias-corrected weight vector (`p_AR × P̂_GMM`).
-/// Reference implementation for the batched pass, like [`sample_range`].
-pub(crate) fn sample_weighted(
-    weighted: &[f64],
-    p_hat: &mut f64,
-    rng: &mut StdRng,
-) -> Option<usize> {
-    let mass: f64 = weighted.iter().sum();
-    if mass <= 0.0 {
-        *p_hat = 0.0;
-        return None;
-    }
-    *p_hat *= mass.min(1.0);
-    let u = rng.random::<f64>() * mass;
-    pick_in_window(weighted.iter().copied(), u)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{pick_in_window, sample_range, sample_weighted};
 
     #[test]
     fn sample_range_masses_accumulate() {
@@ -738,36 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_point_matches_degenerate_range_bitwise() {
-        // the short-circuit must reproduce sample_range(probs, a, a, ..)
-        // exactly: same pick, same p_hat bits, same RNG stream afterwards
-        let probs = vec![0.05f32, 0.3, 0.0, 0.65];
-        for a in 0..probs.len() {
-            for seed in 0..50 {
-                let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                let (mut p1, mut p2) = (0.7f64, 0.7f64);
-                let v1 = sample_range(&probs, a, a, &mut p1, &mut r1);
-                let v2 = sample_point(&probs, a, &mut p2, &mut r2);
-                assert_eq!(v1, v2, "pick diverged at a={a} seed={seed}");
-                assert_eq!(p1.to_bits(), p2.to_bits(), "p_hat diverged at a={a}");
-                assert_eq!(
-                    r1.random::<u64>(),
-                    r2.random::<u64>(),
-                    "RNG stream diverged at a={a} seed={seed}"
-                );
-            }
-        }
-        // zero mass: sample kills without drawing in both paths
-        let (mut r1, mut r2) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
-        let (mut p1, mut p2) = (1.0f64, 1.0f64);
-        assert!(sample_range(&probs, 2, 2, &mut p1, &mut r1).is_none());
-        assert!(sample_point(&probs, 2, &mut p2, &mut r2).is_none());
-        assert_eq!(p1, 0.0);
-        assert_eq!(p2, 0.0);
-        assert_eq!(r1.random::<u64>(), r2.random::<u64>());
-    }
-
-    #[test]
     fn sample_weighted_never_picks_a_zero_weight_index() {
         let weighted = vec![0.0f64, 1e-12, 0.0, 1e-300, 0.0];
         for seed in 0..500 {
@@ -778,26 +616,40 @@ mod tests {
         }
     }
 
-    /// The batched pass's hoisted pick: mass + `push_cum` once, then the
-    /// per-row scan — mirrors the Window arm of the batched sampler.
-    fn hoisted_pick(window: &[f64], p_hat: &mut f64, rng: &mut StdRng) -> Option<usize> {
-        let mass: f64 = window.iter().sum();
-        let mut cum = Vec::new();
-        let (start, len, last) = push_cum(&mut cum, window.iter().copied());
-        if mass <= 0.0 {
-            *p_hat = 0.0;
-            return None;
-        }
-        *p_hat *= mass.min(1.0);
-        let draw = rng.random::<f64>() * mass;
-        let mut pick = last;
-        for (j, &c) in cum[start..start + len].iter().enumerate() {
-            if draw <= c {
-                pick = Some(j);
-                break;
+    #[test]
+    fn sample_point_matches_degenerate_range_bitwise() {
+        // a point is a 1-wide window: its hoisted step must reproduce
+        // sample_range(probs, a, a, ..) exactly — same pick, same p_hat
+        // bits, same RNG stream afterwards — since the one draw
+        // `r·mass ≤ mass` always lands on the point
+        let probs = vec![0.05f32, 0.3, 0.0, 0.65];
+        for a in 0..probs.len() {
+            let mut cum = vec![f64::NAN; 2]; // windows start mid-arena
+            let w = hoist(&mut cum, a, std::iter::once(probs[a] as f64));
+            for seed in 0..50 {
+                let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let (mut p1, mut p2) = (0.7f64, 0.7f64);
+                let v1 = sample_range(&probs, a, a, &mut p1, &mut r1);
+                let v2 = w.step(&cum, &mut p2, false, &mut r2);
+                assert_eq!(v1, v2, "pick diverged at a={a} seed={seed}");
+                assert_eq!(p1.to_bits(), p2.to_bits(), "p_hat diverged at a={a}");
+                assert_eq!(
+                    r1.random::<u64>(),
+                    r2.random::<u64>(),
+                    "RNG stream diverged at a={a} seed={seed}"
+                );
             }
         }
-        pick
+        // zero mass: sample kills in both paths, with the same RNG stream
+        let mut cum = Vec::new();
+        let w = hoist(&mut cum, 2, std::iter::once(probs[2] as f64));
+        let (mut r1, mut r2) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+        let (mut p1, mut p2) = (1.0f64, 1.0f64);
+        assert!(sample_range(&probs, 2, 2, &mut p1, &mut r1).is_none());
+        assert!(w.step(&cum, &mut p2, false, &mut r2).is_none());
+        assert_eq!(p1, 0.0);
+        assert_eq!(p2, 0.0);
+        assert_eq!(r1.random::<u64>(), r2.random::<u64>());
     }
 
     #[test]
@@ -814,27 +666,39 @@ mod tests {
             vec![1e-30, 0.0, 1e-38],
         ];
         for probs in &windows {
-            for seed in 0..200 {
-                let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                let (mut p1, mut p2) = (0.9f64, 0.9f64);
-                let b = probs.len() - 1;
-                let want = sample_range(probs, 0, b, &mut p1, &mut r1);
-                let w64: Vec<f64> = probs.iter().map(|&p| p as f64).collect();
-                let got = hoisted_pick(&w64, &mut p2, &mut r2);
-                assert_eq!(want, got, "pick diverged on {probs:?} seed {seed}");
-                assert_eq!(p1.to_bits(), p2.to_bits(), "p_hat diverged on {probs:?}");
-                assert_eq!(r1.random::<u64>(), r2.random::<u64>(), "RNG diverged on {probs:?}");
+            let b = probs.len() - 1;
+            let spans = [(0, b), (1, b), (1, b - 1)];
+            for (a, b) in spans {
+                let mut cum = vec![f64::NAN; 3]; // windows start mid-arena
+                let w = hoist(&mut cum, a, probs[a..=b].iter().map(|&p| p as f64));
+                for seed in 0..200 {
+                    let (mut r1, mut r2) =
+                        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    let (mut p1, mut p2) = (0.9f64, 0.9f64);
+                    let want = sample_range(probs, a, b, &mut p1, &mut r1);
+                    let got = w.step(&cum, &mut p2, false, &mut r2);
+                    assert_eq!(want, got, "pick diverged on {probs:?}[{a}..={b}] seed {seed}");
+                    assert_eq!(p1.to_bits(), p2.to_bits(), "p_hat diverged on {probs:?}");
+                    assert_eq!(r1.random::<u64>(), r2.random::<u64>(), "RNG diverged");
+                }
             }
         }
-        // weighted vectors take the same path
+        // weighted vectors take the same path; an empty window is dead
+        // without a draw
         let weighted = vec![0.0f64, 1e-12, 0.0, 1e-300, 0.0];
+        let mut cum = Vec::new();
+        let w = hoist(&mut cum, 0, weighted.iter().copied());
         for seed in 0..200 {
             let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
             let (mut p1, mut p2) = (1.0f64, 1.0f64);
             let want = sample_weighted(&weighted, &mut p1, &mut r1);
-            let got = hoisted_pick(&weighted, &mut p2, &mut r2);
+            let got = w.step(&cum, &mut p2, false, &mut r2);
             assert_eq!(want, got, "seed {seed}");
             assert_eq!(p1.to_bits(), p2.to_bits());
+            let mut p3 = 1.0;
+            assert_eq!(Window::default().step(&cum, &mut p3, false, &mut r1), None);
+            assert_eq!(p3, 0.0);
+            assert_eq!(r1.random::<u64>(), r2.random::<u64>(), "a dead window drew");
         }
     }
 
@@ -855,11 +719,13 @@ mod tests {
         // a plausible softmax row times that mass vector
         let probs = [0.2f32, 0.5, 0.3];
         let weighted: Vec<f64> = probs.iter().zip(&mass).map(|(&p, &m)| p as f64 * m).collect();
+        let mut cum = Vec::new();
+        let w = hoist(&mut cum, 0, weighted.iter().copied());
         for seed in 0..500 {
             let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
             let (mut p1, mut p2) = (1.0f64, 1.0f64);
             let want = sample_weighted(&weighted, &mut p1, &mut r1).unwrap();
-            let got = hoisted_pick(&weighted, &mut p2, &mut r2).unwrap();
+            let got = w.step(&cum, &mut p2, false, &mut r2).unwrap();
             assert_eq!(want, got, "seed {seed}");
             assert!(weighted[want] > 0.0, "seed {seed} picked clamped-zero index {want}");
         }

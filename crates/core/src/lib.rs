@@ -39,6 +39,7 @@ pub mod invariant;
 pub mod persist;
 mod probes;
 pub mod reduce;
+mod reference;
 pub mod schema;
 pub mod train;
 

@@ -98,7 +98,8 @@ pub(crate) struct InferProbes {
     /// Sample rows pushed through an AR forward pass, summed over slots —
     /// the single best proxy for inference cost.
     pub forward_rows: Arc<Counter>,
-    /// Samples whose running probability hit zero before the last slot.
+    /// Samples whose running probability ended at zero: a zero-mass
+    /// window at any constrained slot, the last one included.
     pub dead_samples: Arc<Counter>,
     /// Per-query mean renormalization mass `mean_s p̂(s)` (ppm of 1.0) —
     /// how much probability mass the constrained supports retain.

@@ -31,7 +31,7 @@ impl HistReducer {
         HistReducer { bounds }
     }
 
-    fn bucket_span(&self, j: usize) -> (f64, f64) {
+    pub(crate) fn bucket_span(&self, j: usize) -> (f64, f64) {
         (self.bounds[j], self.bounds[j + 1])
     }
 

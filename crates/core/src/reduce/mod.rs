@@ -64,6 +64,18 @@ impl Reducer {
         }
     }
 
+    /// The value span `[lo, hi]` of reduced value `k`: its histogram
+    /// bucket, spline segment or uniform component (a GMM component is
+    /// unbounded).
+    pub(crate) fn span(&self, k: usize) -> (f64, f64) {
+        match self {
+            Reducer::Gmm(_) => (f64::NEG_INFINITY, f64::INFINITY),
+            Reducer::Hist(r) => r.bucket_span(k),
+            Reducer::Spline(r) => (r.knots_x[k], r.knots_x[k + 1]),
+            Reducer::Umm(r) => (r.lo[k], r.hi[k]),
+        }
+    }
+
     /// Model footprint in bytes.
     pub fn size_bytes(&self) -> usize {
         match self {
