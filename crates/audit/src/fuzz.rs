@@ -284,7 +284,7 @@ fn base_snapshot() -> Vec<u8> {
 /// Rewrite the frame's checksum to match its (possibly mutated) payload,
 /// and its length field to match the payload it actually carries — the
 /// structure-aware step that carries mutations *past* the envelope
-/// verification into the inner `IAM1` parser.
+/// verification into the inner `IAM2` parser.
 fn fix_envelope(frame: &mut [u8]) {
     // layout: IAMF(4) · len u64(8) · payload · fnv1a u64(8)
     if frame.len() < 20 {

@@ -12,7 +12,8 @@
 //! incident surfaced. Fuzzer crash artifacts (`*-crash-*`) land in the
 //! same directory via `iam-audit fuzz --save-crashes`.
 
-use iam_core::{persist, IamConfig, IamEstimator};
+use iam_core::reduce::Reducer;
+use iam_core::{persist, ColumnHandler, IamConfig, IamEstimator};
 use iam_data::synth::Dataset;
 use std::path::PathBuf;
 
@@ -82,9 +83,9 @@ fn regenerate_seed_corpus() {
 
     // checksummed envelope whose inner header declares u64::MAX hidden
     // layers: the layer-count bound must fire before any preallocation
-    let mut inner = b"IAM1".to_vec();
-    for v in [3u64, 0, 1000] {
-        inner.extend_from_slice(&v.to_le_bytes()); // components, auto, reduce_threshold
+    let mut inner = b"IAM2".to_vec();
+    for v in [3u64, 1000] {
+        inner.extend_from_slice(&v.to_le_bytes()); // components, reduce_threshold
     }
     inner.push(0); // reducer kind: Gmm
     for v in [1u64, 2048] {
@@ -98,6 +99,7 @@ fn regenerate_seed_corpus() {
     let table = Dataset::Twi.generate(300, 5);
     let cfg = IamConfig {
         components: 3,
+        reduce_threshold: 100,
         hidden: vec![12, 12],
         embed_dim: 4,
         epochs: 1,
@@ -110,6 +112,21 @@ fn regenerate_seed_corpus() {
     est.save_framed(&mut framed).unwrap();
     let keep = 12 + (framed.len() - 20) * 3 / 5;
     write("persist-trunc-snapshot", &envelope(&framed[12..keep]));
+
+    // genuine snapshot whose first GMM has every weight 0.0: each weight
+    // is finite and ≥ 0, but the mixture has no mass to normalise, so the
+    // loader must reject it rather than let `Gmm1d::new` panic
+    let Some(ColumnHandler::Reduced(Reducer::Gmm(g))) =
+        est.schema.handlers.iter().find(|h| matches!(h, ColumnHandler::Reduced(_)))
+    else {
+        panic!("the seed model must reduce a column with a GMM");
+    };
+    let mut weights = (g.gmm().k() as u64).to_le_bytes().to_vec();
+    g.gmm().weights.iter().for_each(|w| weights.extend_from_slice(&w.to_le_bytes()));
+    let mut payload = framed[12..framed.len() - 8].to_vec();
+    let at = payload.windows(weights.len()).position(|w| w == weights).unwrap() + 8;
+    payload[at..at + weights.len() - 8].fill(0);
+    write("persist-zero-gmm-weights", &envelope(&payload));
 
     // -- line: serve text protocol ----------------------------------------
 

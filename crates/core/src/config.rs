@@ -26,27 +26,13 @@ impl ReducerKind {
     }
 }
 
-/// How `P̂_GMM(R)` (per-component range mass) is computed at query time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RangeMassMode {
-    /// Closed form via the normal CDF (`erf`).
-    Exact,
-    /// The paper's scheme: `S` pre-drawn samples per component, counted per
-    /// query ("Impact of GMM Sample Number", §6).
-    MonteCarlo {
-        /// Samples per component (the paper uses 10 K).
-        samples_per_component: usize,
-    },
-}
-
 /// Full configuration of [`crate::IamEstimator`].
 #[derive(Debug, Clone)]
 pub struct IamConfig {
-    /// Number of mixture components `K` per reduced column (paper: 30; a
-    /// VBGM pass may return fewer).
+    /// Number of mixture components `K` per reduced column (paper: 30).
+    /// EM initialises each GMM with exactly `K`; the paper's VBGM init,
+    /// which picks fewer, lost the tail when measured (EXPERIMENTS.md).
     pub components: usize,
-    /// Pick `K` automatically with VBGM (capped at `components`).
-    pub auto_components: bool,
     /// Reduce a column when its domain size exceeds this (paper: 1000).
     pub reduce_threshold: usize,
     /// Which reducer family to use.
@@ -80,8 +66,6 @@ pub struct IamConfig {
     pub hard_range_weights: bool,
     /// Number of progressive samples `S_p` per query.
     pub samples: usize,
-    /// Range-mass computation mode for GMM-reduced columns.
-    pub range_mass: RangeMassMode,
     /// Worker threads for the training pipeline (GMM steps, batch
     /// encoding, sharded AR backprop). `0` = one per available core. The
     /// value never changes training results — gradient shards are reduced
@@ -96,7 +80,6 @@ impl Default for IamConfig {
     fn default() -> Self {
         IamConfig {
             components: 30,
-            auto_components: false,
             reduce_threshold: 1000,
             reducer: ReducerKind::Gmm,
             reduce_continuous: true,
@@ -110,7 +93,6 @@ impl Default for IamConfig {
             wildcard_skipping: true,
             hard_range_weights: false,
             samples: 512,
-            range_mass: RangeMassMode::Exact,
             train_threads: 1,
             seed: 42,
         }

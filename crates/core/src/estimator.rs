@@ -46,7 +46,7 @@ impl IamEstimator {
     /// Like [`Self::build`] but with an explicit display name.
     pub fn build_named(table: &Table, cfg: IamConfig, name: Option<&str>) -> Self {
         let schema = {
-            // reducer fitting (VBGM init + per-column GMM/Hist/Spline/UMM)
+            // reducer fitting (EM init of each GMM, or Hist/Spline/UMM fits)
             // is the "reduction fit" phase of the timing breakdown
             let _span = iam_obs::span!("build.reduce");
             IamSchema::build(table, &cfg)

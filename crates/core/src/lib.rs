@@ -43,6 +43,6 @@ mod reference;
 pub mod schema;
 pub mod train;
 
-pub use config::{IamConfig, RangeMassMode, ReducerKind};
+pub use config::{IamConfig, ReducerKind};
 pub use estimator::{neurocard_lite, IamEstimator};
 pub use schema::{ColumnHandler, IamSchema, SlotConstraint};

@@ -2,17 +2,18 @@
 //! snapshot and load it back for inference.
 //!
 //! The format is self-contained and dependency-free (little-endian, magic
-//! `IAM1`): the configuration, the per-column handlers (ordinal
-//! dictionaries, reducer parameters, factorisation bases) and the AR
-//! network's parameters as one flat tensor in `Parameters::visit_params`
-//! order — network reconstruction is deterministic given the config, so
-//! masks and shapes rebuild identically and only the weights need storing.
+//! `IAM2`; an older `IAM1` snapshot is a `BadFormat`): the configuration,
+//! the per-column handlers (ordinal dictionaries, reducer parameters,
+//! factorisation bases) and the AR network's parameters as one flat tensor
+//! in `Parameters::visit_params` order — network reconstruction is
+//! deterministic given the config, so masks and shapes rebuild identically
+//! and only the weights need storing.
 //!
 //! Loaded estimators are fully functional for estimation and can even
 //! resume training (GMM trainers are re-initialised from the loaded
 //! mixtures; the Adam moments start fresh).
 
-use crate::config::{IamConfig, RangeMassMode, ReducerKind};
+use crate::config::{IamConfig, ReducerKind};
 use crate::estimator::IamEstimator;
 use crate::reduce::{GmmReducer, HistReducer, Reducer, SplineReducer, UmmReducer};
 use crate::schema::{ColumnHandler, IamSchema};
@@ -21,7 +22,7 @@ use iam_gmm::Gmm1d;
 use iam_nn::{MadeNet, Parameters};
 use std::io::{self, Read, Write};
 
-const MAGIC: &[u8; 4] = b"IAM1";
+const MAGIC: &[u8; 4] = b"IAM2";
 /// Magic prefix of the framed snapshot envelope (see
 /// [`IamEstimator::save_framed`]).
 pub const FRAME_MAGIC: &[u8; 4] = b"IAMF";
@@ -45,7 +46,6 @@ const MAX_HIDDEN_LAYERS: usize = 64;
 const MAX_COMPONENTS: usize = 1 << 16;
 const MAX_HANDLERS: usize = 1 << 16;
 const MAX_SAMPLES: usize = 1 << 20;
-const MAX_MC_SAMPLES: usize = 1 << 20;
 const MAX_FACTOR_BASE: usize = 1 << 20;
 
 /// Errors raised by save/load.
@@ -194,11 +194,7 @@ fn write_reducer<W: Write>(w: &mut W, r: &Reducer) -> io::Result<()> {
 /// hostile peer on the `iam-dist` snapshot-shipping channel — so the
 /// geometry is validated here and rejected as [`PersistError::BadFormat`]
 /// *before* any constructor (or a debug-build invariant) can panic.
-fn read_reducer<R: Read>(
-    r: &mut R,
-    mode: RangeMassMode,
-    seed: u64,
-) -> Result<Reducer, PersistError> {
+fn read_reducer<R: Read>(r: &mut R) -> Result<Reducer, PersistError> {
     let bad = PersistError::BadFormat;
     let all_finite = |v: &[f64]| v.iter().all(|x| x.is_finite());
     let non_decreasing = |v: &[f64]| v.windows(2).all(|w| w[0] <= w[1]);
@@ -212,13 +208,17 @@ fn read_reducer<R: Read>(
             if weights.is_empty() || means.len() != weights.len() || stds.len() != weights.len() {
                 return Err(bad("GMM component arity mismatch"));
             }
+            // `Gmm1d::new` divides by the weight sum, so the sum must be
+            // finite and positive too, not only each weight
+            let total: f64 = weights.iter().sum();
             if !all_finite(&means)
                 || weights.iter().any(|&w| !w.is_finite() || w < 0.0)
+                || !(total.is_finite() && total > 0.0)
                 || stds.iter().any(|&s| !s.is_finite() || s <= 0.0)
             {
                 return Err(bad("degenerate GMM parameters"));
             }
-            Reducer::Gmm(GmmReducer::new(Gmm1d::new(weights, means, stds), mode, seed))
+            Reducer::Gmm(GmmReducer::new(Gmm1d::new(weights, means, stds)))
         }
         1 => {
             let bounds = r_vec_f64(r)?;
@@ -263,7 +263,6 @@ impl IamEstimator {
         // config (everything needed to rebuild the net + inference behaviour)
         let c = &self.cfg;
         w_u64(w, c.components as u64)?;
-        w_u64(w, u64::from(c.auto_components))?;
         w_u64(w, c.reduce_threshold as u64)?;
         w.write_all(&[match c.reducer {
             ReducerKind::Gmm => 0u8,
@@ -282,12 +281,6 @@ impl IamEstimator {
         w_u64(w, u64::from(c.wildcard_skipping))?;
         w_u64(w, u64::from(c.hard_range_weights))?;
         w_u64(w, c.samples as u64)?;
-        match c.range_mass {
-            RangeMassMode::Exact => w_u64(w, 0)?,
-            RangeMassMode::MonteCarlo { samples_per_component } => {
-                w_u64(w, samples_per_component as u64)?
-            }
-        }
         w_u64(w, c.seed)?;
         w_str(w, self.name())?;
         w_u64(w, self.nrows() as u64)?;
@@ -325,14 +318,13 @@ impl IamEstimator {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
-            return Err(PersistError::BadFormat("missing IAM1 magic"));
+            return Err(PersistError::BadFormat("missing IAM2 magic"));
         }
         let bad = PersistError::BadFormat;
         let components = r_len(r)?;
         if components == 0 || components > MAX_COMPONENTS {
             return Err(bad("component count out of range"));
         }
-        let auto_components = r_u64(r)? != 0;
         let reduce_threshold = r_len(r)?;
         let mut tag = [0u8; 1];
         r.read_exact(&mut tag)?;
@@ -366,22 +358,12 @@ impl IamEstimator {
         if samples == 0 || samples > MAX_SAMPLES {
             return Err(bad("sample budget out of range"));
         }
-        let mc = r_len(r)?;
-        if mc > MAX_MC_SAMPLES {
-            return Err(bad("monte-carlo sample count out of range"));
-        }
-        let range_mass = if mc == 0 {
-            RangeMassMode::Exact
-        } else {
-            RangeMassMode::MonteCarlo { samples_per_component: mc }
-        };
         let seed = r_u64(r)?;
         let name = r_str(r)?;
         let nrows = r_len(r)?;
 
         let cfg = IamConfig {
             components,
-            auto_components,
             reduce_threshold,
             reducer,
             reduce_continuous,
@@ -392,7 +374,6 @@ impl IamEstimator {
             wildcard_skipping,
             hard_range_weights,
             samples,
-            range_mass,
             seed,
             ..IamConfig::default()
         };
@@ -414,7 +395,7 @@ impl IamEstimator {
                     }
                     ColumnHandler::Direct(ColumnEncoding { distinct })
                 }
-                1 => ColumnHandler::Reduced(read_reducer(r, range_mass, seed ^ 0x9e3779b9)?),
+                1 => ColumnHandler::Reduced(read_reducer(r)?),
                 2 => {
                     let base = r_len(r)?;
                     // base < 2 makes factorisation meaningless and base == 0
@@ -549,12 +530,17 @@ mod tests {
         }
     }
 
+    fn saved(table: &iam_data::Table) -> (IamEstimator, Vec<u8>) {
+        let est = IamEstimator::fit(table, cfg());
+        let mut buf = Vec::new();
+        est.save(&mut buf).unwrap();
+        (est, buf)
+    }
+
     #[test]
     fn legacy_trailer_byte_is_validated_and_ignored() {
         let table = Dataset::Twi.generate(2500, 3);
-        let est = IamEstimator::fit(&table, cfg());
-        let mut buf = Vec::new();
-        est.save(&mut buf).unwrap();
+        let (est, buf) = saved(&table);
         let mut gen = WorkloadGenerator::new(&table, WorkloadConfig::default(), 8);
         let queries: Vec<_> =
             gen.gen_queries(6).iter().map(|q| q.normalize(2).unwrap().0).collect();
@@ -588,9 +574,7 @@ mod tests {
     #[test]
     fn save_load_round_trip_preserves_estimates() {
         let table = Dataset::Twi.generate(4000, 1);
-        let est = IamEstimator::fit(&table, cfg());
-        let mut buf = Vec::new();
-        est.save(&mut buf).unwrap();
+        let (est, buf) = saved(&table);
 
         let loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
         assert_eq!(loaded.name(), est.name());
@@ -608,9 +592,7 @@ mod tests {
     #[test]
     fn loaded_model_can_resume_training() {
         let table = Dataset::Twi.generate(3000, 2);
-        let est = IamEstimator::fit(&table, cfg());
-        let mut buf = Vec::new();
-        est.save(&mut buf).unwrap();
+        let (_, buf) = saved(&table);
         let mut loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
         loaded.train_epochs(&table, 1);
         assert_eq!(loaded.stats.len(), 1);
@@ -621,6 +603,45 @@ mod tests {
     fn garbage_input_is_rejected() {
         assert!(IamEstimator::load(&mut &b"NOPE"[..]).is_err());
         assert!(IamEstimator::load(&mut &b"IAM1\x01\x02"[..]).is_err());
+    }
+
+    /// `IAM1` held two more config words; such a snapshot is refused by
+    /// its magic, never read with the new layout.
+    #[test]
+    fn iam1_snapshot_is_rejected_as_bad_format() {
+        let (_, mut buf) = saved(&Dataset::Twi.generate(1200, 4));
+        buf[..4].copy_from_slice(b"IAM1");
+        assert!(matches!(
+            IamEstimator::load(&mut buf.as_slice()),
+            Err(PersistError::BadFormat("missing IAM2 magic"))
+        ));
+    }
+
+    /// Every weight finite and ≥ 0 is not enough: an all-zero or
+    /// overflowing weight sum would make `Gmm1d::new` panic or degenerate.
+    #[test]
+    fn gmm_weights_without_finite_positive_sum_are_rejected() {
+        let (est, buf) = saved(&Dataset::Twi.generate(2500, 3));
+        let g = est
+            .schema
+            .handlers
+            .iter()
+            .find_map(|h| match h {
+                ColumnHandler::Reduced(Reducer::Gmm(g)) => Some(g.gmm()),
+                _ => None,
+            })
+            .expect("TWI at 2 500 rows reduces a column");
+        let mut weights = (g.k() as u64).to_le_bytes().to_vec();
+        g.weights.iter().for_each(|w| weights.extend_from_slice(&w.to_le_bytes()));
+        let at = buf.windows(weights.len()).position(|w| w == weights).unwrap() + 8;
+        for w in [0.0, f64::MAX] {
+            let mut bad = buf.clone();
+            bad[at..at + 8 * g.k()].chunks_mut(8).for_each(|c| c.copy_from_slice(&w.to_le_bytes()));
+            assert!(matches!(
+                IamEstimator::load(&mut bad.as_slice()),
+                Err(PersistError::BadFormat("degenerate GMM parameters"))
+            ));
+        }
     }
 
     #[test]
@@ -661,7 +682,7 @@ mod tests {
         let mut huge = framed.clone();
         huge[4..12].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(IamEstimator::load_framed(&mut huge.as_slice()).is_err());
-        // wrong magic (a raw IAM1 snapshot is not a frame)
+        // wrong magic (a raw IAM2 snapshot is not a frame)
         let mut raw = Vec::new();
         est.save(&mut raw).unwrap();
         assert!(IamEstimator::load_framed(&mut raw.as_slice()).is_err());

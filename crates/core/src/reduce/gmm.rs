@@ -1,11 +1,7 @@
 //! The paper's reducer: one 1-D Gaussian mixture per column.
 
-use crate::config::RangeMassMode;
 use iam_data::Interval;
-use iam_gmm::model::ComponentSamples;
 use iam_gmm::{Gmm1d, Scorer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// GMM-backed domain reducer (paper §4.2).
 #[derive(Clone)]
@@ -14,40 +10,18 @@ pub struct GmmReducer {
     /// `gmm`'s scoring kernel (its `ln φ_k`/`ln σ_k` hoisted out of
     /// [`Self::reduce`]); refreshed wherever `gmm` is set.
     scorer: Scorer,
-    mode: RangeMassMode,
-    /// Pre-drawn per-component samples for the Monte-Carlo mode; `None` in
-    /// exact mode. Rebuilt whenever the mixture is updated.
-    samples: Option<ComponentSamples>,
-    sample_seed: u64,
 }
 
 impl GmmReducer {
     /// Wrap a fitted mixture.
-    pub fn new(gmm: Gmm1d, mode: RangeMassMode, sample_seed: u64) -> Self {
-        let scorer = gmm.scorer();
-        let mut r = GmmReducer { gmm, scorer, mode, samples: None, sample_seed };
-        r.rebuild_samples();
-        r
+    pub fn new(gmm: Gmm1d) -> Self {
+        GmmReducer { scorer: gmm.scorer(), gmm }
     }
 
-    fn rebuild_samples(&mut self) {
-        self.samples = match self.mode {
-            RangeMassMode::Exact => None,
-            RangeMassMode::MonteCarlo { samples_per_component } => {
-                let mut rng = StdRng::seed_from_u64(self.sample_seed);
-                Some(ComponentSamples::new(&self.gmm, samples_per_component, &mut rng))
-            }
-        };
-    }
-
-    /// Replace the mixture (joint training updates it every batch). Any
-    /// Monte-Carlo sample cache is invalidated and rebuilt by `finalize` at
-    /// the end of the epoch; until then range masses fall back to the exact
-    /// CDF form.
+    /// Replace the mixture (joint training updates it every batch).
     pub fn set_gmm(&mut self, gmm: Gmm1d) {
         self.scorer = gmm.scorer();
         self.gmm = gmm;
-        self.samples = None;
     }
 
     /// Borrow the underlying mixture.
@@ -65,28 +39,18 @@ impl GmmReducer {
         self.scorer.assign(v)
     }
 
-    /// `out[j] = P(value ∈ iv | reduced value = j)`.
+    /// `out[j] = P(value ∈ iv | reduced value = j)`, exactly, from the
+    /// normal CDF (the paper's per-component sample count measured no better).
     pub(crate) fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
         // open/closed bounds coincide for a continuous density
         out.clear();
-        match &self.samples {
-            Some(cs) => out.extend(cs.range_mass(iv.lo, iv.hi)),
-            None => out.extend(self.gmm.range_mass_exact(iv.lo, iv.hi)),
-        }
+        out.extend(self.gmm.range_mass_exact(iv.lo, iv.hi));
         crate::invariant::check_mass_vector(out, "GMM range mass");
     }
 
-    /// Model footprint in bytes.
+    /// Model footprint in bytes: the 3K mixture parameters.
     pub(crate) fn size_bytes(&self) -> usize {
-        // only the 3K mixture parameters persist in a serialized model; the
-        // MC sample cache is a query-time scratch structure
         self.gmm.size_bytes()
-    }
-
-    /// Rebuild the Monte-Carlo component-sample cache after training
-    /// changed the mixture (no-op in exact mode).
-    pub(crate) fn finalize(&mut self) {
-        self.rebuild_samples();
     }
 }
 
@@ -109,7 +73,7 @@ mod tests {
     #[test]
     fn consistency_against_empirical_fraction() {
         let (gmm, data) = fitted();
-        let r = GmmReducer::new(gmm, RangeMassMode::Exact, 0);
+        let r = GmmReducer::new(gmm);
         for (lo, hi) in [(-4.0, -2.0), (-1.0, 4.0), (2.5, 3.5)] {
             let (est, truth) =
                 empirical_consistency(&Reducer::Gmm(r.clone()), &data, &Interval::closed(lo, hi));
@@ -118,24 +82,9 @@ mod tests {
     }
 
     #[test]
-    fn mc_mode_tracks_exact_mode() {
-        let (gmm, _) = fitted();
-        let exact = GmmReducer::new(gmm.clone(), RangeMassMode::Exact, 0);
-        let mc =
-            GmmReducer::new(gmm, RangeMassMode::MonteCarlo { samples_per_component: 10_000 }, 7);
-        let iv = Interval::closed(-2.0, 3.0);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        exact.range_mass(&iv, &mut a);
-        mc.range_mass(&iv, &mut b);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 0.03, "exact {x} vs mc {y}");
-        }
-    }
-
-    #[test]
     fn full_range_has_unit_mass() {
         let (gmm, _) = fitted();
-        let r = GmmReducer::new(gmm, RangeMassMode::Exact, 0);
+        let r = GmmReducer::new(gmm);
         let mut m = Vec::new();
         r.range_mass(&Interval::full(), &mut m);
         assert!(m.iter().all(|&x| (x - 1.0).abs() < 1e-9));
@@ -144,7 +93,7 @@ mod tests {
     #[test]
     fn reduce_is_argmax_assignment() {
         let (gmm, _) = fitted();
-        let mut r = GmmReducer::new(gmm.clone(), RangeMassMode::Exact, 0);
+        let mut r = GmmReducer::new(gmm.clone());
         assert_eq!(r.k(), 2);
         assert_eq!(r.size_bytes(), 48);
         let sweep = || (-600..600).map(|i| i as f64 * 0.0173);

@@ -18,7 +18,6 @@
 use crate::config::{IamConfig, ReducerKind};
 use crate::reduce::{GmmReducer, HistReducer, Reducer, SplineReducer, UmmReducer};
 use iam_data::{Column, ColumnEncoding, RangeQuery, Table};
-use iam_gmm::VbgmConfig;
 use std::borrow::Cow;
 
 /// How one table column is presented to the AR model.
@@ -162,17 +161,9 @@ impl IamSchema {
                 Cow::Borrowed(values)
             };
             let reducer = match cfg.reducer {
-                ReducerKind::Gmm => {
-                    let init = if cfg.auto_components {
-                        iam_gmm::fit_vbgm(
-                            &sample,
-                            &VbgmConfig { max_components: cfg.components, ..Default::default() },
-                        )
-                    } else {
-                        iam_gmm::fit_em(&sample, cfg.components, 40, 1e-7).gmm
-                    };
-                    Reducer::Gmm(GmmReducer::new(init, cfg.range_mass, cfg.seed ^ 0x9e3779b9))
-                }
+                ReducerKind::Gmm => Reducer::Gmm(GmmReducer::new(
+                    iam_gmm::fit_em(&sample, cfg.components, 40, 1e-7).gmm,
+                )),
                 ReducerKind::Hist => Reducer::Hist(HistReducer::fit(&sample, cfg.components)),
                 ReducerKind::Spline => Reducer::Spline(SplineReducer::fit(&sample, cfg.components)),
                 ReducerKind::Umm => Reducer::Umm(UmmReducer::fit(&sample, cfg.components, 25)),

@@ -289,13 +289,6 @@ pub fn train_epoch(
         batches += 1;
     }
 
-    // refresh any query-time caches invalidated by GMM updates
-    for h in &mut schema.handlers {
-        if let ColumnHandler::Reduced(Reducer::Gmm(g)) = h {
-            g.finalize();
-        }
-    }
-
     let stats = EpochStats {
         ar_loss: ar_loss_sum / batches.max(1) as f64,
         gmm_loss: gmm_loss_sum / batches.max(1) as f64,

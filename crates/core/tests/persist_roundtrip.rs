@@ -6,7 +6,7 @@
 //! its sampling seeds from persisted state, so any drift in config,
 //! handlers, or weights would surface as a differing estimate).
 
-use iam_core::{ColumnHandler, IamConfig, IamEstimator, ReducerKind};
+use iam_core::{IamConfig, IamEstimator, ReducerKind};
 use iam_data::synth::Dataset;
 use iam_data::{RangeQuery, SelectivityEstimator, WorkloadConfig, WorkloadGenerator};
 use proptest::prelude::*;
@@ -64,52 +64,4 @@ proptest! {
             );
         }
     }
-}
-
-/// The paper's VBGM initialisation (`auto_components: true`): it picks
-/// `1 ≤ K ≤ components` per reduced column, the model trains and answers
-/// in `[0, 1]`, and a save/load round trip keeps the flag and the bits.
-#[test]
-fn vbgm_initialised_model_trains_and_round_trips() {
-    let table = Dataset::Wisdm.generate(1500, 5);
-    let cfg = IamConfig {
-        components: 8,
-        auto_components: true,
-        hidden: vec![24, 24],
-        embed_dim: 6,
-        epochs: 2,
-        samples: 64,
-        seed: 11,
-        ..IamConfig::default()
-    };
-    let est = IamEstimator::fit(&table, cfg);
-    let ks: Vec<usize> = est
-        .schema
-        .handlers
-        .iter()
-        .filter_map(|h| match h {
-            ColumnHandler::Reduced(r) => Some(r.k()),
-            _ => None,
-        })
-        .collect();
-    assert!(!ks.is_empty(), "WISDM's sensor axes must be reduced");
-    assert!(ks.iter().all(|k| (1..=8).contains(k)), "VBGM K out of [1, 8]: {ks:?}");
-    assert_eq!(est.stats.len(), 2);
-    assert!(est.stats.iter().all(|s| s.ar_loss.is_finite() && s.gmm_loss.is_finite()));
-
-    let mut gen = WorkloadGenerator::new(&table, WorkloadConfig::default(), 3);
-    let ncols = table.ncols();
-    let queries: Vec<RangeQuery> =
-        gen.gen_queries(16).iter().map(|q| q.normalize(ncols).unwrap().0).collect();
-    let before = est.estimate_batch_shared(&queries, 1);
-    assert!(before.iter().all(|s| (0.0..=1.0).contains(s)), "{before:?}");
-    assert!(before.iter().any(|&s| s > 0.0), "degenerate: every estimate is 0");
-
-    let mut buf = Vec::new();
-    est.save(&mut buf).unwrap();
-    let loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
-    assert!(loaded.config().auto_components);
-    let after = loaded.estimate_batch_shared(&queries, 1);
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&before), bits(&after));
 }

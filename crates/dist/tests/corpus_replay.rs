@@ -82,13 +82,15 @@ fn corpus_replays_without_panics() {
     }
 }
 
-/// The seeds are not just "doesn't panic": the two DoS-class entries must
-/// be *rejected* — if one ever starts parsing successfully, the guard it
-/// pins has been deleted.
+/// The seeds are not just "doesn't panic": the DoS-class entries and the
+/// zero-mass GMM must be *rejected* — if one ever starts parsing
+/// successfully, the guard it pins has been deleted.
 #[test]
 fn dos_seeds_still_rejected() {
     let dir = corpus_dir();
-    for name in ["persist-len-dos", "persist-huge-veclen", "proto-u32max-frame"] {
+    for name in
+        ["persist-len-dos", "persist-huge-veclen", "persist-zero-gmm-weights", "proto-u32max-frame"]
+    {
         let bytes = std::fs::read(dir.join(name)).expect("seed entry present");
         match name {
             "proto-u32max-frame" => {

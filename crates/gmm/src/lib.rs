@@ -6,11 +6,12 @@
 //!
 //! * the [`Gmm1d`] model — pdf, posteriors, argmax assignment (Eq. 5), all
 //!   scored by the one [`Scorer`] kernel that EM and the SGD trainer share,
-//!   per-component range mass `P̂_GMM(R)` both exactly (via `erf`) and by the
-//!   paper's Monte-Carlo scheme, and sampling;
-//! * classic [`em`] fitting (the reference the paper contrasts with);
-//! * [`vbgm`] — variational Bayesian GMM used to initialise and to pick the
-//!   number of components (paper §4.2, "When to Use GMMs");
+//!   exact per-component range mass `P̂_GMM(R)` (via `erf`), and sampling;
+//! * classic [`em`] fitting, IAM's one initialiser (the paper's VBGM init
+//!   lost the q-error tail when measured: EXPERIMENTS.md, "Ablations");
+//! * [`vbgm`] — variational Bayesian GMM that picks the number of
+//!   components (paper §4.2); only the benchmark's `gmm.vbgm.fit_ms` probe
+//!   calls it;
 //! * [`sgd`] — the gradient-based maximum-likelihood trainer (Eq. 4) that
 //!   lets GMMs share IAM's mini-batch training loop.
 

@@ -121,32 +121,6 @@ impl Gmm1d {
         (0..self.k()).map(|k| normal_mass(lo, hi, self.means[k], self.stds[k])).collect()
     }
 
-    /// The paper's Monte-Carlo variant of [`Self::range_mass_exact`]: draw
-    /// `s_per_component` samples from each component and report the fraction
-    /// landing in `[lo, hi]`. The paper performs this once per query with
-    /// pre-drawn samples; callers wanting that amortisation should use
-    /// [`ComponentSamples`].
-    pub fn range_mass_mc<R: Rng + ?Sized>(
-        &self,
-        lo: f64,
-        hi: f64,
-        s_per_component: usize,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        (0..self.k())
-            .map(|k| {
-                let mut hits = 0usize;
-                for _ in 0..s_per_component {
-                    let v = self.means[k] + self.stds[k] * super::sgd::standard_normal(rng);
-                    if v >= lo && v <= hi {
-                        hits += 1;
-                    }
-                }
-                hits as f64 / s_per_component.max(1) as f64
-            })
-            .collect()
-    }
-
     /// Draw one value from the mixture.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.random::<f64>();
@@ -216,50 +190,6 @@ impl Gmm1d {
             }
         }
         Gmm1d::new(w, mu, var.iter().map(|v| v.sqrt()).collect())
-    }
-}
-
-/// Pre-drawn per-component samples for the paper's Monte-Carlo range-mass
-/// estimator: "the first step is a one-time preprocessing that can be done
-/// before any query is processed" (§5.2).
-#[derive(Debug, Clone)]
-pub struct ComponentSamples {
-    /// `samples[k]` holds `S` sorted draws from component `k`.
-    samples: Vec<Vec<f64>>,
-}
-
-impl ComponentSamples {
-    /// Draw and sort `s_per_component` samples from each component.
-    pub fn new<R: Rng + ?Sized>(gmm: &Gmm1d, s_per_component: usize, rng: &mut R) -> Self {
-        let samples = (0..gmm.k())
-            .map(|k| {
-                let mut v: Vec<f64> = (0..s_per_component)
-                    .map(|_| gmm.means[k] + gmm.stds[k] * super::sgd::standard_normal(rng))
-                    .collect();
-                v.sort_unstable_by(f64::total_cmp);
-                v
-            })
-            .collect();
-        ComponentSamples { samples }
-    }
-
-    /// Per-component fraction of pre-drawn samples inside `[lo, hi]`
-    /// (`S_k / S` in Algorithm 1, line 11). Binary search makes each query
-    /// `O(K log S)`.
-    pub fn range_mass(&self, lo: f64, hi: f64) -> Vec<f64> {
-        self.samples
-            .iter()
-            .map(|s| {
-                let a = s.partition_point(|&v| v < lo);
-                let b = s.partition_point(|&v| v <= hi);
-                (b - a) as f64 / s.len().max(1) as f64
-            })
-            .collect()
-    }
-
-    /// Number of samples per component.
-    pub fn s_per_component(&self) -> usize {
-        self.samples.first().map_or(0, Vec::len)
     }
 }
 
@@ -350,30 +280,6 @@ pub(crate) mod tests {
         assert!(empty.iter().all(|&m| m == 0.0));
         let half = g.range_mass_exact(-2.0, f64::INFINITY);
         assert!((half[0] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mc_range_mass_approximates_exact() {
-        let g = two_comp();
-        let mut rng = StdRng::seed_from_u64(1);
-        let exact = g.range_mass_exact(-1.0, 4.0);
-        let mc = g.range_mass_mc(-1.0, 4.0, 20_000, &mut rng);
-        for (e, m) in exact.iter().zip(&mc) {
-            assert!((e - m).abs() < 0.02, "exact {e} mc {m}");
-        }
-    }
-
-    #[test]
-    fn component_samples_match_exact_mass() {
-        let g = two_comp();
-        let mut rng = StdRng::seed_from_u64(2);
-        let cs = ComponentSamples::new(&g, 20_000, &mut rng);
-        assert_eq!(cs.s_per_component(), 20_000);
-        let exact = g.range_mass_exact(0.0, 3.5);
-        let approx = cs.range_mass(0.0, 3.5);
-        for (e, a) in exact.iter().zip(&approx) {
-            assert!((e - a).abs() < 0.02, "exact {e} approx {a}");
-        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub struct GmmSgdTrainer {
 }
 
 impl GmmSgdTrainer {
-    /// Start from an initial mixture (typically a VBGM fit on a sample).
+    /// Start from an initial mixture (in IAM, an EM fit on a sample).
     pub fn from_init(init: &Gmm1d, cfg: SgdConfig) -> Self {
         let k = init.k();
         let logits = init.weights.iter().map(|w| w.max(1e-12).ln()).collect();
