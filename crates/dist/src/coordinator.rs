@@ -9,13 +9,20 @@
 //!
 //! 1. **partition** (`dist.partition`) — group the batch by table,
 //!    remembering each query's original position;
-//! 2. **scatter** (`dist.rpc`) — one thread per table group sends the
-//!    group to a replica chosen by the placement map's round-robin
-//!    rotation. A failed RPC (connect/read/write error, deadline, or an
-//!    application error such as a replica that missed its snapshot) tears
-//!    down that worker's connection and retries the group on the next
-//!    replica in the rotation; when every replica has failed the group's
-//!    queries are *skipped with an error* rather than stalling the batch.
+//! 2. **scatter** (`dist.rpc`) — before any thread starts, each group
+//!    picks its replica on the calling thread, in table order: the
+//!    table's round-robin rotation, stable-sorted by how many of the
+//!    batch's earlier groups start on each worker, so a batch's groups
+//!    spread over the replicas instead of queueing on one worker's
+//!    connection (equal counts keep the round-robin order). One thread
+//!    per group then sends it; a failed RPC (connect/read/write
+//!    error, deadline, or an application error such as a replica that
+//!    missed its snapshot) tears down that worker's connection and
+//!    retries the group on the next replica in its rotation. Attempt *k*
+//!    of *n* may spend `1/(n − k)` of the time left before the batch's
+//!    deadline, so a replica that never answers cannot use up the next
+//!    one's time. When every replica has failed the group's queries are
+//!    *skipped with an error* rather than stalling the batch.
 //!    Each RPC splits into `dist.rpc.{encode,write,wait,read,decode}`
 //!    (`wait` ends when the reply's length prefix arrives, `read` covers
 //!    its payload); queueing for a worker's connection behind another RPC
@@ -53,7 +60,11 @@ pub struct DistConfig {
     /// Replicas per table (clamped to the worker count).
     pub replicas: usize,
     /// Deadline for one client batch RPC, shared across its failover
-    /// attempts: retries use whatever time remains.
+    /// attempts: attempt *k* of *n* gets `1/(n − k)` of the time left,
+    /// the last attempt all of it. A replica slower than its share is
+    /// abandoned, not waited for: with two replicas, the first one must
+    /// answer within half of this, or the group moves to the second (and
+    /// the first worker still computes the orphaned request).
     pub rpc_timeout: Duration,
     /// Deadline for establishing a worker connection.
     pub connect_timeout: Duration,
@@ -195,19 +206,28 @@ impl Coordinator {
             groups
         };
 
+        // every group picks its replica here, in table order, before any
+        // thread starts: the groups already started on a worker steer the
+        // next group to another replica of a shared set
+        let mut load = vec![0; self.workers.len()];
+        let picked: Vec<_> = groups
+            .into_iter()
+            .map(|(table, idxs)| (table, self.pick(table, &mut load), idxs))
+            .collect();
+
         // scatter: one thread per table group, replica failover inside.
         // The trace context is thread-local, so each scatter thread
         // re-installs a child context parented under the scatter span.
         let scatter_ctx = iam_obs::tracetree::child_ctx();
         let gathered: Vec<GroupResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = groups
+            let handles: Vec<_> = picked
                 .into_iter()
-                .map(|(table, idxs)| {
+                .map(|(table, rotation, idxs)| {
                     s.spawn(move || {
                         let _ctx = scatter_ctx.map(iam_obs::tracetree::install);
                         let queries: Vec<RangeQuery> =
                             idxs.iter().map(|&i| batch[i].query.clone()).collect();
-                        let results = self.estimate_group(table, queries);
+                        let results = self.estimate_group(table, rotation, queries);
                         (idxs, results)
                     })
                 })
@@ -238,40 +258,63 @@ impl Coordinator {
         out.into_iter().map(|r| r.expect("every query answered or skipped")).collect()
     }
 
-    /// Answer one table group with replica failover. A replica's
-    /// application error is retried like any failure; what the group
-    /// reports is the exhausted rotation.
-    fn estimate_group(&self, table: &str, queries: Vec<RangeQuery>) -> Vec<Result<f64, DistError>> {
+    /// Answer one table group with replica failover along `rotation`. A
+    /// replica's application error is retried like any failure; what the
+    /// group reports is the exhausted rotation.
+    fn estimate_group(
+        &self,
+        table: &str,
+        rotation: Vec<WorkerId>,
+        queries: Vec<RangeQuery>,
+    ) -> Vec<Result<f64, DistError>> {
         let n = queries.len();
         let msg = Msg::EstimateBatch { table: table.to_string(), queries };
-        match self.failover(table, &msg, |reply| match reply {
+        let want = |reply| match reply {
             // wrong-arity replies are protocol violations, retried too
             Msg::EstimateReply { results } if results.len() == n => Some(results),
             _ => None,
-        }) {
+        };
+        match self.failover(&rotation, |wid, deadline| self.rpc(wid, &msg, deadline, want)) {
             Ok(results) => results.into_iter().map(|r| r.map_err(DistError::Remote)).collect(),
             Err(_) => (0..n).map(|_| Err(self.exhausted(table))).collect(),
         }
     }
 
-    /// Send `msg` to `table`'s replicas in rotation order, under one
-    /// deadline shared by every attempt, until one answers with a reply
-    /// `want` accepts. On exhaustion, the last application error a replica
-    /// answered with, if any.
+    /// `table`'s replica rotation for one group of a batch: the placement
+    /// map's round-robin rotation, stable-sorted by `load`, the number of
+    /// the batch's groups already starting on each worker (so equal loads
+    /// keep the round-robin order). The first replica is counted in
+    /// `load` for the groups that pick after this one.
+    fn pick(&self, table: &str, load: &mut [usize]) -> Vec<WorkerId> {
+        let mut rotation = self.placement.rotation(table);
+        rotation.sort_by_key(|&wid| load[wid]);
+        if let Some(&first) = rotation.first() {
+            load[first] += 1;
+        }
+        rotation
+    }
+
+    /// Run `attempt` on `rotation`'s replicas in order until one
+    /// succeeds, under one deadline shared by every attempt: attempt *k*
+    /// of *n* gets `1/(n − k)` of the time left, so a replica that accepts
+    /// and never answers spends its share, not the whole budget, and the
+    /// last attempt gets all that remains. On exhaustion, the last
+    /// application error a replica answered with, if any.
     fn failover<T>(
         &self,
-        table: &str,
-        msg: &Msg,
-        want: impl Fn(Msg) -> Option<T>,
+        rotation: &[WorkerId],
+        mut attempt: impl FnMut(WorkerId, Instant) -> Result<T, DistError>,
     ) -> Result<T, Option<String>> {
-        let rotation = self.placement.rotation(table);
         let deadline = Instant::now() + self.cfg.rpc_timeout;
+        let n = rotation.len();
         let mut remote = None;
-        for (attempt, &wid) in rotation.iter().enumerate() {
-            if attempt > 0 {
+        for (k, &wid) in rotation.iter().enumerate() {
+            if k > 0 {
                 self.failovers.inc();
             }
-            match self.rpc(wid, msg, deadline, &want) {
+            let now = Instant::now();
+            let share = deadline.saturating_duration_since(now) / (n - k) as u32;
+            match attempt(wid, now + share) {
                 Ok(v) => return Ok(v),
                 Err(DistError::Remote(message)) => remote = Some(message),
                 Err(_) => {}
@@ -310,8 +353,13 @@ impl Coordinator {
         // worker spans parent under this attempt's rpc span, so a
         // failover shows up as sibling rpc spans in the trace
         let _s = iam_obs::span!("dist.rpc");
-        let remaining =
-            || deadline.checked_duration_since(Instant::now()).ok_or(DistError::Timeout);
+        // a zero timeout is no timeout to the socket API: it is expired
+        let remaining = || {
+            deadline
+                .checked_duration_since(Instant::now())
+                .filter(|left| !left.is_zero())
+                .ok_or(DistError::Timeout)
+        };
         let reply = (|| {
             if guard.is_none() {
                 let timeout = self.cfg.connect_timeout.min(remaining()?);
@@ -413,11 +461,13 @@ impl Coordinator {
     /// rejects surfaces the last reason instead of a bare exhaustion error.
     fn sql_table(&self, table: &str, stmt: &str) -> Result<String, DistError> {
         let msg = Msg::Sql { table: table.to_string(), stmt: stmt.to_string() };
-        self.failover(table, &msg, |reply| match reply {
+        let want = |reply| match reply {
             Msg::SqlReply { body } => Some(body),
             _ => None,
-        })
-        .map_err(|remote| remote.map_or_else(|| self.exhausted(table), DistError::Remote))
+        };
+        let rotation = self.placement.rotation(table);
+        self.failover(&rotation, |wid, deadline| self.rpc(wid, &msg, deadline, want))
+            .map_err(|remote| remote.map_or_else(|| self.exhausted(table), DistError::Remote))
     }
 
     /// Serialise `model` into a framed snapshot and ship it to every
@@ -553,4 +603,100 @@ fn parse_count_body(body: &str) -> Option<(f64, u64)> {
         return None;
     }
     Some((parts[3].parse().ok()?, parts[5].parse().ok()?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A coordinator over two workers that are never dialled: tables "a"
+    /// and "c" both hash to replicas [0, 1].
+    fn two_workers(rpc_timeout: Duration) -> Coordinator {
+        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let cfg = DistConfig { rpc_timeout, ..DistConfig::default() };
+        let coord = Coordinator::new(vec![addr; 2], &["a", "c"], cfg);
+        for t in ["a", "c"] {
+            assert_eq!(coord.placement().replicas(t), [0, 1], "{t} must share the replica set");
+        }
+        coord
+    }
+
+    #[test]
+    fn groups_sharing_a_replica_set_start_on_distinct_replicas() {
+        let coord = two_workers(Duration::from_secs(1));
+        for _ in 0..4 {
+            // one batch's picks, in table order
+            let mut load = vec![0; 2];
+            let a = coord.pick("a", &mut load);
+            let c = coord.pick("c", &mut load);
+            assert_ne!(a[0], c[0], "{a:?} vs {c:?}");
+            for rotation in [&a, &c] {
+                let mut seen = rotation.clone();
+                seen.sort_unstable();
+                assert_eq!(seen, [0, 1], "a rotation covers every replica once");
+            }
+            assert_eq!(load, [1, 1]);
+        }
+    }
+
+    #[test]
+    fn equal_loads_follow_the_round_robin_cursor() {
+        let coord = two_workers(Duration::from_secs(1));
+        let cursor = PlacementMap::new(&["a", "c"], 2, 2);
+        for _ in 0..5 {
+            assert_eq!(coord.pick("a", &mut [0, 0]), cursor.rotation("a"));
+            assert_eq!(coord.pick("a", &mut [3, 3]), cursor.rotation("a"));
+        }
+        // a busier replica loses to an idle one even where the cursor
+        // points at it, and the cursor still advances
+        let next = cursor.rotation("a");
+        let mut load = vec![0; 2];
+        load[next[0]] = 1;
+        assert_eq!(coord.pick("a", &mut load), [next[1], next[0]]);
+        assert_eq!(coord.pick("a", &mut [0, 0]), cursor.rotation("a"));
+    }
+
+    #[test]
+    fn failover_returns_the_first_success_or_the_last_remote_error() {
+        let coord = two_workers(Duration::from_secs(1));
+        assert_eq!(coord.failover(&[1, 0], |_, _| Ok::<_, DistError>(7)), Ok(7));
+
+        let mut tried = Vec::new();
+        let err = coord.failover(&[1, 0], |wid, _| -> Result<(), _> {
+            tried.push(wid);
+            Err(DistError::Remote(format!("no snapshot on {wid}")))
+        });
+        assert_eq!(tried, [1, 0], "every replica tried, in rotation order");
+        assert_eq!(err, Err(Some("no snapshot on 0".to_string())));
+
+        // the scatter path: a zero budget fails every attempt before any
+        // connection is made
+        let coord = two_workers(Duration::ZERO);
+        let q = RangeQuery::unconstrained(2);
+        let batch: Vec<ClusterQuery> = ["a", "c", "a"]
+            .iter()
+            .map(|t| ClusterQuery { table: t.to_string(), query: q.clone() })
+            .collect();
+        for r in coord.estimate_batch(&batch) {
+            assert!(matches!(r, Err(DistError::NoReplica { tried: 2, .. })), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn attempts_split_the_time_left_and_the_last_gets_all_of_it() {
+        let rpc_timeout = Duration::from_millis(300);
+        let coord = two_workers(rpc_timeout);
+        let mut deadlines = Vec::new();
+        let start = Instant::now();
+        let _ = coord.failover(&[0, 1], |_, deadline| -> Result<(), _> {
+            deadlines.push(deadline);
+            Err(DistError::Timeout)
+        });
+        let end = Instant::now();
+        assert_eq!(deadlines.len(), 2);
+        // attempt 0 of 2 gets half of the budget, attempt 1 the rest
+        assert!(deadlines[0] <= end + rpc_timeout / 2, "first attempt overran its half");
+        assert!(deadlines[1] >= start + rpc_timeout, "last attempt lost part of the budget");
+        assert!(deadlines[1] <= end + rpc_timeout);
+    }
 }

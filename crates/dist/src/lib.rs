@@ -9,7 +9,8 @@
 //! * [`proto`] — a length-prefixed binary wire protocol with hard frame
 //!   bounds and bit-exact f64 transport;
 //! * [`placement`] — a deterministic table→worker map with R-way replicas
-//!   and round-robin replica rotation;
+//!   and a round-robin replica rotation, which the coordinator reorders so
+//!   a batch's groups spread over a shared replica set;
 //! * [`worker`] — a worker process hosting one `iam-serve`
 //!   [`Service`](iam_serve::Service) (registry + cache + micro-batcher)
 //!   per placed table;

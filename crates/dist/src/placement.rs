@@ -1,13 +1,15 @@
-//! Table→worker placement with R-way replication and round-robin replica
-//! selection.
+//! Table→worker placement with R-way replication and a round-robin replica
+//! rotation.
 //!
 //! Placement is deterministic: replica `i` of a table lands on worker
 //! `(fnv(table) + i) mod N`, so the same cluster shape always produces the
-//! same map (debuggable, and stable across coordinator restarts). The
-//! per-table round-robin cursor spreads read load across a table's
-//! replicas; on failure the coordinator simply continues the rotation, so
-//! "retry on the alternate replica" and "balance across replicas" are the
-//! same mechanism.
+//! same map (debuggable, and stable across coordinator restarts). Each
+//! request takes the table's rotation from a per-table round-robin cursor;
+//! the coordinator reorders it by how many of the batch's groups already
+//! start on each replica, so the cursor is the tie-break between equally
+//! loaded replicas. On failure the coordinator continues along the
+//! rotation, so "retry on the alternate replica" and "balance across
+//! replicas" are one ordering.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -15,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 /// Index of a worker in the coordinator's membership list.
 pub type WorkerId = usize;
 
-/// One table's replica set plus its load-balancing cursor.
+/// One table's replica set plus its round-robin cursor.
 struct TablePlacement {
     replicas: Vec<WorkerId>,
     cursor: AtomicUsize,
@@ -53,8 +55,10 @@ impl PlacementMap {
     }
 
     /// The full replica rotation for one request: every replica of
-    /// `table`, starting at the round-robin cursor. The first entry is the
-    /// preferred replica; the rest are the failover order.
+    /// `table`, starting at the round-robin cursor. The coordinator
+    /// stable-sorts a batch group's rotation by load, so this order breaks
+    /// ties between equally loaded replicas and, after the sort, is the
+    /// failover order.
     pub fn rotation(&self, table: &str) -> Vec<WorkerId> {
         let Some(p) = self.tables.get(table) else { return Vec::new() };
         let n = p.replicas.len();
