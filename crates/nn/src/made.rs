@@ -21,7 +21,7 @@
 
 use crate::embedding::Embedding;
 use crate::init::Initializer;
-use crate::linear::{Linear, Relu};
+use crate::linear::{pack_layers, Linear, Packed, Relu};
 use crate::Parameters;
 
 /// Rows per gradient shard in [`MadeNet::train_batch_sharded`]. The shard
@@ -84,9 +84,11 @@ impl InferScratch {
 /// per row collapses to O(nslots·h₀) adds, and the embedding gather is
 /// skipped entirely.
 ///
-/// Tables are a pure function of the first layer's weights and the
-/// embedding tables: rebuild after every parameter update (training,
-/// snapshot load).
+/// The tables also hold the packed forward weights ([`Packed`]) of every
+/// later layer, which the blocked kernels of the column forward read.
+///
+/// Tables are a pure function of the model's weights and embedding
+/// tables: rebuild after every parameter update (training, snapshot load).
 #[derive(Debug, Clone)]
 pub struct FusedTables {
     /// Per slot: `(domain_size + 1) × hidden₀` row-major f32 token table
@@ -94,12 +96,16 @@ pub struct FusedTables {
     slots: Vec<Vec<f32>>,
     /// First hidden layer width.
     h0: usize,
+    /// Per layer, its packed forward weights (empty for layer 1, which the
+    /// token tables replace).
+    packed: Vec<Packed>,
 }
 
 impl FusedTables {
-    /// Resident size of the cached tables, in bytes.
+    /// Resident size of the cached tables and packed weights, in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.slots.iter().map(|t| std::mem::size_of_val(t.as_slice())).sum()
+        let tables: usize = self.slots.iter().map(|t| std::mem::size_of_val(t.as_slice())).sum();
+        tables + self.packed.iter().map(Packed::size_bytes).sum::<usize>()
     }
 }
 
@@ -115,6 +121,8 @@ pub struct TrainScratch {
     grads: Vec<Vec<f32>>,
     dy: Vec<f32>,
     probs: Vec<f32>,
+    /// Column 0's softmax, shared by every row of the shard.
+    probs0: Vec<f32>,
     /// Per-layer weight/bias gradients, same shapes as the model's.
     gw: Vec<Vec<f32>>,
     gb: Vec<Vec<f32>>,
@@ -182,6 +190,9 @@ pub struct MadeNet {
     /// Per-shard scratch of [`MadeNet::train_batch_sharded`], reused across
     /// batches. Scratch, not model state: a clone starts with an empty pool.
     train_pool: Vec<TrainScratch>,
+    /// Per layer, the packed weights of the current training step (rebuilt
+    /// by [`MadeNet::train_batch_sharded`]; scratch like `train_pool`).
+    packed: Vec<Packed>,
 }
 
 impl Clone for MadeNet {
@@ -194,6 +205,7 @@ impl Clone for MadeNet {
             logit_offsets: self.logit_offsets.clone(),
             total_logits: self.total_logits,
             train_pool: Vec::new(),
+            packed: Vec::new(),
         }
     }
 }
@@ -213,9 +225,12 @@ impl MadeNet {
             .map(|&d| Embedding::new(d + 1, e, &mut init)) // +1: MASK row
             .collect();
 
-        // degree of hidden unit k in any hidden layer of width `width`
+        // degree of hidden unit k in any hidden layer of width `width`; a
+        // unit's degree is its class, so the kernels block by degree and
+        // the column forward selects the degrees it needs
         let max_deg = n.saturating_sub(1).max(1);
         let degree = |k: usize| (k % max_deg) + 1;
+        let degrees = |width: usize| (0..width).map(degree).collect::<Vec<_>>();
 
         let mut layers = Vec::new();
         let mut skip_from = Vec::new();
@@ -224,17 +239,17 @@ impl MadeNet {
         let in_dim = n * e;
         let h0 = cfg.hidden[0];
         let mut mask = vec![0.0f32; h0 * in_dim];
+        let d0: Vec<usize> = (0..h0).map(|k| if n == 1 { 0 } else { degree(k) }).collect();
         for k in 0..h0 {
-            let dk = if n == 1 { 0 } else { degree(k) };
             for j in 0..n {
-                if j < dk {
+                if j < d0[k] {
                     for t in 0..e {
                         mask[k * in_dim + j * e + t] = 1.0;
                     }
                 }
             }
         }
-        layers.push(Linear::new_masked(in_dim, h0, mask, &mut init));
+        layers.push(Linear::new_masked(in_dim, h0, mask, &d0, e, &mut init));
         skip_from.push(false);
 
         // hidden-to-hidden layers
@@ -248,7 +263,7 @@ impl MadeNet {
                     }
                 }
             }
-            layers.push(Linear::new_masked(hin, hout, mask, &mut init));
+            layers.push(Linear::new_masked(hin, hout, mask, &degrees(hout), hin, &mut init));
             skip_from.push(cfg.residual && hin == hout);
         }
 
@@ -261,8 +276,10 @@ impl MadeNet {
             total_logits += d;
         }
         let mut mask = vec![0.0f32; total_logits * hlast];
+        let mut head_col = vec![0usize; total_logits]; // a head row's class is its column
         for (i, &d) in cfg.domain_sizes.iter().enumerate() {
             for o in logit_offsets[i]..logit_offsets[i] + d {
+                head_col[o] = i;
                 for k in 0..hlast {
                     if n > 1 && degree(k) <= i {
                         mask[o * hlast + k] = 1.0;
@@ -272,7 +289,7 @@ impl MadeNet {
                 }
             }
         }
-        layers.push(Linear::new_masked(hlast, total_logits, mask, &mut init));
+        layers.push(Linear::new_masked(hlast, total_logits, mask, &head_col, hlast, &mut init));
         skip_from.push(false);
 
         MadeNet {
@@ -283,6 +300,7 @@ impl MadeNet {
             logit_offsets,
             total_logits,
             train_pool: Vec::new(),
+            packed: Vec::new(),
         }
     }
 
@@ -322,15 +340,18 @@ impl MadeNet {
     /// [`Self::logit_range`] slice.
     pub fn forward(&self, inputs: &[usize], batch: usize, out: &mut Vec<f32>) {
         let mut bufs = Vec::new();
-        self.forward_full(inputs, batch, &mut bufs, &mut Vec::new());
+        let packed = pack_layers(&self.layers, Vec::new());
+        self.forward_full(&packed, inputs, batch, &mut bufs, &mut Vec::new());
         std::mem::swap(out, &mut bufs[self.layers.len()]);
     }
 
     /// [`Self::forward`] into caller-held activations: `bufs[l]` is layer
     /// `l`'s input (`bufs[0]` the embedded row, the last one the logits)
-    /// and `masks[l]` its ReLU pattern — what backward needs.
+    /// and `masks[l]` its ReLU pattern — what backward needs. `packed`
+    /// holds the current weights ([`pack_layers`]).
     fn forward_full(
         &self,
+        packed: &[Packed],
         inputs: &[usize],
         batch: usize,
         bufs: &mut Vec<Vec<f32>>,
@@ -355,9 +376,9 @@ impl MadeNet {
             // embedding) so the fused token-table inference path can replay
             // it bitwise from cached per-token vectors
             if l == 0 {
-                self.layers[0].forward_grouped(x, batch, e, y);
+                self.layers[0].forward_grouped(&packed[0], x, batch, y);
             } else {
-                self.layers[l].forward(x, batch, y);
+                self.layers[l].forward(&packed[l], x, batch, y);
             }
             if l + 1 < nlayers {
                 Relu::forward_masked(y, &mut masks[l]);
@@ -392,7 +413,16 @@ impl MadeNet {
                 table
             })
             .collect();
-        FusedTables { slots, h0 }
+        let packed = (self.layers.iter().enumerate())
+            .map(|(l, layer)| {
+                let mut p = Packed::default();
+                if l > 0 {
+                    layer.pack_forward(&mut p);
+                }
+                p
+            })
+            .collect();
+        FusedTables { slots, h0, packed }
     }
 
     /// Inference forward computing only column `col`'s logits
@@ -408,6 +438,8 @@ impl MadeNet {
     /// * hidden layers compute only the units column `col` can see (the
     ///   degree filter below);
     /// * the output layer computes only column `col`'s rows.
+    ///
+    /// Layers after the first read the packed weights held in `tables`.
     pub fn forward_column_fused(
         &self,
         tables: &FusedTables,
@@ -450,24 +482,18 @@ impl MadeNet {
         // Degree filter: column `col`'s logits depend only on hidden units
         // with degree ≤ col (the head mask zeroes the rest, and the
         // hidden-hidden masks never feed a lower degree from a higher one).
-        // Degrees are cyclic (`(k % max_deg) + 1`), so the live units are
-        // the first `min(col, max_deg)` positions of every max_deg-block —
-        // a strided-runs GEMM computes just those and zeroes the rest.
-        // Skipped positions stay finite (zero, or the residual input) and
-        // meet only exactly-0.0 masked weights downstream, so the computed
-        // bits are identical to the full forward.
-        let max_deg = n.saturating_sub(1).max(1);
-        let keep = if n == 1 { 0 } else { col.min(max_deg) };
+        // A hidden unit's class is its degree, so the blocked kernel runs
+        // just the blocks of degree ≤ col and zeroes the rest. Skipped
+        // positions stay finite (zero, or the residual input) and no block
+        // that runs lists them as an input, so the computed bits are
+        // identical to the full forward.
         for l in 0..nlayers - 1 {
             let (head, tail) = bufs.split_at_mut(l + 1);
             let x = &head[l];
             let y = &mut tail[0];
             if l > 0 {
-                if keep < max_deg {
-                    self.layers[l].forward_strided_runs(x, batch, max_deg, keep, y);
-                } else {
-                    self.layers[l].forward(x, batch, y);
-                }
+                let layer = &self.layers[l];
+                layer.forward_classes(&tables.packed[l], x, batch, 0..col + 1, 0..layer.out_dim, y);
             }
             Relu::forward(y);
             if self.skip_from[l] {
@@ -476,9 +502,12 @@ impl MadeNet {
                 }
             }
         }
-        self.layers[nlayers - 1].forward_rows(
+        // a head row's class is its column
+        self.layers[nlayers - 1].forward_classes(
+            &tables.packed[nlayers - 1],
             &bufs[nlayers - 1],
             batch,
+            col..col + 1,
             self.logit_range(col),
             out,
         );
@@ -535,12 +564,17 @@ impl MadeNet {
         }
         let inv_batch = 1.0 / batch as f32;
         let workers = threads.clamp(1, nshards);
+        // the weights changed since the last step: pack them once, for
+        // every shard
+        let packed = pack_layers(&self.layers, std::mem::take(&mut self.packed));
         {
             let net = &*self;
+            let packed = &packed[..];
             let run_shard = |s: usize, scratch: &mut TrainScratch| {
                 let r0 = s * TRAIN_SHARD_ROWS;
                 let rows = (batch - r0).min(TRAIN_SHARD_ROWS);
                 net.train_shard(
+                    packed,
                     scratch,
                     &inputs[r0 * n..(r0 + rows) * n],
                     &targets[r0 * n..(r0 + rows) * n],
@@ -590,15 +624,8 @@ impl MadeNet {
                 add_assign(&mut emb.grad, &shard.gemb[c]);
             }
         }
-        // the connectivity mask is applied once to the reduced gradient
-        for layer in &mut self.layers {
-            if let Some(mask) = &layer.mask {
-                for (g, m) in layer.gw.iter_mut().zip(mask) {
-                    *g *= m;
-                }
-            }
-        }
         self.train_pool = pool;
+        self.packed = packed;
         (loss / batch as f64) as f32
     }
 
@@ -606,9 +633,10 @@ impl MadeNet {
     /// shard's scratch, parameter gradients accumulate into the shard's
     /// private buffers (already scaled by `inv_batch`, the full mini-batch
     /// normaliser), and the shard's summed NLL lands in `scratch.loss`.
-    /// The connectivity mask is applied after reduction, not here.
+    /// `packed` holds every layer's weights for this step.
     fn train_shard(
         &self,
+        packed: &[Packed],
         scratch: &mut TrainScratch,
         inputs: &[usize],
         targets: &[usize],
@@ -621,30 +649,53 @@ impl MadeNet {
         let e = self.cfg.embed_dim;
         let stride = n * e;
         let nlayers = self.layers.len();
-        let TrainScratch { bufs, masks, grads, dy, probs, gw, gb, gemb, loss } = scratch;
+        let TrainScratch { bufs, masks, grads, dy, probs, probs0, gw, gb, gemb, loss } = scratch;
 
-        self.forward_full(inputs, rows, bufs, masks);
+        {
+            let _forward = iam_obs::span!("train.forward");
+            self.forward_full(packed, inputs, rows, bufs, masks);
+        }
 
         // per-column softmax cross-entropy: loss and dL/dlogits
+        let softmax_span = iam_obs::span!("train.softmax");
         let logits = &bufs[nlayers];
         let dlogits = &mut grads[nlayers];
         dlogits.resize(logits.len(), 0.0);
+        let t = self.total_logits;
+        // Column 0's head rows see no input, so its logits are the head
+        // bias on every row: one softmax serves the whole shard.
+        let col0 = self.logit_range(0);
+        softmax(&logits[col0.clone()], probs0);
         let mut nll = 0.0f64;
         for b in 0..rows {
+            debug_assert!(
+                logits[b * t..][col0.clone()]
+                    .iter()
+                    .zip(&logits[col0.clone()])
+                    .all(|(a, z)| a.to_bits() == z.to_bits()),
+                "column 0's logits differ across rows"
+            );
             for col in 0..n {
-                self.column_softmax(logits, b, col, probs);
+                let p: &[f32] = if col == 0 {
+                    probs0
+                } else {
+                    self.column_softmax(logits, b, col, probs);
+                    probs
+                };
                 let target = targets[b * n + col];
                 debug_assert!(target < self.cfg.domain_sizes[col]);
-                nll -= (probs[target].max(1e-30) as f64).ln();
-                let base = b * self.total_logits + self.logit_offsets[col];
-                for (j, &p) in probs.iter().enumerate() {
-                    dlogits[base + j] = (p - if j == target { 1.0 } else { 0.0 }) * inv_batch;
+                nll -= (p[target].max(1e-30) as f64).ln();
+                let base = b * t + self.logit_offsets[col];
+                for (j, &pj) in p.iter().enumerate() {
+                    dlogits[base + j] = (pj - if j == target { 1.0 } else { 0.0 }) * inv_batch;
                 }
             }
         }
         *loss = nll;
+        drop(softmax_span);
 
         // backward through the layers into the shard's gradient buffers
+        let _backward = iam_obs::span!("train.backward");
         for l in (0..nlayers).rev() {
             let (gin, gout) = {
                 let (head, tail) = grads.split_at_mut(l + 1);
@@ -655,7 +706,8 @@ impl MadeNet {
             if l + 1 < nlayers {
                 Relu::backward_masked(dy, &masks[l]);
             }
-            self.layers[l].backward_into(&bufs[l], dy, rows, &mut gw[l], &mut gb[l], gin);
+            let layer = &self.layers[l];
+            layer.backward_into(&packed[l], &bufs[l], dy, rows, &mut gw[l], &mut gb[l], gin);
             if l + 1 < nlayers && self.skip_from[l] {
                 // the skip path: d(input) += d(output)
                 for (gi, go) in gin.iter_mut().zip(gout.iter()) {
@@ -776,6 +828,29 @@ mod tests {
         net.forward(&[0, 0], 1, &mut out_a);
         net.forward(&[3, 2], 1, &mut out_b);
         assert_eq!(&out_a[net.logit_range(0)], &out_b[net.logit_range(0)]);
+    }
+
+    #[test]
+    fn column_zero_logits_are_the_head_bias_on_every_row() {
+        // the premise of the shard-wide column-0 softmax in `train_shard`:
+        // column 0's head rows see no input, so its logits are bitwise the
+        // head bias on every row, whatever the inputs (MASK tokens included)
+        let mut net = tiny_net(vec![4, 3, 5], 43);
+        let data: Vec<usize> = (0..60).map(|i| [i % 4, i % 3, i % 5][i % 3]).collect();
+        let mut opt = Adam::new(AdamConfig::default());
+        for chunk in data.chunks_exact(30) {
+            net.train_batch(chunk, chunk, 10);
+            opt.step(&mut net);
+        }
+        let (m0, m1, m2) = (net.mask_token(0), net.mask_token(1), net.mask_token(2));
+        let inputs = [1, 2, 0, m0, m1, m2, 3, m1, 4, 0, 0, m2, 2, 1, 3];
+        let mut logits = Vec::new();
+        net.forward(&inputs, 5, &mut logits);
+        let bias = &net.layers.last().unwrap().b[net.logit_range(0)];
+        for b in 0..5 {
+            let row = &logits[b * net.total_logits()..][net.logit_range(0)];
+            assert_eq!(bits(row), bits(bias), "row {b}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! single linear output trained with mean-squared error.
 
 use crate::init::Initializer;
-use crate::linear::{Linear, Relu};
+use crate::linear::{pack_layers, Linear, Packed, Relu};
 use crate::Parameters;
 
 /// Configuration of an [`Mlp`].
@@ -43,21 +43,26 @@ impl Mlp {
 
     /// Forward `batch` rows of features; returns one scalar per row.
     pub fn predict(&self, x: &[f32], batch: usize, out: &mut Vec<f32>) {
-        let (mut acts, _) = self.forward(x, batch);
+        let (mut acts, _) = self.forward(&pack_layers(&self.layers, Vec::new()), x, batch);
         *out = acts.pop().expect("the output layer's activations");
     }
 
     /// One forward pass: `acts[l]` is layer `l`'s input (the last entry is
     /// the output) and `masks[l]` hidden layer `l`'s ReLU pattern — what
     /// the backward pass of [`Self::train_batch`] needs.
-    fn forward(&self, x: &[f32], batch: usize) -> (Vec<Vec<f32>>, Vec<Vec<bool>>) {
+    fn forward(
+        &self,
+        packed: &[Packed],
+        x: &[f32],
+        batch: usize,
+    ) -> (Vec<Vec<f32>>, Vec<Vec<bool>>) {
         let nl = self.layers.len();
         let mut acts = Vec::with_capacity(nl + 1);
         let mut masks = Vec::with_capacity(nl - 1);
         acts.push(x.to_vec());
         for (l, layer) in self.layers.iter().enumerate() {
             let mut y = Vec::new();
-            layer.forward(&acts[l], batch, &mut y);
+            layer.forward(&packed[l], &acts[l], batch, &mut y);
             if l + 1 < nl {
                 let mut mask = Vec::new();
                 Relu::forward_masked(&mut y, &mut mask);
@@ -72,7 +77,8 @@ impl Mlp {
     /// optimiser. Returns the batch MSE.
     pub fn train_batch(&mut self, x: &[f32], y: &[f32], batch: usize) -> f32 {
         assert_eq!(y.len(), batch);
-        let (acts, masks) = self.forward(x, batch);
+        let packed = pack_layers(&self.layers, Vec::new());
+        let (acts, masks) = self.forward(&packed, x, batch);
         let nl = self.layers.len();
         let preds = &acts[nl];
         let mut loss = 0.0f32;
@@ -89,7 +95,7 @@ impl Mlp {
             if l + 1 < nl {
                 Relu::backward_masked(&mut dy, &masks[l]);
             }
-            self.layers[l].backward(&acts[l], &dy, batch, &mut dx);
+            self.layers[l].backward(&packed[l], &acts[l], &dy, batch, &mut dx);
             std::mem::swap(&mut dy, &mut dx);
         }
         loss
