@@ -441,7 +441,7 @@ impl IamEstimator {
         let mut overflow = false;
         // the scoped mutator rebuilds the fused inference tables from the
         // loaded parameters on exit (they are never persisted)
-        est.with_net_mut(|net| {
+        let masked_zero = est.with_net_mut(|net| {
             net.visit_params(&mut |p, _| {
                 if cursor + p.len() <= flat.len() {
                     p.copy_from_slice(&flat[cursor..cursor + p.len()]);
@@ -449,10 +449,16 @@ impl IamEstimator {
                     overflow = true;
                 }
                 cursor += p.len();
-            })
+            });
+            net.masked_weights_are_zero()
         });
         if overflow || cursor != flat.len() {
             return Err(PersistError::BadFormat("parameter tensor size mismatch"));
+        }
+        // the kernels never read a masked weight, and their bits equal the
+        // plain forward's only while every one is zero (as training keeps it)
+        if !masked_zero {
+            return Err(PersistError::BadFormat("non-zero masked network weight"));
         }
         Ok(est)
     }
@@ -597,6 +603,32 @@ mod tests {
         loaded.train_epochs(&table, 1);
         assert_eq!(loaded.stats.len(), 1);
         assert!(loaded.stats[0].ar_loss.is_finite());
+    }
+
+    /// A checksummed snapshot can still set a masked MADE weight; the
+    /// blocked kernels assume every masked weight is zero, so `load`
+    /// refuses it.
+    #[test]
+    fn nonzero_masked_weight_is_rejected() {
+        let (mut est, _) = saved(&Dataset::Twi.generate(1200, 4));
+        est.with_net_mut(|net| {
+            // visit order: one embedding table per column, then layer 1's
+            // weights, of which the low degrees' are partly masked
+            let (layer1, mut at) = (net.ncols(), 0);
+            net.visit_params(&mut |p, _| {
+                if at == layer1 {
+                    p.fill(0.25);
+                }
+                at += 1;
+            });
+            assert!(!net.masked_weights_are_zero());
+        });
+        let mut buf = Vec::new();
+        est.save(&mut buf).unwrap();
+        assert!(matches!(
+            IamEstimator::load(&mut buf.as_slice()),
+            Err(PersistError::BadFormat("non-zero masked network weight"))
+        ));
     }
 
     #[test]

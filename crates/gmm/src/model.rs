@@ -22,10 +22,21 @@ impl Scorer {
         Scorer((0..weights.len()).map(consts).collect())
     }
 
+    /// The standardised value `z = (x − μ_k) / σ_k`.
     #[inline]
-    fn score(&[ln_w, mean, std, ln_std]: &[f64; 4], x: f64) -> f64 {
-        let z = (x - mean) / std;
+    fn z(&[_, mean, std, _]: &[f64; 4], x: f64) -> f64 {
+        (x - mean) / std
+    }
+
+    /// `ln(φ_k N(x | μ_k, σ_k²))` from `x`'s standardised value `z`.
+    #[inline]
+    fn score_z(&[ln_w, _, _, ln_std]: &[f64; 4], z: f64) -> f64 {
         ln_w + (-0.5 * z * z - ln_std - 0.918_938_533_204_672_7) // ln(sqrt(2π))
+    }
+
+    #[inline]
+    fn score(c: &[f64; 4], x: f64) -> f64 {
+        Self::score_z(c, Self::z(c, x))
     }
 
     /// Write `ln(φ_k N(x | μ_k, σ_k²))` for each of the `K` components into
@@ -34,6 +45,19 @@ impl Scorer {
     pub fn scores_into(&self, x: f64, out: &mut [f64]) -> f64 {
         assert_eq!(out.len(), self.0.len(), "one score slot per component");
         out.iter_mut().zip(&self.0).for_each(|(o, c)| *o = Self::score(c, x));
+        log_sum_exp(out)
+    }
+
+    /// [`Self::scores_into`] that also writes each component's
+    /// standardised value `(x − μ_k) / σ_k` into `z` — the one the score
+    /// was computed from, for callers that need it again (the SGD step).
+    pub fn scores_z_into(&self, x: f64, out: &mut [f64], z: &mut [f64]) -> f64 {
+        assert_eq!(out.len(), self.0.len(), "one score slot per component");
+        assert_eq!(z.len(), self.0.len(), "one z slot per component");
+        for ((o, zk), c) in out.iter_mut().zip(z.iter_mut()).zip(&self.0) {
+            *zk = Self::z(c, x);
+            *o = Self::score_z(c, *zk);
+        }
         log_sum_exp(out)
     }
 

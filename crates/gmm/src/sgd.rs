@@ -64,6 +64,7 @@ pub struct GmmSgdTrainer {
     t: u64,
     // scratch
     scratch_logp: Vec<f64>,
+    scratch_z: Vec<f64>,
     grad: Vec<f64>,
 }
 
@@ -81,6 +82,7 @@ impl GmmSgdTrainer {
             v: vec![0.0; 3 * k],
             t: 0,
             scratch_logp: vec![0.0; k],
+            scratch_z: vec![0.0; k],
             grad: vec![0.0; 3 * k],
             cfg,
         }
@@ -121,11 +123,12 @@ impl GmmSgdTrainer {
         self.grad.iter_mut().for_each(|g| *g = 0.0);
         let mut nll = 0.0;
         for &x in batch {
-            let lse = scorer.scores_into(x, &mut self.scratch_logp);
+            let lse = scorer.scores_z_into(x, &mut self.scratch_logp, &mut self.scratch_z);
             nll -= lse;
             for c in 0..k {
                 let r = (self.scratch_logp[c] - lse).exp();
-                let d = (x - self.means[c]) / stds[c];
+                // `(x − μ_c) / σ_c`, as the score computed it
+                let d = self.scratch_z[c];
                 // parameter layout: [logits | means | log_stds]
                 self.grad[c] += -(r - weights[c]);
                 self.grad[k + c] += -r * d / stds[c];

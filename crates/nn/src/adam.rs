@@ -75,14 +75,16 @@ impl Adam {
             let ms = &mut m[cursor..cursor + p.len()];
             let vs = &mut v[cursor..cursor + p.len()];
             cursor += p.len();
-            for i in 0..p.len() {
-                let gi = g[i] * scale;
-                ms[i] = b1 * ms[i] + (1.0 - b1) * gi;
-                vs[i] = b2 * vs[i] + (1.0 - b2) * gi * gi;
-                let mhat = ms[i] / bc1;
-                let vhat = vs[i] / bc2;
-                p[i] -= lr * mhat / (vhat.sqrt() + eps);
-                g[i] = 0.0;
+            // zipped, so the bounds checks go and the loop vectorises; each
+            // element sees the same ops in the same order
+            for (((p, g), m), v) in p.iter_mut().zip(g.iter_mut()).zip(ms).zip(vs) {
+                let gi = *g * scale;
+                *m = b1 * *m + (1.0 - b1) * gi;
+                *v = b2 * *v + (1.0 - b2) * gi * gi;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *p -= lr * mhat / (vhat.sqrt() + eps);
+                *g = 0.0;
             }
         });
     }

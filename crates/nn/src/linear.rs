@@ -29,6 +29,9 @@
 //!   eight outputs of a block; lanes `p` and `p + 4` run interleaved, which
 //!   is the tree's first level. A group in which the block sees nothing is
 //!   skipped. Four batch rows share each weight load.
+//! * **Group tables.** [`Linear::group_tables`] runs the forward's per-group
+//!   term alone against rows of one input group (the MADE input layer's
+//!   token tables): the same blocks, lanes and tree, four rows per pass.
 //! * **Backward `dx`.** One register per input block and batch row, summed
 //!   over the block's live outputs in ascending `o`, stored once.
 //! * **Backward `gw`.** One register per (live output, input block), summed
@@ -180,7 +183,7 @@ impl Vec8 for Scalar8 {
 /// `simd_kernels_match_scalar_bitwise` and the differential kernel test pin.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{reduce_lanes, Bwd, Fwd, Vec8, LANES};
+    use super::{reduce_lanes, Bwd, Fwd, Layout, Vec8, LANES};
     use std::arch::x86_64::*;
 
     /// Whether the AVX2 paths may run (cached by the detection macro).
@@ -258,6 +261,20 @@ mod simd {
         super::forward_body::<Avx2>(f, out)
     }
 
+    /// [`super::tables_body`] on AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tables(
+        lay: &Layout,
+        wp: &[[f32; LANES]],
+        rows: &[&[f32]],
+        tables: &mut [Vec<f32>],
+    ) {
+        super::tables_body::<Avx2>(lay, wp, rows, tables)
+    }
+
     /// [`super::backward_body`] on AVX2.
     ///
     /// # Safety
@@ -286,7 +303,16 @@ struct OutBlock {
 /// lane's rest follows.
 #[derive(Debug, Clone, Copy)]
 struct Seg {
+    /// The group's first input index.
+    start: u32,
     pairs: [[u32; 2]; 4],
+}
+
+impl Seg {
+    /// The seg's live inputs (its entries).
+    fn len(&self) -> usize {
+        self.pairs.iter().map(|&[a, b]| (a + b) as usize).sum()
+    }
 }
 
 /// Up to `LANES` inputs that share a mask column.
@@ -378,7 +404,7 @@ impl Layout {
                     lay.fwd_idx.extend(&b[common..]);
                 }
                 if pairs != [[0; 2]; 4] {
-                    lay.segs.push(Seg { pairs });
+                    lay.segs.push(Seg { start: g0 as u32, pairs });
                 }
             }
             lay.blocks.push(OutBlock {
@@ -466,6 +492,48 @@ struct Fwd<'a> {
     width: usize,
 }
 
+/// One input group's `dot_lanes` value for every output of a block, one
+/// register per row: the seg's entries are taken from the front of `w` and
+/// `idx`, which are left past them, and `x(r, i)` splats row `r`'s input
+/// `i`.
+#[inline(always)]
+fn seg_dots<V: Vec8, const R: usize>(
+    seg: &Seg,
+    w: &mut &[[f32; LANES]],
+    idx: &mut &[u32],
+    x: impl Fn(usize, u32) -> V,
+) -> [V; R] {
+    let mut s = [[V::zero(); 4]; R];
+    for (p, &[na, nb]) in seg.pairs.iter().enumerate() {
+        let (na, nb) = (na as usize, nb as usize);
+        let (w_p, i_p);
+        ((w_p, *w), (i_p, *idx)) = (w.split_at(na + nb), idx.split_at(na + nb));
+        let common = 2 * na.min(nb);
+        let (mut a, mut b) = ([V::zero(); R], [V::zero(); R]);
+        for (w2, i2) in w_p[..common].chunks_exact(2).zip(i_p[..common].chunks_exact(2)) {
+            let (wa, wb) = (V::load(&w2[0]), V::load(&w2[1]));
+            for r in 0..R {
+                a[r] = a[r].add(wa.mul(x(r, i2[0])));
+                b[r] = b[r].add(wb.mul(x(r, i2[1])));
+            }
+        }
+        let acc = if na > nb { &mut a } else { &mut b };
+        for (w, &i) in w_p[common..].iter().zip(&i_p[common..]) {
+            let w = V::load(w);
+            for (r, a) in acc.iter_mut().enumerate() {
+                *a = a.add(w.mul(x(r, i)));
+            }
+        }
+        for r in 0..R {
+            s[r][p] = a[r].add(b[r]); // the tree's first level: lane p + lane p+4
+        }
+    }
+    std::array::from_fn(|r| {
+        let [s0, s1, s2, s3] = s[r];
+        s0.add(s2).add(s1.add(s3))
+    })
+}
+
 /// Rows `xs` of one block: `bias8` plus the block's group terms, one
 /// register per row holding the block's outputs.
 ///
@@ -488,37 +556,55 @@ unsafe fn block_rows<V: Vec8, const R: usize>(
     let mut y = [bias8; R];
     let (mut wp, mut idx) = (&wp[blk.entries.clone()], &lay.fwd_idx[blk.entries.clone()]);
     for seg in &lay.segs[blk.segs.clone()] {
-        let mut s = [[V::zero(); 4]; R];
-        for (p, &[na, nb]) in seg.pairs.iter().enumerate() {
-            let (na, nb) = (na as usize, nb as usize);
-            let (w_p, i_p);
-            ((w_p, wp), (i_p, idx)) = (wp.split_at(na + nb), idx.split_at(na + nb));
-            let common = 2 * na.min(nb);
-            let (mut a, mut b) = ([V::zero(); R], [V::zero(); R]);
-            for (w2, i2) in w_p[..common].chunks_exact(2).zip(i_p[..common].chunks_exact(2)) {
-                let (wa, wb) = (V::load(&w2[0]), V::load(&w2[1]));
-                for r in 0..R {
-                    a[r] = a[r].add(wa.mul(x(r, i2[0])));
-                    b[r] = b[r].add(wb.mul(x(r, i2[1])));
-                }
-            }
-            let acc = if na > nb { &mut a } else { &mut b };
-            for (w, &i) in w_p[common..].iter().zip(&i_p[common..]) {
-                let w = V::load(w);
-                for (r, a) in acc.iter_mut().enumerate() {
-                    *a = a.add(w.mul(x(r, i)));
-                }
-            }
-            for r in 0..R {
-                s[r][p] = a[r].add(b[r]); // the tree's first level: lane p + lane p+4
-            }
-        }
+        let d = seg_dots::<V, R>(seg, &mut wp, &mut idx, x);
         for r in 0..R {
-            let [s0, s1, s2, s3] = s[r];
-            y[r] = y[r].add(s0.add(s2).add(s1.add(s3)));
+            y[r] = y[r].add(d[r]);
         }
     }
     y
+}
+
+/// Every group dot of `lay` against every row of `rows[g]` into
+/// `tables[g]` ([`Linear::group_tables`]), in [`ROWS`]-row passes and a
+/// single-row tail. `tables[g]` is pre-filled with `+0.0`.
+#[inline(always)]
+fn tables_body<V: Vec8>(
+    lay: &Layout,
+    wp: &[[f32; LANES]],
+    rows: &[&[f32]],
+    tables: &mut [Vec<f32>],
+) {
+    let (group, out_dim) = (lay.group, lay.out_dim);
+    for blk in &lay.blocks {
+        let (mut wp, mut idx) = (&wp[blk.entries.clone()], &lay.fwd_idx[blk.entries.clone()]);
+        for seg in &lay.segs[blk.segs.clone()] {
+            let (w_s, i_s);
+            ((w_s, wp), (i_s, idx)) = (wp.split_at(seg.len()), idx.split_at(seg.len()));
+            let start = seg.start as usize;
+            let (xs, table) = (rows[start / group], &mut tables[start / group]);
+            let x = |t: usize| {
+                move |r: usize, i: u32| V::splat(xs[(t + r) * group + i as usize - start])
+            };
+            let mut store = |t: usize, d: V| {
+                for (v, &o) in d.store().iter().zip(&blk.outs) {
+                    table[t * out_dim + o] = *v;
+                }
+            };
+            let n = xs.len() / group;
+            let mut t0 = 0;
+            while t0 + ROWS <= n {
+                let ds = seg_dots::<V, ROWS>(seg, &mut { w_s }, &mut { i_s }, x(t0));
+                for (r, d) in ds.into_iter().enumerate() {
+                    store(t0 + r, d);
+                }
+                t0 += ROWS;
+            }
+            for t in t0..n {
+                let [d] = seg_dots::<V, 1>(seg, &mut { w_s }, &mut { i_s }, x(t));
+                store(t, d);
+            }
+        }
+    }
 }
 
 /// The blocked forward over `f.blocks`, in [`ROWS`]-row passes and a
@@ -829,11 +915,44 @@ impl Linear {
     /// One group's scalar contribution to output unit `o`: the lane-reduced
     /// dot of weight row `o`'s `[offset, offset + x.len())` block against
     /// `x`. This is exactly the scalar [`Self::forward_grouped`] adds for
-    /// that group, so values cached from here (the fused token tables)
-    /// replay the grouped kernel bit for bit.
+    /// that group: the plain reference the blocked table builder
+    /// ([`Self::group_tables`]) is pinned to.
     pub fn group_dot(&self, o: usize, offset: usize, x: &[f32]) -> f32 {
         let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
         dot_lanes(&row[offset..offset + x.len()], x)
+    }
+
+    /// Every output's group dot ([`Self::group_dot`]) against every row of
+    /// every input group: `rows[g]` holds rows of input group `g` (`group`
+    /// floats each, the `group` given to [`Self::new_masked`]), and
+    /// `tables[g]` receives `rows × out_dim`, output `o` in column `o`. The
+    /// MADE input layer's token tables: group `g` is slot `g`'s embedding
+    /// table.
+    ///
+    /// Built on the forward blocks and `packed`'s forward weights (which
+    /// must be current): a block's group dots come out eight outputs per
+    /// vector, in `dot_lanes`'s lanes and tree, so each is bitwise
+    /// `group_dot`'s. An output that sees none of group `g` reads `+0.0`,
+    /// which `group_dot` also gives for finite rows, its weights there
+    /// being masked and so zero. Like [`Self::forward_classes`] it does not
+    /// assert finite rows: inference builds its tables here, and a
+    /// non-finite model must reach the estimator's own invariant checks.
+    pub fn group_tables(&self, packed: &Packed, rows: &[&[f32]], tables: &mut Vec<Vec<f32>>) {
+        let group = self.layout.group;
+        assert_eq!(rows.len(), self.in_dim / group, "one row set per input group");
+        assert_eq!(packed.fwd.len(), self.layout.fwd_idx.len(), "stale packed weights");
+        tables.resize_with(rows.len(), Vec::new);
+        for (t, r) in tables.iter_mut().zip(rows) {
+            assert!(r.len().is_multiple_of(group), "rows of another width");
+            t.clear();
+            t.resize(r.len() / group * self.out_dim, 0.0);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if simd::enabled() {
+            // SAFETY: guarded by runtime AVX2 detection.
+            return unsafe { simd::tables(&self.layout, &packed.fwd, rows, tables) };
+        }
+        tables_body::<Scalar8>(&self.layout, &packed.fwd, rows, tables)
     }
 
     /// Backward into caller-provided gradient buffers: given the layer
@@ -888,6 +1007,13 @@ impl Linear {
         (self.gw, self.gb) = (gw, gb);
     }
 
+    /// Whether every masked weight is `0.0` (either sign), as training
+    /// keeps it.
+    pub fn masked_weights_are_zero(&self) -> bool {
+        let mask = self.mask.iter().flatten();
+        self.w.iter().zip(mask).all(|(&w, &m)| m != 0.0 || w == 0.0)
+    }
+
     /// Visit (param, grad) pairs.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         f(&mut self.w, &mut self.gw);
@@ -911,7 +1037,9 @@ pub(crate) fn pack_layers(layers: &[Linear], mut packed: Vec<Packed>) -> Vec<Pac
 }
 
 /// ReLU. The activation pattern backward needs is recorded into a
-/// caller-held mask, never in the layer.
+/// caller-held mask, never in the layer. Every body is one branch-free
+/// select over a slice (`if on { v } else { 0.0 }`), which the compiler
+/// vectorises.
 #[derive(Debug, Clone, Default)]
 pub struct Relu;
 
@@ -928,22 +1056,18 @@ impl Relu {
     /// (training: one mask per layer per shard).
     pub fn forward_masked(x: &mut [f32], active: &mut Vec<bool>) {
         active.clear();
-        active.reserve(x.len());
-        for v in x.iter_mut() {
+        active.resize(x.len(), false);
+        for (v, a) in x.iter_mut().zip(active.iter_mut()) {
             let on = Self::is_active(*v);
-            active.push(on);
-            if !on {
-                *v = 0.0;
-            }
+            *a = on;
+            *v = if on { *v } else { 0.0 };
         }
     }
 
     /// In-place forward (inference).
     pub fn forward(x: &mut [f32]) {
         for v in x.iter_mut() {
-            if !Self::is_active(*v) {
-                *v = 0.0;
-            }
+            *v = if Self::is_active(*v) { *v } else { 0.0 };
         }
     }
 
@@ -952,9 +1076,7 @@ impl Relu {
     pub fn backward_masked(dy: &mut [f32], active: &[bool]) {
         debug_assert_eq!(dy.len(), active.len());
         for (g, &on) in dy.iter_mut().zip(active) {
-            if !on {
-                *g = 0.0;
-            }
+            *g = if on { *g } else { 0.0 };
         }
     }
 }
@@ -1201,6 +1323,53 @@ mod tests {
                 }
                 assert_eq!(bits(&dx_scalar), bits(&dx), "scalar dx, {case}");
                 assert_eq!(bits(&gw_scalar), bits(&gw), "scalar gw, {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn token_table_builder_matches_group_dot_bitwise() {
+        // the blocked table builder against the scalar group dot, for every
+        // (group, row, output): widths 8, 12 and 16 (a full lane set, a
+        // ragged tail, two passes per lane), rows with −0.0, zeros and
+        // negatives, row counts that run the 4-row pass and the tail
+        let mut rng = StdRng::seed_from_u64(47);
+        for e in [8usize, 12, 16] {
+            let nslots = 4;
+            let l = random_layer(&mut rng, nslots * e, 37, e);
+            let p = packed(&l);
+            let rows: Vec<Vec<f32>> = (0..nslots)
+                .map(|_| {
+                    let n = rng.random_range(1..=9usize) * e;
+                    (0..n)
+                        .map(|_| match rng.random_range(0..5) {
+                            0 => -0.0,
+                            1 => 0.0,
+                            _ => rng.random_range(-2.0..2.0),
+                        })
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+            let mut tables = vec![vec![f32::NAN; 3]]; // stale contents must not survive
+            l.group_tables(&p, &refs, &mut tables);
+            assert_eq!(tables.len(), nslots);
+            let mut scalar: Vec<Vec<f32>> = tables.iter().map(|t| vec![0.0; t.len()]).collect();
+            tables_body::<Scalar8>(&l.layout, &p.fwd, &refs, &mut scalar);
+            for (a, b) in scalar.iter().zip(&tables) {
+                assert_eq!(bits(a), bits(b), "scalar body, e {e}");
+            }
+            for (g, (table, xs)) in tables.iter().zip(&rows).enumerate() {
+                assert_eq!(table.len(), xs.len() / e * 37);
+                for (t, x) in xs.chunks_exact(e).enumerate() {
+                    for o in 0..37 {
+                        assert_eq!(
+                            table[t * 37 + o].to_bits(),
+                            l.group_dot(o, g * e, x).to_bits(),
+                            "e {e}, group {g}, row {t}, output {o}"
+                        );
+                    }
+                }
             }
         }
     }

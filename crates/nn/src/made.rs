@@ -18,6 +18,15 @@
 //! `domain_size`) used for *wildcard skipping* (§5.3): during training a
 //! random subset of input columns is replaced by MASK so the conditionals
 //! marginalise over unqueried columns at inference time.
+//!
+//! One training step ([`MadeNet::train_batch_sharded`]) packs the layers'
+//! live weights and rebuilds the per-(slot, token) layer-1 tables of
+//! [`FusedTables`] once, before its shards start; each shard's layer-1
+//! forward is then the token-table sum inference runs, and the grouped
+//! kernel stays the reference ([`MadeNet::forward`]). The loss takes one
+//! softmax per column and distinct input prefix: column `c`'s logits
+//! depend only on a row's inputs `0..c`, so rows sharing that prefix share
+//! the column's logits bit for bit.
 
 use crate::embedding::Embedding;
 use crate::init::Initializer;
@@ -88,14 +97,17 @@ impl InferScratch {
 /// later layer, which the blocked kernels of the column forward read.
 ///
 /// Tables are a pure function of the model's weights and embedding
-/// tables: rebuild after every parameter update (training, snapshot load).
+/// tables: rebuild after every parameter update (snapshot load, the end
+/// of a training epoch). Training builds the same token tables once per
+/// optimiser step, next to its packed weights, and runs its layer-1
+/// forward from them ([`MadeNet::train_batch_sharded`]). One blocked
+/// builder ([`Linear::group_tables`]) serves both, and one sum
+/// (`table_sum`) reads them.
 #[derive(Debug, Clone)]
 pub struct FusedTables {
     /// Per slot: `(domain_size + 1) × hidden₀` row-major f32 token table
     /// (the extra row is the MASK token).
     slots: Vec<Vec<f32>>,
-    /// First hidden layer width.
-    h0: usize,
     /// Per layer, its packed forward weights (empty for layer 1, which the
     /// token tables replace).
     packed: Vec<Packed>,
@@ -120,9 +132,17 @@ pub struct TrainScratch {
     masks: Vec<Vec<bool>>,
     grads: Vec<Vec<f32>>,
     dy: Vec<f32>,
+    /// Per row and column, the id of the row's input prefix `0..col`
+    /// (`rows × ncols`), ids numbered by first appearance per column.
+    prefix: Vec<u32>,
+    /// Per column, the first row of each prefix id.
+    first: Vec<u32>,
+    /// One column's `(prefix id, token)` → next prefix id table.
+    next: Vec<u32>,
+    /// Per column, the softmax of each distinct prefix, back to back;
+    /// column `c`'s start in `col_probs[c]`.
     probs: Vec<f32>,
-    /// Column 0's softmax, shared by every row of the shard.
-    probs0: Vec<f32>,
+    col_probs: Vec<usize>,
     /// Per-layer weight/bias gradients, same shapes as the model's.
     gw: Vec<Vec<f32>>,
     gb: Vec<Vec<f32>>,
@@ -160,18 +180,40 @@ fn add_assign(dst: &mut [f32], src: &[f32]) {
 /// Softmax of one logit segment into `probs` — the one softmax, shared by
 /// the training loss and the samplers.
 fn softmax(seg: &[f32], probs: &mut Vec<f32>) {
-    probs.clear();
-    probs.reserve(seg.len());
+    probs.resize(seg.len(), 0.0); // every element is written below
+    softmax_into(seg, probs);
+}
+
+/// [`softmax`] into a slice of the segment's length.
+fn softmax_into(seg: &[f32], probs: &mut [f32]) {
+    debug_assert_eq!(seg.len(), probs.len());
     let max = seg.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut total = 0.0f32;
-    for &l in seg {
-        let p = (l - max).exp();
-        total += p;
-        probs.push(p);
+    for (p, &l) in probs.iter_mut().zip(seg) {
+        *p = (l - max).exp();
+        total += *p;
     }
     let inv = 1.0 / total;
     for p in probs.iter_mut() {
         *p *= inv;
+    }
+}
+
+/// Layer 1's pre-activations of `batch` rows of `inputs` (`batch × ncols`
+/// tokens) from token tables: per row the bias plus, in ascending slot
+/// order, slot `s`'s cached vector of the row's token `s` — the grouped
+/// kernel's sum, bit for bit (see [`FusedTables`]). Element-wise adds, no
+/// reduction, so any vector width the compiler picks gives the same bits.
+fn table_sum(slots: &[Vec<f32>], bias: &[f32], inputs: &[usize], batch: usize, out: &mut Vec<f32>) {
+    let h0 = bias.len();
+    out.resize(batch * h0, 0.0); // every element is written below
+    for (y, toks) in out.chunks_exact_mut(h0).zip(inputs.chunks_exact(slots.len())) {
+        y.copy_from_slice(bias);
+        for (table, &tok) in slots.iter().zip(toks) {
+            for (yk, tk) in y.iter_mut().zip(&table[tok * h0..(tok + 1) * h0]) {
+                *yk += tk;
+            }
+        }
     }
 }
 
@@ -193,6 +235,9 @@ pub struct MadeNet {
     /// Per layer, the packed weights of the current training step (rebuilt
     /// by [`MadeNet::train_batch_sharded`]; scratch like `train_pool`).
     packed: Vec<Packed>,
+    /// The current training step's token tables (see [`FusedTables`];
+    /// scratch like `packed`).
+    slots: Vec<Vec<f32>>,
 }
 
 impl Clone for MadeNet {
@@ -206,6 +251,7 @@ impl Clone for MadeNet {
             total_logits: self.total_logits,
             train_pool: Vec::new(),
             packed: Vec::new(),
+            slots: Vec::new(),
         }
     }
 }
@@ -301,6 +347,7 @@ impl MadeNet {
             total_logits,
             train_pool: Vec::new(),
             packed: Vec::new(),
+            slots: Vec::new(),
         }
     }
 
@@ -341,17 +388,20 @@ impl MadeNet {
     pub fn forward(&self, inputs: &[usize], batch: usize, out: &mut Vec<f32>) {
         let mut bufs = Vec::new();
         let packed = pack_layers(&self.layers, Vec::new());
-        self.forward_full(&packed, inputs, batch, &mut bufs, &mut Vec::new());
+        self.forward_full(&packed, None, inputs, batch, &mut bufs, &mut Vec::new());
         std::mem::swap(out, &mut bufs[self.layers.len()]);
     }
 
     /// [`Self::forward`] into caller-held activations: `bufs[l]` is layer
     /// `l`'s input (`bufs[0]` the embedded row, the last one the logits)
     /// and `masks[l]` its ReLU pattern — what backward needs. `packed`
-    /// holds the current weights ([`pack_layers`]).
+    /// holds the current weights ([`pack_layers`]). Layer 1 runs the
+    /// grouped kernel, or, given the current token tables `slots` (the
+    /// training step), their [`table_sum`], which is the same bits.
     fn forward_full(
         &self,
         packed: &[Packed],
+        slots: Option<&[Vec<f32>]>,
         inputs: &[usize],
         batch: usize,
         bufs: &mut Vec<Vec<f32>>,
@@ -373,10 +423,12 @@ impl MadeNet {
             let x = &head[l];
             let y = &mut tail[0];
             // the input layer runs the grouped kernel (one group per slot
-            // embedding) so the fused token-table inference path can replay
-            // it bitwise from cached per-token vectors
+            // embedding), or replays it bitwise from the token tables
             if l == 0 {
-                self.layers[0].forward_grouped(&packed[0], x, batch, y);
+                match slots {
+                    Some(slots) => table_sum(slots, &self.layers[0].b, inputs, batch, y),
+                    None => self.layers[0].forward_grouped(&packed[0], x, batch, y),
+                }
             } else {
                 self.layers[l].forward(&packed[l], x, batch, y);
             }
@@ -393,36 +445,28 @@ impl MadeNet {
 
     /// Precompute the fused embedding→layer-1 token tables for this model's
     /// current parameters (see [`FusedTables`]). Cheap relative to one
-    /// training epoch: `Σ_slots (domain+1) · h₀` dot products of width `e`.
+    /// training epoch: `Σ_slots (domain+1) · h₀` dot products of width `e`,
+    /// eight units per vector.
     pub fn build_fused_tables(&self) -> FusedTables {
-        let e = self.cfg.embed_dim;
-        let l0 = &self.layers[0];
-        let h0 = l0.out_dim;
-        let slots = self
-            .embeddings
-            .iter()
-            .enumerate()
-            .map(|(s, emb)| {
-                let mut table = vec![0.0f32; emb.rows * h0];
-                for tok in 0..emb.rows {
-                    let erow = emb.row(tok);
-                    for k in 0..h0 {
-                        table[tok * h0 + k] = l0.group_dot(k, s * e, erow);
-                    }
-                }
-                table
-            })
-            .collect();
-        let packed = (self.layers.iter().enumerate())
-            .map(|(l, layer)| {
+        let mut packed: Vec<Packed> = (self.layers.iter())
+            .map(|layer| {
                 let mut p = Packed::default();
-                if l > 0 {
-                    layer.pack_forward(&mut p);
-                }
+                layer.pack_forward(&mut p);
                 p
             })
             .collect();
-        FusedTables { slots, h0, packed }
+        let mut slots = Vec::new();
+        self.token_tables(&packed[0], &mut slots);
+        // the column forward reads the tables, never layer 1's weights
+        packed[0] = Packed::default();
+        FusedTables { slots, packed }
+    }
+
+    /// The per-(slot, token) layer-1 tables into `slots`, from layer 1's
+    /// current packed weights `packed0`.
+    fn token_tables(&self, packed0: &Packed, slots: &mut Vec<Vec<f32>>) {
+        let rows: Vec<&[f32]> = self.embeddings.iter().map(|e| e.table.as_slice()).collect();
+        self.layers[0].group_tables(packed0, &rows, slots);
     }
 
     /// Inference forward computing only column `col`'s logits
@@ -457,24 +501,7 @@ impl MadeNet {
         if bufs.len() < nlayers {
             bufs.resize(nlayers, Vec::new());
         }
-        let h0 = tables.h0;
-        let bias = &self.layers[0].b;
-        {
-            let buf = &mut bufs[1];
-            buf.resize(batch * h0, 0.0);
-            for b in 0..batch {
-                let y = &mut buf[b * h0..(b + 1) * h0];
-                y.copy_from_slice(bias);
-                // element-wise adds, no reduction: any vector width the
-                // compiler picks produces the same bits
-                for (s, table) in tables.slots.iter().enumerate() {
-                    let tok = inputs[b * n + s];
-                    for (yk, tk) in y.iter_mut().zip(&table[tok * h0..(tok + 1) * h0]) {
-                        *yk += tk;
-                    }
-                }
-            }
-        }
+        table_sum(&tables.slots, &self.layers[0].b, inputs, batch, &mut bufs[1]);
         // `bufs[1]` now holds the first layer's pre-activations.
         // `skip_from[0]` is always false — the input layer has no residual —
         // so `bufs[0]` is never read.
@@ -564,17 +591,23 @@ impl MadeNet {
         }
         let inv_batch = 1.0 / batch as f32;
         let workers = threads.clamp(1, nshards);
-        // the weights changed since the last step: pack them once, for
-        // every shard
+        // the weights changed since the last step: pack them and build the
+        // token tables once, for every shard
         let packed = pack_layers(&self.layers, std::mem::take(&mut self.packed));
+        let mut slots = std::mem::take(&mut self.slots);
+        {
+            let _tables = iam_obs::span!("train.tables");
+            self.token_tables(&packed[0], &mut slots);
+        }
         {
             let net = &*self;
-            let packed = &packed[..];
+            let (packed, slots) = (&packed[..], &slots[..]);
             let run_shard = |s: usize, scratch: &mut TrainScratch| {
                 let r0 = s * TRAIN_SHARD_ROWS;
                 let rows = (batch - r0).min(TRAIN_SHARD_ROWS);
                 net.train_shard(
                     packed,
+                    slots,
                     scratch,
                     &inputs[r0 * n..(r0 + rows) * n],
                     &targets[r0 * n..(r0 + rows) * n],
@@ -626,6 +659,7 @@ impl MadeNet {
         }
         self.train_pool = pool;
         self.packed = packed;
+        self.slots = slots;
         (loss / batch as f64) as f32
     }
 
@@ -633,10 +667,13 @@ impl MadeNet {
     /// shard's scratch, parameter gradients accumulate into the shard's
     /// private buffers (already scaled by `inv_batch`, the full mini-batch
     /// normaliser), and the shard's summed NLL lands in `scratch.loss`.
-    /// `packed` holds every layer's weights for this step.
+    /// `packed` holds every layer's weights for this step and `slots` the
+    /// token tables built from them.
+    #[allow(clippy::too_many_arguments)]
     fn train_shard(
         &self,
         packed: &[Packed],
+        slots: &[Vec<f32>],
         scratch: &mut TrainScratch,
         inputs: &[usize],
         targets: &[usize],
@@ -649,11 +686,25 @@ impl MadeNet {
         let e = self.cfg.embed_dim;
         let stride = n * e;
         let nlayers = self.layers.len();
-        let TrainScratch { bufs, masks, grads, dy, probs, probs0, gw, gb, gemb, loss } = scratch;
+        let TrainScratch {
+            bufs,
+            masks,
+            grads,
+            dy,
+            prefix,
+            first,
+            next,
+            probs,
+            col_probs,
+            gw,
+            gb,
+            gemb,
+            loss,
+        } = scratch;
 
         {
             let _forward = iam_obs::span!("train.forward");
-            self.forward_full(packed, inputs, rows, bufs, masks);
+            self.forward_full(packed, Some(slots), inputs, rows, bufs, masks);
         }
 
         // per-column softmax cross-entropy: loss and dL/dlogits
@@ -662,32 +713,65 @@ impl MadeNet {
         let dlogits = &mut grads[nlayers];
         dlogits.resize(logits.len(), 0.0);
         let t = self.total_logits;
-        // Column 0's head rows see no input, so its logits are the head
-        // bias on every row: one softmax serves the whole shard.
-        let col0 = self.logit_range(0);
-        softmax(&logits[col0.clone()], probs0);
+        // Column `c`'s logits depend only on a row's inputs `0..c` (the
+        // degree masks), so rows with equal prefixes carry equal bits there:
+        // one softmax per distinct prefix and column, taken on the prefix's
+        // first row. Column 0's prefix is empty, so it is one per shard.
+        prefix.clear();
+        prefix.resize(rows * n, 0);
+        probs.clear();
+        col_probs.clear();
+        let mut ids = 1; // distinct prefixes of the current column
+        for col in 0..n {
+            let (range, dom) = (self.logit_range(col), self.domain_size(col));
+            col_probs.push(probs.len());
+            first.clear();
+            for b in 0..rows {
+                let id = prefix[b * n + col] as usize;
+                if id == first.len() {
+                    first.push(b as u32);
+                    let at = probs.len();
+                    probs.resize(at + dom, 0.0);
+                    softmax_into(&logits[b * t..][range.clone()], &mut probs[at..]);
+                }
+                debug_assert!(
+                    logits[b * t..][range.clone()]
+                        .iter()
+                        .zip(&logits[first[id] as usize * t..][range.clone()])
+                        .all(|(a, z)| a.to_bits() == z.to_bits()),
+                    "column {col}'s logits differ between rows with one input prefix"
+                );
+            }
+            debug_assert_eq!(first.len(), ids);
+            if col + 1 < n {
+                // (prefix id, token) → the next column's prefix id
+                let tokens = dom + 1; // the MASK token is `dom`
+                next.clear();
+                next.resize(ids * tokens, u32::MAX);
+                ids = 0;
+                for b in 0..rows {
+                    let key = prefix[b * n + col] as usize * tokens + inputs[b * n + col];
+                    if next[key] == u32::MAX {
+                        next[key] = ids as u32;
+                        ids += 1;
+                    }
+                    prefix[b * n + col + 1] = next[key];
+                }
+            }
+        }
+        // one row-major pass, in the per-row order, so the loss sums alike
         let mut nll = 0.0f64;
         for b in 0..rows {
-            debug_assert!(
-                logits[b * t..][col0.clone()]
-                    .iter()
-                    .zip(&logits[col0.clone()])
-                    .all(|(a, z)| a.to_bits() == z.to_bits()),
-                "column 0's logits differ across rows"
-            );
             for col in 0..n {
-                let p: &[f32] = if col == 0 {
-                    probs0
-                } else {
-                    self.column_softmax(logits, b, col, probs);
-                    probs
-                };
+                let dom = self.domain_size(col);
+                let at = col_probs[col] + prefix[b * n + col] as usize * dom;
+                let p = &probs[at..at + dom];
                 let target = targets[b * n + col];
-                debug_assert!(target < self.cfg.domain_sizes[col]);
+                debug_assert!(target < dom);
                 nll -= (p[target].max(1e-30) as f64).ln();
                 let base = b * t + self.logit_offsets[col];
-                for (j, &pj) in p.iter().enumerate() {
-                    dlogits[base + j] = (pj - if j == target { 1.0 } else { 0.0 }) * inv_batch;
+                for (j, (d, &pj)) in dlogits[base..base + dom].iter_mut().zip(p).enumerate() {
+                    *d = (pj - if j == target { 1.0 } else { 0.0 }) * inv_batch;
                 }
             }
         }
@@ -723,6 +807,13 @@ impl MadeNet {
             let ids = (0..rows).map(|b| inputs[b * n + c]);
             emb.scatter_grad(ids, dx0, c * e, stride, &mut gemb[c]);
         }
+    }
+
+    /// Whether every masked weight is `0.0` — what the exactness argument
+    /// of the blocked kernels rests on ([`crate::linear`]). Training keeps
+    /// it; a snapshot loader must check it.
+    pub fn masked_weights_are_zero(&self) -> bool {
+        self.layers.iter().all(Linear::masked_weights_are_zero)
     }
 
     /// Stored size in bytes (all dense parameters at f32).
@@ -851,6 +942,128 @@ mod tests {
             let row = &logits[b * net.total_logits()..][net.logit_range(0)];
             assert_eq!(bits(row), bits(bias), "row {b}");
         }
+    }
+
+    /// A net after a few optimiser steps, so no weight is at its init.
+    fn trained_net(domains: Vec<usize>, seed: u64) -> MadeNet {
+        let mut net = tiny_net(domains.clone(), seed);
+        let n = domains.len();
+        let data: Vec<usize> = (0..20 * n).map(|i| (i * 7 + i / n) % domains[i % n]).collect();
+        let mut opt = Adam::new(AdamConfig::default());
+        for chunk in data.chunks_exact(10 * n) {
+            net.train_batch(chunk, chunk, 10);
+            opt.step(&mut net);
+        }
+        net
+    }
+
+    /// `rows` training rows over `domains`: targets, and inputs that are the
+    /// targets with about 40 % MASK tokens — so input prefixes repeat.
+    fn masked_rows(domains: &[usize], rows: usize, seed: u64) -> (Vec<usize>, Vec<usize>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = domains.len();
+        let targets: Vec<usize> =
+            (0..rows * n).map(|i| rng.random_range(0..domains[i % n])).collect();
+        let inputs = (targets.iter().enumerate())
+            .map(|(i, &t)| if rng.random::<f64>() < 0.4 { domains[i % n] } else { t })
+            .collect();
+        (inputs, targets)
+    }
+
+    #[test]
+    fn rows_with_one_input_prefix_share_its_column_logits_bitwise() {
+        // the premise of the prefix softmax in `train_shard`, which
+        // generalises column 0's: column `c`'s logits depend only on a
+        // row's inputs `0..c`, so rows that agree there (MASK tokens
+        // included) carry the same bits in column `c`, whatever follows
+        let domains = vec![3usize, 2, 4, 3];
+        let net = trained_net(domains.clone(), 59);
+        let (n, rows) = (domains.len(), 40);
+        let (inputs, _) = masked_rows(&domains, rows, 61);
+        let mut logits = Vec::new();
+        net.forward(&inputs, rows, &mut logits);
+        let t = net.total_logits();
+        let mut shared = 0;
+        for col in 0..n {
+            let seg = |b: usize| bits(&logits[b * t..][net.logit_range(col)]);
+            for a in 0..rows {
+                for b in a + 1..rows {
+                    if inputs[a * n..a * n + col] == inputs[b * n..b * n + col] {
+                        assert_eq!(seg(a), seg(b), "column {col}, rows {a} and {b}");
+                        shared += (inputs[a * n + col..(a + 1) * n]
+                            != inputs[b * n + col..(b + 1) * n])
+                            as usize;
+                    }
+                }
+            }
+        }
+        assert!(shared > 100, "only {shared} pairs share a prefix and differ after it");
+    }
+
+    #[test]
+    fn prefix_softmax_matches_per_row_softmax_bitwise() {
+        // `train_shard` takes one softmax per distinct input prefix and
+        // column; its dlogits and loss must be the per-row loop's, bit for
+        // bit, on rows whose prefixes repeat through MASK tokens
+        let domains = vec![4usize, 3, 5, 2];
+        let net = trained_net(domains.clone(), 53);
+        let (n, rows) = (domains.len(), 64);
+        let (inputs, targets) = masked_rows(&domains, rows, 67);
+        let packed = pack_layers(&net.layers, Vec::new());
+        let mut slots = Vec::new();
+        net.token_tables(&packed[0], &mut slots);
+        let mut scratch = TrainScratch::default();
+        let inv_batch = 1.0 / 100.0;
+        net.train_shard(&packed, &slots, &mut scratch, &inputs, &targets, rows, inv_batch);
+
+        // the per-row loop over the reference forward's logits
+        let mut logits = Vec::new();
+        net.forward(&inputs, rows, &mut logits);
+        let t = net.total_logits();
+        let (mut want, mut probs, mut nll) = (vec![0.0f32; logits.len()], Vec::new(), 0.0f64);
+        for b in 0..rows {
+            for col in 0..n {
+                net.column_softmax(&logits, b, col, &mut probs);
+                let target = targets[b * n + col];
+                nll -= (probs[target].max(1e-30) as f64).ln();
+                let base = b * t + net.logit_offsets[col];
+                for (j, &pj) in probs.iter().enumerate() {
+                    want[base + j] = (pj - if j == target { 1.0 } else { 0.0 }) * inv_batch;
+                }
+            }
+        }
+        assert_eq!(bits(&scratch.grads[net.layers.len()]), bits(&want), "dlogits");
+        assert_eq!(scratch.loss.to_bits(), nll.to_bits(), "loss");
+        // and the prefixes did repeat: fewer softmaxes than rows × columns
+        assert!(scratch.probs.len() < rows * t / 2, "{} softmax floats", scratch.probs.len());
+    }
+
+    #[test]
+    fn training_token_tables_replay_the_grouped_kernel_bitwise() {
+        // training's layer-1 forward, the token-table sum, against the
+        // grouped kernel it replaces, on the tables the step built
+        let domains = vec![4usize, 3, 5];
+        let mut net = trained_net(domains.clone(), 71);
+        let rows = 23;
+        let (inputs, targets) = masked_rows(&domains, rows, 73);
+        net.train_batch(&inputs, &targets, rows);
+        let mut x = Vec::new();
+        net.forward_full(&net.packed, None, &inputs, rows, &mut x, &mut Vec::new());
+        let (mut grouped, mut summed) = (Vec::new(), Vec::new());
+        net.layers[0].forward_grouped(&net.packed[0], &x[0], rows, &mut grouped);
+        table_sum(&net.slots, &net.layers[0].b, &inputs, rows, &mut summed);
+        assert_eq!(bits(&summed), bits(&grouped));
+        assert!(grouped.iter().any(|&v| v != 0.0));
+    }
+
+    #[test]
+    fn masked_weights_are_zero_until_one_is_set() {
+        let mut net = trained_net(vec![4, 3, 5], 79);
+        assert!(net.masked_weights_are_zero());
+        let layer = &mut net.layers[0];
+        let k = layer.mask.as_ref().unwrap().iter().position(|&m| m == 0.0).unwrap();
+        layer.w[k] = 0.25;
+        assert!(!net.masked_weights_are_zero());
     }
 
     #[test]
