@@ -11,8 +11,9 @@
 //! above it. The reason after the colon is mandatory: a waiver is a
 //! reviewed decision, and the reason is what gets reviewed.
 
-use crate::rules::{self, RawFinding, Rule};
+use crate::rules::{self, RawFinding};
 use crate::scan;
+use crate::workspace::{self, Source};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -43,11 +44,12 @@ pub struct LintReport {
     pub files: usize,
 }
 
-/// Lint the workspace rooted at `root`. Scans every `crates/*/src/**/*.rs`
-/// with the token rules and every `crates/*/Cargo.toml` with the
-/// dependency policy.
+/// Lint the workspace rooted at `root`. Every `crates/*/Cargo.toml` goes
+/// through the dependency policy and every `crates/*/src/**/*.rs` through
+/// the token rules; the workspace rules (see [`workspace`]) also read the
+/// files that use the library crates: `crates/*/tests`, the root `tests/`
+/// and `examples/`, and `benchmark/src`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
-    let registry = rules::registry();
     let mut report = LintReport::default();
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)?
@@ -56,23 +58,52 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
         .filter(|p| p.is_dir())
         .collect();
     crate_dirs.sort();
-    for krate in crate_dirs {
+    let mut dirs = Vec::new();
+    for krate in &crate_dirs {
         let manifest = krate.join("Cargo.toml");
         if manifest.is_file() {
             lint_manifest(root, &manifest, &mut report)?;
         }
-        let src = krate.join("src");
-        if src.is_dir() {
-            let mut files = Vec::new();
-            collect_rs(&src, &mut files)?;
-            files.sort();
-            for f in files {
-                lint_rust_file(root, &f, &registry, &mut report)?;
+        dirs.push(krate.join("src"));
+        dirs.push(krate.join("tests"));
+    }
+    dirs.extend(["tests", "examples", "benchmark/src"].map(|d| root.join(d)));
+    let mut paths = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rs(dir, &mut paths)?;
+    }
+    paths.sort();
+    let mut sources = Vec::with_capacity(paths.len());
+    for p in &paths {
+        sources.push(Source::new(&relpath(root, p), &fs::read_to_string(p)?));
+    }
+    report.files += sources.len();
+    lint_sources(&sources, &mut report);
+    report.findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    Ok(report)
+}
+
+/// Run the token rules over the sources under `crates/*/src` and the
+/// workspace rules over all of them.
+fn lint_sources(sources: &[Source], report: &mut LintReport) {
+    let registry = rules::registry();
+    let crate_src = |rel: &str| {
+        rel.strip_prefix("crates/")
+            .and_then(|r| r.split_once('/'))
+            .is_some_and(|(_, r)| r.starts_with("src/"))
+    };
+    for s in sources.iter().filter(|s| crate_src(&s.rel)) {
+        for rule in &registry {
+            for raw in (rule.check)(&s.rel, &s.lines, &s.st) {
+                apply_waiver(rule.id, &s.rel, &s.lines, raw, report);
             }
         }
     }
-    report.findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(report)
+    for rule in workspace::registry() {
+        for (i, raw) in (rule.check)(sources) {
+            apply_waiver(rule.id, &sources[i].rel, &sources[i].lines, raw, report);
+        }
+    }
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -89,25 +120,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 
 fn relpath(root: &Path, p: &Path) -> String {
     p.strip_prefix(root).unwrap_or(p).to_string_lossy().replace('\\', "/")
-}
-
-fn lint_rust_file(
-    root: &Path,
-    path: &Path,
-    registry: &[Rule],
-    report: &mut LintReport,
-) -> std::io::Result<()> {
-    let source = fs::read_to_string(path)?;
-    let rel = relpath(root, path);
-    let lines = scan::scan(&source);
-    let st = scan::structure(&lines);
-    report.files += 1;
-    for rule in registry {
-        for raw in (rule.check)(&rel, &lines, &st) {
-            apply_waiver(rule.id, &rel, &lines, raw, report);
-        }
-    }
-    Ok(())
 }
 
 fn lint_manifest(root: &Path, path: &Path, report: &mut LintReport) -> std::io::Result<()> {
@@ -279,15 +291,13 @@ mod tests {
     use super::*;
 
     fn lint_source(relpath: &str, src: &str) -> LintReport {
-        let registry = rules::registry();
-        let lines = scan::scan(src);
-        let st = scan::structure(&lines);
-        let mut report = LintReport { files: 1, ..Default::default() };
-        for rule in &registry {
-            for raw in (rule.check)(relpath, &lines, &st) {
-                apply_waiver(rule.id, relpath, &lines, raw, &mut report);
-            }
-        }
+        lint_files(&[(relpath, src)])
+    }
+
+    fn lint_files(files: &[(&str, &str)]) -> LintReport {
+        let sources: Vec<Source> = files.iter().map(|(rel, src)| Source::new(rel, src)).collect();
+        let mut report = LintReport { files: files.len(), ..Default::default() };
+        lint_sources(&sources, &mut report);
         report
     }
 
@@ -377,6 +387,102 @@ mod tests {
         let r = lint_source("crates/serve/src/service.rs", waived);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.waived, 1);
+    }
+
+    /// Findings of one rule, as `(file, line)`.
+    fn hits<'a>(r: &'a LintReport, rule: &str) -> Vec<(&'a str, usize)> {
+        r.findings.iter().filter(|f| f.rule == rule).map(|f| (f.file.as_str(), f.line)).collect()
+    }
+
+    const LIB: &str = "crates/a/src/lib.rs";
+
+    #[test]
+    fn dead_pub_flags_an_item_only_its_own_crate_names() {
+        let lib = "pub fn lonely() {}\npub fn helper() {}\nfn caller() {\n    lonely();\n    helper();\n}\n";
+        let r = lint_files(&[(LIB, lib), ("crates/b/src/lib.rs", "pub fn other() {}\n")]);
+        assert_eq!(hits(&r, "dead-pub"), [(LIB, 1), (LIB, 2), ("crates/b/src/lib.rs", 1)]);
+        assert!(r.findings[0].message.contains("`pub fn lonely`"), "{:?}", r.findings);
+    }
+
+    #[test]
+    fn dead_pub_counts_other_crates_tests_and_the_benchmark_as_users() {
+        let lib = "pub fn by_test() {}\npub fn by_bench() {}\npub(crate) fn narrow() {}\n";
+        let r = lint_files(&[
+            (LIB, lib),
+            ("crates/b/tests/t.rs", "fn t() { a::by_test(); }\n"),
+            ("benchmark/src/probes.rs", "fn p() { a::by_bench(); }\n"),
+        ]);
+        assert!(hits(&r, "dead-pub").is_empty(), "{:?}", r.findings);
+        // a comment or a string literal is not a use
+        let r = lint_files(&[
+            (LIB, lib),
+            ("crates/b/tests/t.rs", "// by_test\nconst S: &str = \"by_bench\";\n"),
+        ]);
+        assert_eq!(hits(&r, "dead-pub"), [(LIB, 1), (LIB, 2)]);
+    }
+
+    #[test]
+    fn dead_pub_keeps_the_interface_of_a_used_item() {
+        // `Out` is never named outside, but a caller of `make` receives one
+        let lib = "pub struct Out {\n    pub inner: Inner,\n}\npub struct Inner;\npub fn make() -> Out {\n    todo!()\n}\n#[cfg(test)]\nmod tests {\n    pub fn only_in_tests() {}\n}\n";
+        let r = lint_files(&[(LIB, lib), ("examples/e.rs", "fn main() { a::make(); }\n")]);
+        assert!(hits(&r, "dead-pub").is_empty(), "{:?}", r.findings);
+    }
+
+    #[test]
+    fn dead_pub_waivers_need_a_reason() {
+        let lib = "// audit-allow(dead-pub): a macro expands to it in other crates\npub struct Guard;\n// audit-allow(dead-pub)\npub fn bare() {}\n";
+        let r = lint_files(&[(LIB, lib)]);
+        assert_eq!(r.waived, 1);
+        assert_eq!(hits(&r, "dead-pub"), [(LIB, 4)]);
+        assert!(r.findings[0].message.contains("missing its reason"));
+    }
+
+    /// A library crate `a` with a one-knob config whose field carries `doc`.
+    fn config_lib(doc: &str) -> String {
+        format!("pub struct ToyConfig {{\n    /// Batch rows.\n{doc}    pub rows: usize,\n}}\n")
+    }
+
+    #[test]
+    fn knob_ledger_needs_a_ledger_line() {
+        let setter = "fn f() { a::ToyConfig { rows: 3 }; }\n";
+        let r = lint_files(&[(LIB, &config_lib("")), ("tests/t.rs", setter)]);
+        assert_eq!(hits(&r, "knob-ledger"), [(LIB, 3)]);
+        // the finding names the files that would do
+        assert!(r.findings[0].message.contains("tests/t.rs"), "{:?}", r.findings);
+    }
+
+    #[test]
+    fn knob_ledger_rejects_a_file_that_never_sets_the_field() {
+        let lib = config_lib("    /// Ledger: tests/t.rs\n");
+        let r = lint_files(&[(LIB, &lib), ("tests/t.rs", "fn f(rows: usize) -> usize { rows }\n")]);
+        assert_eq!(hits(&r, "knob-ledger"), [(LIB, 4)]);
+        assert!(r.findings.iter().any(|f| f.message.contains("never sets it")), "{:?}", r.findings);
+        // nor a file that is not there, nor the defining file itself
+        for missing in ["tests/gone.rs", LIB] {
+            let lib = config_lib(&format!("    /// Ledger: {missing}\n"));
+            assert_eq!(hits(&lint_files(&[(LIB, &lib)]), "knob-ledger"), [(LIB, 4)]);
+        }
+    }
+
+    #[test]
+    fn knob_ledger_accepts_a_resolving_ledger() {
+        let lib = config_lib("    ///\n    /// Ledger: `tests/t.rs`.\n");
+        for setter in [
+            "fn f() { let c = a::ToyConfig { rows: 3, ..Default::default() }; }\n",
+            "fn f(rows: usize) { a::ToyConfig {\n        rows,\n    };\n}\n",
+            "fn f(c: &mut a::ToyConfig) { c.rows = 7; }\n",
+        ] {
+            let r = lint_files(&[(LIB, &lib), ("tests/t.rs", setter)]);
+            assert!(hits(&r, "knob-ledger").is_empty(), "{setter}: {:?}", r.findings);
+        }
+        // an operator's knob names no file
+        let r = lint_files(&[(LIB, &config_lib("    /// Ledger: deploy\n"))]);
+        assert!(hits(&r, "knob-ledger").is_empty(), "{:?}", r.findings);
+        // and a waiver with its reason stands in for a ledger
+        let waived = config_lib("    // audit-allow(knob-ledger): read by the benchmark\n");
+        let r = lint_files(&[(LIB, &waived)]);
+        assert_eq!((hits(&r, "knob-ledger").len(), r.waived), (0, 1));
     }
 
     #[test]

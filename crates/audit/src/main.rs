@@ -17,6 +17,7 @@ mod fuzz;
 mod lint;
 mod rules;
 mod scan;
+mod workspace;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -51,6 +52,9 @@ fn main() -> ExitCode {
 fn cmd_lint(flags: &[String]) -> ExitCode {
     if flags.iter().any(|f| f == "--rules") {
         for rule in rules::registry() {
+            println!("{:<16} {}", rule.id, rule.description);
+        }
+        for rule in workspace::registry() {
             println!("{:<16} {}", rule.id, rule.description);
         }
         println!("{:<16} workspace manifests: deps must be workspace/path", "dep-policy");

@@ -245,10 +245,11 @@ pub struct FnSpan {
     pub is_test: bool,
 }
 
-/// A loop body's span (`for`/`while`/`loop` braces), 0-based inclusive.
+/// A braced body's span — a loop's (`for`/`while`/`loop`) or a
+/// `#[cfg(test)]` module's — 0-based inclusive.
 #[derive(Debug, Clone)]
 pub struct LoopSpan {
-    /// Line of the loop keyword.
+    /// Line of the opening keyword (`for`/`while`/`loop`/`mod`).
     pub start: usize,
     /// Line of the body's closing brace.
     pub end: usize,
@@ -261,6 +262,8 @@ pub struct Structure {
     pub fns: Vec<FnSpan>,
     /// All loop-body spans, sorted by start line.
     pub loops: Vec<LoopSpan>,
+    /// `#[cfg(test)]` module bodies, sorted by start line.
+    pub test_mods: Vec<LoopSpan>,
 }
 
 impl Structure {
@@ -273,13 +276,18 @@ impl Structure {
     pub fn in_loop(&self, line: usize) -> bool {
         self.loops.iter().any(|l| l.start <= line && line <= l.end)
     }
+
+    /// Is `line` inside a `#[cfg(test)]` module?
+    pub fn in_test_mod(&self, line: usize) -> bool {
+        self.test_mods.iter().any(|m| m.start <= line && line <= m.end)
+    }
 }
 
 #[derive(Debug, Clone)]
 enum Pending {
     Fn { name: String, is_test: bool, start: usize },
     Loop { start: usize },
-    TestMod,
+    TestMod { start: usize },
 }
 
 /// Recover functions, test regions, and loop bodies from scanned lines.
@@ -321,7 +329,7 @@ pub fn structure(lines: &[Line]) -> Structure {
             test_attr = false;
         }
         if cfg_test_attr && words.contains(&"mod") {
-            pending.push(Pending::TestMod);
+            pending.push(Pending::TestMod { start: i });
             cfg_test_attr = false;
         }
         let is_impl_line = code.trim_start().starts_with("impl");
@@ -338,7 +346,7 @@ pub fn structure(lines: &[Line]) -> Structure {
                 '{' => {
                     depth += 1;
                     if let Some(p) = pending.pop() {
-                        if matches!(p, Pending::TestMod) && test_region_depth.is_none() {
+                        if matches!(p, Pending::TestMod { .. }) && test_region_depth.is_none() {
                             test_region_depth = Some(depth);
                         }
                         open.push((p, depth));
@@ -352,7 +360,9 @@ pub fn structure(lines: &[Line]) -> Structure {
                                 st.fns.push(FnSpan { name, start, end: i, is_test });
                             }
                             Pending::Loop { start } => st.loops.push(LoopSpan { start, end: i }),
-                            Pending::TestMod => {}
+                            Pending::TestMod { start } => {
+                                st.test_mods.push(LoopSpan { start, end: i })
+                            }
                         }
                     }
                     if test_region_depth == Some(depth) {
@@ -380,6 +390,7 @@ pub fn structure(lines: &[Line]) -> Structure {
     }
     st.fns.sort_by_key(|f| f.start);
     st.loops.sort_by_key(|l| l.start);
+    st.test_mods.sort_by_key(|m| m.start);
     st
 }
 

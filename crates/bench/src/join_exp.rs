@@ -4,7 +4,6 @@
 use crate::{BenchScale, EstimatorRow};
 use iam_core::{neurocard_lite, IamEstimator};
 use iam_data::{ErrorSummary, RangeQuery, SelectivityEstimator, Table};
-use iam_estimators::spn::SpnConfig;
 use iam_estimators::{mscn::MscnConfig, MscnLite, SpnEstimator};
 use iam_join::flat::{exact_card, flatten_foj, FlatSchema};
 use iam_join::imdb::{synthetic_imdb, ImdbConfig};
@@ -14,7 +13,7 @@ use iam_opt::IndependenceCardEstimator;
 use std::time::Instant;
 
 /// Q-error over cardinalities, floored at 1 row (join convention).
-pub fn q_error_card(truth: f64, est: f64) -> f64 {
+pub(crate) fn q_error_card(truth: f64, est: f64) -> f64 {
     let t = truth.max(1.0);
     let e = est.max(1.0);
     (t / e).max(e / t)
@@ -64,7 +63,7 @@ impl JoinExperiment {
     }
 
     /// Evaluate a flat-table estimator on the join workload.
-    pub fn evaluate_flat(&self, est: &dyn SelectivityEstimator) -> (ErrorSummary, f64) {
+    pub(crate) fn evaluate_flat(&self, est: &dyn SelectivityEstimator) -> (ErrorSummary, f64) {
         let started = Instant::now();
         let errs: Vec<f64> = self
             .eval
@@ -76,7 +75,7 @@ impl JoinExperiment {
     }
 
     /// Evaluate the Postgres-style independence estimator.
-    pub fn evaluate_postgres(&self) -> (ErrorSummary, f64, usize, f64) {
+    pub(crate) fn evaluate_postgres(&self) -> (ErrorSummary, f64, usize, f64) {
         let t0 = Instant::now();
         let pg = IndependenceCardEstimator::new(&self.star);
         let train_s = t0.elapsed().as_secs_f64();
@@ -137,7 +136,7 @@ pub fn run_join_lineup(exp: &JoinExperiment) -> JoinLineup {
     };
 
     let t0 = Instant::now();
-    let spn = SpnEstimator::new(&exp.flat, SpnConfig::default());
+    let spn = SpnEstimator::new(&exp.flat);
     push("DeepDB", t0, &spn);
 
     let t0 = Instant::now();

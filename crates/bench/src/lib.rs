@@ -31,7 +31,6 @@ use iam_data::{
     exact_selectivity, q_error, ErrorSummary, Query, RangeQuery, SelectivityEstimator, Table,
     WorkloadConfig, WorkloadGenerator,
 };
-use iam_estimators::spn::SpnConfig;
 use iam_estimators::{
     mscn::MscnConfig, ChowLiuNet, KdeEstimator, Mhist, MscnLite, Postgres1d, QuickSelLite,
     SamplingEstimator, SpnEstimator,
@@ -233,7 +232,7 @@ pub fn run_lineup(exp: &SingleTableExperiment, deep: bool) -> Vec<EstimatorRow> 
     push("KDE", t0, &kde);
 
     let t0 = Instant::now();
-    let spn = SpnEstimator::new(&exp.table, SpnConfig::default());
+    let spn = SpnEstimator::new(&exp.table);
     push("DeepDB", t0, &spn);
 
     let t0 = Instant::now();

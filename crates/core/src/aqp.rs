@@ -49,7 +49,7 @@ pub struct AggregateEstimate {
 }
 
 /// Mean of a normal `N(mean, std²)` truncated to `[lo, hi]`.
-pub fn truncated_normal_mean(mean: f64, std: f64, lo: f64, hi: f64) -> f64 {
+pub(crate) fn truncated_normal_mean(mean: f64, std: f64, lo: f64, hi: f64) -> f64 {
     let a = if lo == f64::NEG_INFINITY { f64::NEG_INFINITY } else { (lo - mean) / std };
     let b = if hi == f64::INFINITY { f64::INFINITY } else { (hi - mean) / std };
     let phi = |z: f64| if z.is_infinite() { 0.0 } else { std_normal_pdf(z) };

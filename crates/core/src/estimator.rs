@@ -97,7 +97,7 @@ impl IamEstimator {
             residual: true,
             seed: cfg.seed,
         });
-        let opt = Adam::new(AdamConfig { lr: cfg.lr, ..Default::default() });
+        let opt = Adam::new(AdamConfig { lr: cfg.lr });
         let gmm_trainers = train::make_gmm_trainers(&schema, &cfg);
         IamEstimator {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xD1CE),

@@ -97,7 +97,7 @@ struct Window {
 /// [`ScratchPool`] recycles them across micro-batches so the serving hot
 /// path allocates nothing beyond first-use growth.
 #[derive(Debug, Default)]
-pub struct QueryScratch {
+pub(crate) struct QueryScratch {
     nn: InferScratch,
     inputs: Vec<usize>,
     p_hat: Vec<f64>,
@@ -117,14 +117,7 @@ pub struct QueryScratch {
     id_uniq: Vec<u32>,
 }
 
-impl QueryScratch {
-    /// Fresh, empty scratch; buffers grow on first use and are reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// A free list of [`QueryScratch`] shared by inference workers: scratch is
+/// A free list of per-query scratch shared by inference workers: scratch is
 /// checked out per call and returned afterwards, so repeated micro-batches
 /// (the serving layer's steady state) reuse grown buffers instead of
 /// reallocating them. Poisoning is benign — a scratch lost to a panicking
@@ -168,7 +161,7 @@ impl ScratchPool {
 /// Queries are split into `threads` contiguous chunks, one
 /// `std::thread::scope` worker per chunk (none for `threads <= 1`), all
 /// sharing the model immutably. Workers write straight into disjoint
-/// chunks of one result buffer and check their [`QueryScratch`] out of
+/// chunks of one result buffer and check their `QueryScratch` out of
 /// `pool`, so steady-state micro-batches reuse grown buffers across calls.
 /// Because of the per-query seeding invariant (see module docs), the
 /// result is bitwise identical for every `threads` value.

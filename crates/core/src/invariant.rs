@@ -30,12 +30,13 @@ pub const ACTIVE: bool = cfg!(any(debug_assertions, feature = "invariants"));
 /// than the worst drift seen over the paper's domain sizes (≤ 4096-wide
 /// rows) yet still catches every real normalization bug (a dropped term,
 /// a stale denominator, an un-renormalised distribution).
-pub const SOFTMAX_MASS_TOL: f64 = 1e-3;
+#[cfg(any(debug_assertions, feature = "invariants"))]
+pub(crate) const SOFTMAX_MASS_TOL: f64 = 1e-3;
 
 /// Assert that `probs` (one softmax row) carries total mass ≈ 1 and no
 /// negative or non-finite entries.
 #[cfg(any(debug_assertions, feature = "invariants"))]
-pub fn check_softmax_mass(probs: &[f32], context: &str) {
+pub(crate) fn check_softmax_mass(probs: &[f32], context: &str) {
     let mut mass = 0.0f64;
     for (i, &p) in probs.iter().enumerate() {
         if !p.is_finite() || p < 0.0 {
@@ -56,7 +57,7 @@ pub fn check_softmax_mass(probs: &[f32], context: &str) {
 /// probability mass (reducer `range_mass` vectors, bias-corrected
 /// sampling weights).
 #[cfg(any(debug_assertions, feature = "invariants"))]
-pub fn check_mass_vector(mass: &[f64], context: &str) {
+pub(crate) fn check_mass_vector(mass: &[f64], context: &str) {
     for (i, &m) in mass.iter().enumerate() {
         if !m.is_finite() || m < 0.0 {
             panic!("iam invariant violated: mass[{i}] = {m} in {context}");
@@ -67,7 +68,7 @@ pub fn check_mass_vector(mass: &[f64], context: &str) {
 /// Assert that `cdf` values are non-decreasing and within `[0, 1]`
 /// (spline knots, prefix-summed mixture CDFs).
 #[cfg(any(debug_assertions, feature = "invariants"))]
-pub fn check_cdf_monotone(cdf: &[f64], context: &str) {
+pub(crate) fn check_cdf_monotone(cdf: &[f64], context: &str) {
     let mut prev = 0.0f64;
     for (i, &f) in cdf.iter().enumerate() {
         if !f.is_finite() || !(0.0..=1.0).contains(&f) {
@@ -83,7 +84,7 @@ pub fn check_cdf_monotone(cdf: &[f64], context: &str) {
 /// Assert that a finished selectivity estimate is a probability:
 /// finite and inside `[0, 1]`.
 #[cfg(any(debug_assertions, feature = "invariants"))]
-pub fn check_selectivity(sel: f64, context: &str) {
+pub(crate) fn check_selectivity(sel: f64, context: &str) {
     if !sel.is_finite() || !(0.0..=1.0).contains(&sel) {
         panic!("iam invariant violated: selectivity {sel} outside [0,1] in {context}");
     }
@@ -106,13 +107,13 @@ pub fn check(cond: bool, context: &str) {
 #[allow(missing_docs)]
 mod stubs {
     #[inline(always)]
-    pub fn check_softmax_mass(_probs: &[f32], _context: &str) {}
+    pub(crate) fn check_softmax_mass(_probs: &[f32], _context: &str) {}
     #[inline(always)]
-    pub fn check_mass_vector(_mass: &[f64], _context: &str) {}
+    pub(crate) fn check_mass_vector(_mass: &[f64], _context: &str) {}
     #[inline(always)]
-    pub fn check_cdf_monotone(_cdf: &[f64], _context: &str) {}
+    pub(crate) fn check_cdf_monotone(_cdf: &[f64], _context: &str) {}
     #[inline(always)]
-    pub fn check_selectivity(_sel: f64, _context: &str) {}
+    pub(crate) fn check_selectivity(_sel: f64, _context: &str) {}
     #[inline(always)]
     pub fn check(_cond: bool, _context: &str) {}
 }

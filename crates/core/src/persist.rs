@@ -25,15 +25,15 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 4] = b"IAM2";
 /// Magic prefix of the framed snapshot envelope (see
 /// [`IamEstimator::save_framed`]).
-pub const FRAME_MAGIC: &[u8; 4] = b"IAMF";
+pub(crate) const FRAME_MAGIC: &[u8; 4] = b"IAMF";
 /// Upper bound on a framed snapshot's payload length; longer length
 /// prefixes are rejected as corrupt before any allocation happens.
-pub const MAX_SNAPSHOT_BYTES: u64 = 1 << 32;
+pub(crate) const MAX_SNAPSHOT_BYTES: u64 = 1 << 32;
 /// Upper bound on the AR network parameter count a snapshot may declare
 /// (2²⁷ f32s ≈ 512 MiB). The count is computed analytically from the
 /// snapshot's config *before* any network allocation, so a hostile
 /// few-hundred-byte header cannot request a terabyte-scale build.
-pub const MAX_SNAPSHOT_PARAMS: u64 = 1 << 27;
+pub(crate) const MAX_SNAPSHOT_PARAMS: u64 = 1 << 27;
 /// Element cap for upfront `Vec` capacity while deserialising: lengths
 /// are attacker-controlled until the reads behind them succeed, so
 /// buffers start no larger than this and grow only as bytes actually
@@ -508,15 +508,8 @@ impl IamEstimator {
     }
 }
 
-/// FNV-1a-64 over a byte slice (the framed-snapshot checksum).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a-64, the framed-snapshot checksum.
+pub use iam_obs::fnv1a;
 
 #[cfg(test)]
 mod tests {

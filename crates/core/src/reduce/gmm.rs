@@ -19,7 +19,7 @@ impl GmmReducer {
     }
 
     /// Replace the mixture (joint training updates it every batch).
-    pub fn set_gmm(&mut self, gmm: Gmm1d) {
+    pub(crate) fn set_gmm(&mut self, gmm: Gmm1d) {
         self.scorer = gmm.scorer();
         self.gmm = gmm;
     }

@@ -36,7 +36,7 @@ impl HistReducer {
     }
 
     /// Rebuild from persisted bucket boundaries.
-    pub fn from_bounds(bounds: Vec<f64>) -> Self {
+    pub(crate) fn from_bounds(bounds: Vec<f64>) -> Self {
         assert!(bounds.len() >= 2, "need at least one bucket");
         HistReducer { bounds }
     }

@@ -7,8 +7,8 @@
 
 pub mod gmm;
 pub mod hist;
-pub mod spline;
-pub mod umm;
+pub(crate) mod spline;
+pub(crate) mod umm;
 
 pub use gmm::GmmReducer;
 pub use hist::HistReducer;
@@ -55,7 +55,7 @@ impl Reducer {
 
     /// `out[j] = P(value ∈ iv | reduced value = j)` — the bias-correction
     /// vector `P̂_GMM(R_i)` of §5.2 (its analogue for the other reducers).
-    pub fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
+    pub(crate) fn range_mass(&self, iv: &Interval, out: &mut Vec<f64>) {
         match self {
             Reducer::Gmm(r) => r.range_mass(iv, out),
             Reducer::Hist(r) => r.range_mass(iv, out),

@@ -72,7 +72,7 @@ impl SplineReducer {
     }
 
     /// Rebuild from persisted knots.
-    pub fn from_knots(knots_x: Vec<f64>, knots_f: Vec<f64>) -> Self {
+    pub(crate) fn from_knots(knots_x: Vec<f64>, knots_f: Vec<f64>) -> Self {
         assert!(knots_x.len() >= 2 && knots_x.len() == knots_f.len());
         crate::invariant::check_cdf_monotone(&knots_f, "spline knot CDF");
         SplineReducer { knots_x, knots_f }

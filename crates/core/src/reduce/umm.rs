@@ -67,7 +67,7 @@ impl UmmReducer {
     }
 
     /// Rebuild from persisted bucket geometry and weights.
-    pub fn from_parts(lo: Vec<f64>, hi: Vec<f64>, weights: Vec<f64>) -> Self {
+    pub(crate) fn from_parts(lo: Vec<f64>, hi: Vec<f64>, weights: Vec<f64>) -> Self {
         assert!(!lo.is_empty() && lo.len() == hi.len() && lo.len() == weights.len());
         UmmReducer { lo, hi, weights }
     }

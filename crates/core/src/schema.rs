@@ -118,7 +118,7 @@ impl IamSchema {
     }
 
     /// Build from pre-made handlers (used by joins and tests).
-    pub fn from_handlers(handlers: Vec<ColumnHandler>, wildcard_skipping: bool) -> Self {
+    pub(crate) fn from_handlers(handlers: Vec<ColumnHandler>, wildcard_skipping: bool) -> Self {
         let mut slots = Vec::new();
         let mut slot_domains = Vec::new();
         for (col, h) in handlers.iter().enumerate() {
@@ -186,7 +186,7 @@ impl IamSchema {
     /// # Panics
     /// Panics if a direct/factorised value is absent from its dictionary —
     /// training rows must come from the table the encodings were built on.
-    pub fn encode_row(&self, row: &[f64], out: &mut Vec<usize>) {
+    pub(crate) fn encode_row(&self, row: &[f64], out: &mut Vec<usize>) {
         out.clear();
         for (col, h) in self.handlers.iter().enumerate() {
             let v = row[col];
@@ -286,7 +286,7 @@ impl IamSchema {
     }
 
     /// Sum of reducer model sizes (the AR network is accounted separately).
-    pub fn reducers_size_bytes(&self) -> usize {
+    pub(crate) fn reducers_size_bytes(&self) -> usize {
         self.handlers
             .iter()
             .map(|h| match h {

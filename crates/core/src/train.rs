@@ -46,7 +46,7 @@ impl EpochStats {
 
     /// Training throughput (rows/s), 0 when the epoch took no measurable
     /// time.
-    pub fn rows_per_sec(&self) -> f64 {
+    pub(crate) fn rows_per_sec(&self) -> f64 {
         if self.seconds > 0.0 {
             self.rows as f64 / self.seconds
         } else {
@@ -202,7 +202,7 @@ fn gmm_chunk_step(
 
 /// One pass over the table.
 #[allow(clippy::too_many_arguments)]
-pub fn train_epoch(
+pub(crate) fn train_epoch(
     table: &Table,
     schema: &mut IamSchema,
     net: &mut MadeNet,
@@ -312,15 +312,14 @@ pub fn train_epoch(
 
 /// Create the per-column GMM trainers for joint training (only columns whose
 /// handler is a GMM reducer get one).
-pub fn make_gmm_trainers(schema: &IamSchema, cfg: &IamConfig) -> Vec<Option<GmmSgdTrainer>> {
+pub(crate) fn make_gmm_trainers(schema: &IamSchema, cfg: &IamConfig) -> Vec<Option<GmmSgdTrainer>> {
     schema
         .handlers
         .iter()
         .map(|h| match h {
-            ColumnHandler::Reduced(Reducer::Gmm(g)) => Some(GmmSgdTrainer::from_init(
-                g.gmm(),
-                SgdConfig { lr: (cfg.lr as f64) * 2.0, ..Default::default() },
-            )),
+            ColumnHandler::Reduced(Reducer::Gmm(g)) => {
+                Some(GmmSgdTrainer::from_init(g.gmm(), SgdConfig { lr: (cfg.lr as f64) * 2.0 }))
+            }
             _ => None,
         })
         .collect()
@@ -328,7 +327,7 @@ pub fn make_gmm_trainers(schema: &IamSchema, cfg: &IamConfig) -> Vec<Option<GmmS
 
 /// Validate a slot/role layout invariant used by the wildcard masker: a
 /// factorised column's two slots are adjacent and share the column id.
-pub fn check_slot_layout(schema: &IamSchema) -> bool {
+pub(crate) fn check_slot_layout(schema: &IamSchema) -> bool {
     let mut i = 0;
     while i < schema.slots.len() {
         match schema.slots[i] {

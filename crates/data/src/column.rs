@@ -20,7 +20,7 @@ impl CatColumn {
     ///
     /// The dictionary is the sorted set of distinct values and codes follow
     /// lexicographic order.
-    pub fn from_values(name: impl Into<String>, values: &[&str]) -> Self {
+    pub(crate) fn from_values(name: impl Into<String>, values: &[&str]) -> Self {
         let mut dict: Vec<String> = values.iter().map(|s| s.to_string()).collect();
         dict.sort_unstable();
         dict.dedup();
@@ -53,11 +53,6 @@ impl CatColumn {
     /// Number of distinct values.
     pub fn domain_size(&self) -> usize {
         self.dict.len()
-    }
-
-    /// Look up the code for a raw value.
-    pub fn code_of(&self, value: &str) -> Option<u32> {
-        self.dict.binary_search_by(|d| d.as_str().cmp(value)).ok().map(|i| i as u32)
     }
 }
 
@@ -145,8 +140,6 @@ mod tests {
         assert_eq!(col.dict, vec!["cat", "dog", "monkey"]);
         assert_eq!(col.codes, vec![1, 0, 2, 0]);
         assert_eq!(col.domain_size(), 3);
-        assert_eq!(col.code_of("monkey"), Some(2));
-        assert_eq!(col.code_of("ferret"), None);
     }
 
     #[test]

@@ -188,11 +188,6 @@ impl RangeQuery {
         RangeQuery { cols: vec![None; ncols] }
     }
 
-    /// Number of constrained columns.
-    pub fn num_constrained(&self) -> usize {
-        self.cols.iter().filter(|c| c.is_some()).count()
-    }
-
     /// True when a full row (projected to `f64`) satisfies every constraint.
     #[inline]
     pub fn matches_row(&self, row: &[f64]) -> bool {
@@ -283,7 +278,7 @@ mod tests {
         assert!(iv.contains(30.0) && iv.contains(100.0));
         assert!(!iv.contains(29.9) && !iv.contains(100.1));
         assert!(rq.cols[1].is_none());
-        assert_eq!(rq.num_constrained(), 1);
+        assert_eq!(rq.cols.iter().flatten().count(), 1);
     }
 
     #[test]

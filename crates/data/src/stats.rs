@@ -16,7 +16,7 @@ use crate::column::Column;
 use crate::table::Table;
 
 /// Fisher's moment coefficient of skewness `g1 = m3 / m2^{3/2}`.
-pub fn fisher_skewness(values: &[f64]) -> f64 {
+pub(crate) fn fisher_skewness(values: &[f64]) -> f64 {
     let n = values.len();
     if n < 2 {
         return 0.0;
@@ -39,7 +39,7 @@ pub fn fisher_skewness(values: &[f64]) -> f64 {
 
 /// Mean Fisher skewness over the continuous columns of a table — the
 /// dataset-level skewness figure the paper quotes.
-pub fn table_skewness(table: &Table) -> f64 {
+pub(crate) fn table_skewness(table: &Table) -> f64 {
     let conts: Vec<&Vec<f64>> = table
         .columns
         .iter()
@@ -69,7 +69,7 @@ fn rank_bins(values: &[f64], b: usize) -> Vec<usize> {
 /// Pairwise nonlinear correlation coefficient: mutual information on a
 /// `b × b` equal-frequency grid, normalised by `log b` so a bijective
 /// dependence yields 1 and independence 0.
-pub fn ncc(x: &[f64], y: &[f64], b: usize) -> f64 {
+pub(crate) fn ncc(x: &[f64], y: &[f64], b: usize) -> f64 {
     assert_eq!(x.len(), y.len());
     let n = x.len();
     if n == 0 || b < 2 {
@@ -106,7 +106,7 @@ pub fn ncc(x: &[f64], y: &[f64], b: usize) -> f64 {
 }
 
 /// Eigenvalues of a small symmetric matrix via cyclic Jacobi rotations.
-pub fn symmetric_eigenvalues(mat: &[f64], n: usize) -> Vec<f64> {
+pub(crate) fn symmetric_eigenvalues(mat: &[f64], n: usize) -> Vec<f64> {
     assert_eq!(mat.len(), n * n);
     let mut a = mat.to_vec();
     for _sweep in 0..100 {
@@ -150,7 +150,7 @@ pub fn symmetric_eigenvalues(mat: &[f64], n: usize) -> Vec<f64> {
 /// Standard NCIE in `[0, 1]`: `1 + Σ (λ_i/N) log_N (λ_i/N)` over the
 /// eigenvalues of the NCC matrix. 0 = fully independent, 1 = fully
 /// dependent.
-pub fn ncie_standard(table: &Table, bins: usize) -> f64 {
+pub(crate) fn ncie_standard(table: &Table, bins: usize) -> f64 {
     let cols: Vec<Vec<f64>> =
         table.columns.iter().map(|c| (0..c.len()).map(|r| c.value_as_f64(r)).collect()).collect();
     let n = cols.len();
@@ -180,7 +180,7 @@ pub fn ncie_standard(table: &Table, bins: usize) -> f64 {
 
 /// The paper-style NCIE where *smaller means more correlated*
 /// (`1 − ncie_standard`).
-pub fn ncie_paper(table: &Table, bins: usize) -> f64 {
+pub(crate) fn ncie_paper(table: &Table, bins: usize) -> f64 {
     1.0 - ncie_standard(table, bins)
 }
 

@@ -12,10 +12,11 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 /// The seven high-level feature names used in the paper.
-pub const FEATURES: [&str; 7] = ["m_jj", "m_jjj", "m_lv", "m_jlv", "m_bb", "m_wbb", "m_wwbb"];
+pub(crate) const FEATURES: [&str; 7] =
+    ["m_jj", "m_jjj", "m_lv", "m_jlv", "m_bb", "m_wbb", "m_wwbb"];
 
 /// Generate a HIGGS-like table with `nrows` rows.
-pub fn higgs(nrows: usize, seed: u64) -> Table {
+pub(crate) fn higgs(nrows: usize, seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x4849_4747); // "HIGG"
 
     // Per-feature lognormal body parameters. σ grows across features so the

@@ -7,13 +7,12 @@
 //! cardinalities, correlation strength (NCIE) and skewness (Fisher) — at a
 //! configurable row count. See DESIGN.md §2 for the substitution table.
 
-pub mod higgs;
+pub(crate) mod higgs;
 pub mod twi;
 pub mod wisdm;
 
 use rand::{Rng, RngExt};
 
-pub use higgs::higgs;
 pub use twi::twi;
 pub use wisdm::wisdm;
 
@@ -43,7 +42,7 @@ impl Dataset {
         match self {
             Dataset::Wisdm => wisdm(nrows, seed),
             Dataset::Twi => twi(nrows, seed),
-            Dataset::Higgs => higgs(nrows, seed),
+            Dataset::Higgs => higgs::higgs(nrows, seed),
         }
     }
 

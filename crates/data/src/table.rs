@@ -35,34 +35,9 @@ impl Table {
         self.columns.len()
     }
 
-    /// Look up a column index by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name() == name)
-    }
-
     /// Borrow a column, checking bounds.
     pub fn column(&self, col: usize) -> Result<&Column, DataError> {
         self.columns.get(col).ok_or(DataError::ColumnOutOfBounds { col, ncols: self.columns.len() })
-    }
-
-    /// A new table keeping only the rows whose index appears in `rows`.
-    pub fn take_rows(&self, rows: &[usize]) -> Table {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| match c {
-                Column::Categorical(cc) => Column::Categorical(crate::column::CatColumn {
-                    name: cc.name.clone(),
-                    dict: cc.dict.clone(),
-                    codes: rows.iter().map(|&r| cc.codes[r]).collect(),
-                }),
-                Column::Continuous(cc) => Column::Continuous(crate::column::ContColumn {
-                    name: cc.name.clone(),
-                    values: rows.iter().map(|&r| cc.values[r]).collect(),
-                }),
-            })
-            .collect();
-        Table { name: self.name.clone(), columns, nrows: rows.len() }
     }
 
     /// Row `row` projected to the shared `f64` space, one entry per column.
@@ -93,8 +68,7 @@ mod tests {
         let t = toy();
         assert_eq!(t.nrows(), 3);
         assert_eq!(t.ncols(), 2);
-        assert_eq!(t.column_index("x"), Some(1));
-        assert_eq!(t.column_index("nope"), None);
+        assert_eq!(t.column(1).unwrap().name(), "x");
         assert!(t.column(5).is_err());
     }
 
@@ -109,16 +83,6 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, DataError::RaggedColumns { expected: 1, got: 2, col: 1 });
-    }
-
-    #[test]
-    fn take_rows_projects_all_columns() {
-        let t = toy().take_rows(&[2, 0]);
-        assert_eq!(t.nrows(), 2);
-        match &t.columns[1] {
-            Column::Continuous(c) => assert_eq!(c.values, vec![3.0, 1.0]),
-            _ => panic!(),
-        }
     }
 
     #[test]

@@ -15,16 +15,18 @@ use rand::{RngExt, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Minimum number of predicates per query (≥ 1).
+    ///
+    /// Ledger: benchmark/src/setup.rs
     pub min_predicates: usize,
     /// Maximum number of predicates per query (≤ number of columns).
+    ///
+    /// Ledger: benchmark/src/setup.rs
     pub max_predicates: usize,
-    /// Allow `=` on categorical attributes (the paper does).
-    pub categorical_eq: bool,
 }
 
 impl Default for WorkloadConfig {
     fn default() -> Self {
-        WorkloadConfig { min_predicates: 1, max_predicates: usize::MAX, categorical_eq: true }
+        WorkloadConfig { min_predicates: 1, max_predicates: usize::MAX }
     }
 }
 
@@ -74,16 +76,11 @@ impl<'t> WorkloadGenerator<'t> {
         match &self.table.columns[col] {
             Column::Categorical(c) => {
                 let value = self.rng.random_range(0..c.domain_size() as u32) as f64;
-                let op = if self.cfg.categorical_eq {
-                    match self.rng.random_range(0..3u8) {
-                        0 => Op::Eq,
-                        1 => Op::Le,
-                        _ => Op::Ge,
-                    }
-                } else if self.rng.random_range(0..2u8) == 0 {
-                    Op::Le
-                } else {
-                    Op::Ge
+                // `=` on categorical attributes too, as the paper's workloads
+                let op = match self.rng.random_range(0..3u8) {
+                    0 => Op::Eq,
+                    1 => Op::Le,
+                    _ => Op::Ge,
                 };
                 Predicate { col, op, value }
             }
@@ -135,7 +132,7 @@ mod tests {
     #[test]
     fn predicate_count_respects_config() {
         let t = table();
-        let cfg = WorkloadConfig { min_predicates: 2, max_predicates: 2, categorical_eq: true };
+        let cfg = WorkloadConfig { min_predicates: 2, max_predicates: 2 };
         let mut g = WorkloadGenerator::new(&t, cfg, 1);
         for q in g.gen_queries(50) {
             assert_eq!(q.predicates.len(), 2);

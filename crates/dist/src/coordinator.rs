@@ -58,6 +58,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct DistConfig {
     /// Replicas per table (clamped to the worker count).
+    ///
+    /// Ledger: crates/dist/tests/cluster_obs.rs
     pub replicas: usize,
     /// Deadline for one client batch RPC, shared across its failover
     /// attempts: attempt *k* of *n* gets `1/(n − k)` of the time left,
@@ -65,13 +67,19 @@ pub struct DistConfig {
     /// abandoned, not waited for: with two replicas, the first one must
     /// answer within half of this, or the group moves to the second (and
     /// the first worker still computes the orphaned request).
+    ///
+    /// Ledger: crates/dist/tests/contracts.rs
     pub rpc_timeout: Duration,
-    /// Deadline for establishing a worker connection.
-    pub connect_timeout: Duration,
     /// Deadline for one snapshot ship per replica (ships move model
     /// bytes, so they get more time than estimate RPCs).
+    ///
+    /// Ledger: crates/dist/tests/contracts.rs
     pub ship_timeout: Duration,
 }
+
+/// Deadline for establishing a worker connection (capped by what is left
+/// of the RPC's own deadline).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Seed of the coordinator's trace-id generator: trace ids are a
 /// deterministic function of it and the batch sequence, never ambient
@@ -83,7 +91,6 @@ impl Default for DistConfig {
         DistConfig {
             replicas: 2,
             rpc_timeout: Duration::from_secs(10),
-            connect_timeout: Duration::from_secs(2),
             ship_timeout: Duration::from_secs(30),
         }
     }
@@ -362,7 +369,7 @@ impl Coordinator {
         };
         let reply = (|| {
             if guard.is_none() {
-                let timeout = self.cfg.connect_timeout.min(remaining()?);
+                let timeout = CONNECT_TIMEOUT.min(remaining()?);
                 let stream = TcpStream::connect_timeout(&worker.addr, timeout)?;
                 // Nagle holds a small write while earlier bytes are
                 // unacknowledged, and the worker may delay that ACK by up

@@ -14,7 +14,7 @@
 //! * [`worker`] — a worker process hosting one `iam-serve`
 //!   [`Service`](iam_serve::Service) (registry + cache + micro-batcher)
 //!   per placed table;
-//! * [`coordinator`] — membership, scatter/gather over client batches
+//! * `coordinator` — membership, scatter/gather over client batches
 //!   (partition by table → parallel RPC with retry-on-alternate-replica →
 //!   order-preserving merge), and snapshot shipping for cluster-wide
 //!   `refresh_model` without dropped requests.
@@ -28,7 +28,7 @@
 
 #![deny(missing_docs)]
 
-pub mod coordinator;
+mod coordinator;
 pub mod error;
 pub mod placement;
 pub mod proto;
@@ -38,6 +38,6 @@ pub mod worker;
 pub use coordinator::{ClusterQuery, Coordinator, DistConfig, ShipOutcome};
 pub use error::DistError;
 pub use placement::{PlacementMap, WorkerId};
-pub use proto::{read_frame, write_frame, Frame, Msg, MAX_FRAME, MAX_SNAPSHOT_FRAME};
+pub use proto::{read_frame, write_frame, Frame, Msg, MAX_FRAME};
 pub use stats::MetricsFrontend;
 pub use worker::{WorkerConfig, WorkerHandle};

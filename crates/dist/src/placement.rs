@@ -41,7 +41,7 @@ impl PlacementMap {
             .iter()
             .map(|t| {
                 let t = t.as_ref();
-                let base = iam_core::persist::fnv1a(t.as_bytes()) as usize;
+                let base = iam_obs::fnv1a(t.as_bytes()) as usize;
                 let replicas: Vec<WorkerId> = (0..r).map(|i| (base + i) % nworkers).collect();
                 (t.to_string(), TablePlacement { replicas, cursor: AtomicUsize::new(0) })
             })
@@ -59,7 +59,7 @@ impl PlacementMap {
     /// stable-sorts a batch group's rotation by load, so this order breaks
     /// ties between equally loaded replicas and, after the sort, is the
     /// failover order.
-    pub fn rotation(&self, table: &str) -> Vec<WorkerId> {
+    pub(crate) fn rotation(&self, table: &str) -> Vec<WorkerId> {
         let Some(p) = self.tables.get(table) else { return Vec::new() };
         let n = p.replicas.len();
         let start = p.cursor.fetch_add(1, Relaxed) % n;

@@ -3,7 +3,7 @@
 //! Framing: every message travels as `[u32 LE length][payload]`, where
 //! `length` counts payload bytes only. A reader enforces a hard bound on
 //! the length prefix *before* allocating ([`MAX_FRAME`] by default,
-//! [`MAX_SNAPSHOT_FRAME`] on channels that carry model snapshots), so a
+//! `MAX_SNAPSHOT_FRAME` on channels that carry model snapshots), so a
 //! corrupt or hostile peer cannot force a huge allocation. A truncated
 //! frame surfaces as [`DistError::Io`]; an oversized prefix as
 //! [`DistError::FrameTooLarge`]; neither ever panics.
@@ -24,10 +24,10 @@
 //!
 //! Every payload opens with an *envelope* — `[0xFF][version][flags]
 //! [optional trace context][optional span records]` — followed by the
-//! message bytes of [`Msg::encode`]. [`ENVELOPE_MARKER`] (`0xFF`) is never
+//! message bytes of [`Msg::encode`]. `ENVELOPE_MARKER` (`0xFF`) is never
 //! a message tag (tags are 1..=15), so a payload without it is a bare
 //! message from a peer that predates the envelope. [`Frame::decode`]
-//! rejects that, and any version other than [`ENVELOPE_VERSION`], as a
+//! rejects that, and any version other than `ENVELOPE_VERSION`, as a
 //! [`DistError::Protocol`] error: every peer is built from this workspace,
 //! so version skew is reported, never guessed at. The trace context is a
 //! 128-bit trace id plus parent span id ([`TraceCtx`]); span records
@@ -43,13 +43,13 @@ use std::io::{Read, Write};
 /// Hard bound on ordinary (query/control) frame payloads: 16 MiB.
 pub const MAX_FRAME: u32 = 16 << 20;
 /// Hard bound on snapshot-bearing frame payloads: 1 GiB.
-pub const MAX_SNAPSHOT_FRAME: u32 = 1 << 30;
+pub(crate) const MAX_SNAPSHOT_FRAME: u32 = 1 << 30;
 
 /// First payload byte, opening the envelope (never a valid message
 /// tag).
-pub const ENVELOPE_MARKER: u8 = 0xFF;
+pub(crate) const ENVELOPE_MARKER: u8 = 0xFF;
 /// Current envelope version.
-pub const ENVELOPE_VERSION: u8 = 2;
+pub(crate) const ENVELOPE_VERSION: u8 = 2;
 /// Envelope flag: a [`TraceCtx`] follows the header.
 const FLAG_CTX: u8 = 0b0000_0001;
 /// Envelope flag: a span-record list follows the (optional) context.
@@ -468,7 +468,7 @@ pub(crate) fn encode_frame(
 
 impl Frame {
     /// Decode an enveloped payload. A payload that does not open with
-    /// [`ENVELOPE_MARKER`] (a bare message from an older peer) and an
+    /// `ENVELOPE_MARKER` (a bare message from an older peer) and an
     /// envelope of another version are rejected, not misparsed.
     pub fn decode(buf: &[u8]) -> Result<Frame, DistError> {
         if buf.first() != Some(&ENVELOPE_MARKER) {

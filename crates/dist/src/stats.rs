@@ -6,10 +6,10 @@
 //! merges the replies into a single cluster exposition. Both sides lean
 //! on two pure helpers here:
 //!
-//! * [`inject_label`] rewrites every sample line to carry an extra label
+//! * `inject_label` rewrites every sample line to carry an extra label
 //!   (`table="trips"` on the worker, `worker="2"` on the coordinator), so
 //!   merged series from different origins stay distinguishable;
-//! * [`merge_expositions`] regroups expositions by metric family — the
+//! * `merge_expositions` regroups expositions by metric family — the
 //!   Prometheus text format wants each family as one group under one
 //!   `# TYPE` header, and every worker ships the same families.
 //!
@@ -25,26 +25,13 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
-/// Escape a label value per the Prometheus text format (`\`, `"`, `\n`).
-fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
 /// Add `key="value"` to every sample line of a text exposition. Comment
 /// (`#`) and blank lines pass through untouched; sample lines with an
 /// existing label set get the new label prepended inside the braces,
 /// bare-name lines gain a label set.
-pub fn inject_label(exposition: &str, key: &str, value: &str) -> String {
-    let val = escape_label(value);
+pub(crate) fn inject_label(exposition: &str, key: &str, value: &str) -> String {
+    let mut val = String::with_capacity(value.len());
+    iam_obs::escape_label(&mut val, value);
     let mut out = String::with_capacity(exposition.len() + 16);
     for line in exposition.lines() {
         let trimmed = line.trim_start();
@@ -81,7 +68,7 @@ pub fn inject_label(exposition: &str, key: &str, value: &str) -> String {
 /// (`_bucket`, `_sum`, `_count`), else to a family of its own name; any
 /// other comment line is a group of its own. Sample lines are never
 /// dropped; blank lines are.
-pub fn merge_expositions<S: AsRef<str>>(parts: &[S]) -> String {
+pub(crate) fn merge_expositions<S: AsRef<str>>(parts: &[S]) -> String {
     // (headers, samples) per family, and each family's group index
     let mut groups: Vec<(String, String)> = Vec::new();
     let mut index: HashMap<String, usize> = HashMap::new();

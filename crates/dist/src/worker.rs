@@ -30,10 +30,13 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
 /// Tuning knobs for [`WorkerHandle::spawn`]. Every frame a worker reads
-/// is bounded by [`MAX_SNAPSHOT_FRAME`]: snapshot ships carry model bytes.
+/// is bounded by the snapshot frame limit (1 GiB): snapshot ships carry
+/// model bytes.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerConfig {
     /// Per-table serving configuration (queue, batcher, cache).
+    ///
+    /// Ledger: crates/dist/src/bin/iam-dist-worker.rs
     pub serve: ServeConfig,
 }
 

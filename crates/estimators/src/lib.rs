@@ -4,12 +4,12 @@
 //! normalised conjunctive range queries:
 //!
 //! * [`sampling`] — uniform row sample sized to IAM's space budget;
-//! * [`postgres`] — 1-D histograms + MCVs with attribute independence
+//! * `postgres` — 1-D histograms + MCVs with attribute independence
 //!   (Postgres's documented row-estimation model);
 //! * [`mhist`] — MaxDiff-style multidimensional histogram;
-//! * [`bayesnet`] — Chow-Liu tree Bayesian network over discretised bins;
+//! * `bayesnet` — Chow-Liu tree Bayesian network over discretised bins;
 //! * [`kde`] — Gaussian-kernel density over a sample (Scott's rule);
-//! * [`quicksel`] — uniform mixture model fitted to a training workload;
+//! * `quicksel` — uniform mixture model fitted to a training workload;
 //! * [`spn`] — DeepDB-style sum-product network (LearnSPN-lite);
 //! * [`mscn`] — query-driven MLP over predicate features + sample bitmap;
 //! * [`uae`] — AR model trained on data *and* query-derived tuples
@@ -17,12 +17,12 @@
 
 #![deny(missing_docs)]
 
-pub mod bayesnet;
+mod bayesnet;
 pub mod kde;
 pub mod mhist;
 pub mod mscn;
-pub mod postgres;
-pub mod quicksel;
+mod postgres;
+mod quicksel;
 pub mod sampling;
 pub mod spn;
 pub mod uae;

@@ -12,24 +12,31 @@ use iam_nn::{Adam, AdamConfig, Mlp, MlpConfig, Parameters};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+/// Materialised sample rows for the bitmap feature (paper: 1 K).
+const SAMPLE_ROWS: usize = 1000;
+
+/// Hidden widths (paper: two layers of 256).
+const HIDDEN: [usize; 2] = [256, 256];
+
+/// Adam learning rate.
+const LR: f32 = 1e-3;
+
 /// Configuration for [`MscnLite`].
 #[derive(Debug, Clone)]
 pub struct MscnConfig {
-    /// Materialised sample rows for the bitmap feature (paper: 1 K).
-    pub sample_rows: usize,
-    /// Hidden widths (paper: two layers of 256).
-    pub hidden: Vec<usize>,
     /// Training epochs over the workload.
+    ///
+    /// Ledger: tests/estimator_contract.rs
     pub epochs: usize,
-    /// Adam learning rate.
-    pub lr: f32,
     /// Seed.
+    ///
+    /// Ledger: crates/bench/src/lib.rs
     pub seed: u64,
 }
 
 impl Default for MscnConfig {
     fn default() -> Self {
-        MscnConfig { sample_rows: 1000, hidden: vec![256, 256], epochs: 60, lr: 1e-3, seed: 42 }
+        MscnConfig { epochs: 60, seed: 42 }
     }
 }
 
@@ -70,7 +77,7 @@ impl MscnLite {
             .collect();
 
         // materialised sample
-        let m = cfg.sample_rows.min(table.nrows()).max(1);
+        let m = SAMPLE_ROWS.min(table.nrows()).max(1);
         let mut ids: Vec<usize> = (0..table.nrows()).collect();
         for i in 0..m {
             let j = rng.random_range(i..table.nrows());
@@ -87,7 +94,7 @@ impl MscnLite {
         let mut est = MscnLite {
             mlp: Mlp::new(&MlpConfig {
                 in_dim: 3 * ncols + 1,
-                hidden: cfg.hidden.clone(),
+                hidden: HIDDEN.to_vec(),
                 seed: cfg.seed,
             }),
             sample,
@@ -106,7 +113,7 @@ impl MscnLite {
             xs.extend_from_slice(&feat);
             ys.push(est.target_of(*sel));
         }
-        let mut opt = Adam::new(AdamConfig { lr: cfg.lr, ..Default::default() });
+        let mut opt = Adam::new(AdamConfig { lr: LR });
         let bs = 128.min(training.len().max(1));
         let fw = 3 * ncols + 1;
         for _ in 0..cfg.epochs {

@@ -1,8 +1,4 @@
 //! Uniform-sample estimator.
-//!
-//! The paper sizes the sample so its space consumption matches IAM's model
-//! (0.02 %–0.63 % of the table); [`SamplingEstimator::with_budget`] does the
-//! same given a byte budget.
 
 use iam_data::{RangeQuery, SelectivityEstimator, Table};
 use rand::rngs::StdRng;
@@ -20,21 +16,8 @@ impl SamplingEstimator {
     /// Sample a fixed `fraction` of rows (without replacement).
     pub fn new(table: &Table, fraction: f64, seed: u64) -> Self {
         let n = table.nrows();
-        let target = ((n as f64 * fraction).round() as usize).clamp(1, n);
-        Self::with_rows(table, target, seed)
-    }
-
-    /// Size the sample to a byte budget (8 bytes per cell), as the paper
-    /// does to match IAM's footprint.
-    pub fn with_budget(table: &Table, budget_bytes: usize, seed: u64) -> Self {
-        let row_bytes = table.ncols() * std::mem::size_of::<f64>();
-        let rows = (budget_bytes / row_bytes.max(1)).max(1);
-        Self::with_rows(table, rows.min(table.nrows()), seed)
-    }
-
-    fn with_rows(table: &Table, target: usize, seed: u64) -> Self {
-        let n = table.nrows();
         assert!(n > 0, "cannot sample an empty table");
+        let target = ((n as f64 * fraction).round() as usize).clamp(1, n);
         let mut rng = StdRng::seed_from_u64(seed);
         // partial Fisher-Yates over row ids
         let mut ids: Vec<usize> = (0..n).collect();
@@ -50,11 +33,6 @@ impl SamplingEstimator {
             sample.extend_from_slice(&row);
         }
         SamplingEstimator { sample, ncols, nsamples: target }
-    }
-
-    /// Number of sampled rows.
-    pub fn nsamples(&self) -> usize {
-        self.nsamples
     }
 }
 
@@ -110,7 +88,7 @@ mod tests {
     fn partial_sample_approximates() {
         let t = table(20_000);
         let s = SamplingEstimator::new(&t, 0.05, 2);
-        assert_eq!(s.nsamples(), 1000);
+        assert_eq!(s.nsamples, 1000);
         let q = Query::new(vec![Predicate { col: 1, op: Op::Le, value: 48.0 }]);
         let (rq, _) = q.normalize(2).unwrap();
         let truth = exact_selectivity(&t, &q);
@@ -120,9 +98,9 @@ mod tests {
     #[test]
     fn budget_sizing() {
         let t = table(10_000);
-        let s = SamplingEstimator::with_budget(&t, 1600, 3);
-        // 16 bytes per row → 100 rows
-        assert_eq!(s.nsamples(), 100);
+        let s = SamplingEstimator::new(&t, 0.01, 3);
+        // 1 % of the rows, 16 bytes per row
+        assert_eq!(s.nsamples, 100);
         assert_eq!(s.model_size_bytes(), 1600);
     }
 

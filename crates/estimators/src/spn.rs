@@ -14,24 +14,17 @@ use iam_data::{Column, Interval, RangeQuery, SelectivityEstimator, Table};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Tuning parameters for structure learning.
-#[derive(Debug, Clone)]
-pub struct SpnConfig {
-    /// Stop splitting rows below this count.
-    pub min_rows: usize,
-    /// Absolute correlation below which columns are declared independent.
-    pub independence_threshold: f64,
-    /// Histogram buckets per continuous leaf.
-    pub leaf_buckets: usize,
-    /// RNG seed for row clustering.
-    pub seed: u64,
-}
+/// Structure learning stops splitting rows below this count.
+const MIN_ROWS: usize = 512;
 
-impl Default for SpnConfig {
-    fn default() -> Self {
-        SpnConfig { min_rows: 512, independence_threshold: 0.3, leaf_buckets: 64, seed: 42 }
-    }
-}
+/// Absolute correlation below which columns are declared independent.
+const INDEPENDENCE_THRESHOLD: f64 = 0.3;
+
+/// Histogram buckets per continuous leaf.
+const LEAF_BUCKETS: usize = 64;
+
+/// RNG seed for row clustering.
+const SEED: u64 = 42;
 
 enum Node {
     Sum {
@@ -62,7 +55,7 @@ pub struct SpnEstimator {
 
 impl SpnEstimator {
     /// Learn an SPN from `table`.
-    pub fn new(table: &Table, cfg: SpnConfig) -> Self {
+    pub fn new(table: &Table) -> Self {
         let n = table.nrows();
         let ncols = table.ncols();
         assert!(n > 0 && ncols >= 1);
@@ -76,10 +69,10 @@ impl SpnEstimator {
                 _ => None,
             })
             .collect();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let rows: Vec<usize> = (0..n).collect();
         let cols: Vec<usize> = (0..ncols).collect();
-        let root = Self::learn(&data, &cat_domain, rows, cols, &cfg, &mut rng, 0);
+        let root = Self::learn(&data, &cat_domain, rows, cols, &mut rng, 0);
         let mut size = 0;
         Self::measure(&root, &mut size);
         SpnEstimator { root, ncols, size }
@@ -103,26 +96,24 @@ impl SpnEstimator {
         cat_domain: &[Option<usize>],
         rows: Vec<usize>,
         cols: Vec<usize>,
-        cfg: &SpnConfig,
         rng: &mut StdRng,
         depth: usize,
     ) -> Node {
         if cols.len() == 1 {
-            return Self::leaf(data, cat_domain, &rows, cols[0], cfg);
+            return Self::leaf(data, cat_domain, &rows, cols[0]);
         }
-        if rows.len() < cfg.min_rows || depth > 24 {
+        if rows.len() < MIN_ROWS || depth > 24 {
             // fully factorise the remainder
-            let children =
-                cols.iter().map(|&c| Self::leaf(data, cat_domain, &rows, c, cfg)).collect();
+            let children = cols.iter().map(|&c| Self::leaf(data, cat_domain, &rows, c)).collect();
             return Node::Product { children };
         }
 
         // try a column split: connected components of the |ρ| > τ graph
-        let groups = Self::correlation_groups(data, &rows, &cols, cfg.independence_threshold);
+        let groups = Self::correlation_groups(data, &rows, &cols, INDEPENDENCE_THRESHOLD);
         if groups.len() > 1 {
             let children = groups
                 .into_iter()
-                .map(|g| Self::learn(data, cat_domain, rows.clone(), g, cfg, rng, depth + 1))
+                .map(|g| Self::learn(data, cat_domain, rows.clone(), g, rng, depth + 1))
                 .collect();
             return Node::Product { children };
         }
@@ -133,14 +124,14 @@ impl SpnEstimator {
                 let total = rows.len() as f64;
                 let weights = vec![a.len() as f64 / total, b.len() as f64 / total];
                 let children = vec![
-                    Self::learn(data, cat_domain, a, cols.clone(), cfg, rng, depth + 1),
-                    Self::learn(data, cat_domain, b, cols, cfg, rng, depth + 1),
+                    Self::learn(data, cat_domain, a, cols.clone(), rng, depth + 1),
+                    Self::learn(data, cat_domain, b, cols, rng, depth + 1),
                 ];
                 Node::Sum { weights, children }
             }
             None => {
                 let children =
-                    cols.iter().map(|&c| Self::leaf(data, cat_domain, &rows, c, cfg)).collect();
+                    cols.iter().map(|&c| Self::leaf(data, cat_domain, &rows, c)).collect();
                 Node::Product { children }
             }
         }
@@ -276,13 +267,7 @@ impl SpnEstimator {
         }
     }
 
-    fn leaf(
-        data: &[Vec<f64>],
-        cat_domain: &[Option<usize>],
-        rows: &[usize],
-        col: usize,
-        cfg: &SpnConfig,
-    ) -> Node {
+    fn leaf(data: &[Vec<f64>], cat_domain: &[Option<usize>], rows: &[usize], col: usize) -> Node {
         let nf = rows.len() as f64;
         if let Some(domain) = cat_domain[col] {
             // exact categorical frequencies; edges are the code points
@@ -299,7 +284,7 @@ impl SpnEstimator {
         // equi-depth continuous histogram
         let mut vals: Vec<f64> = rows.iter().map(|&r| data[col][r]).collect();
         vals.sort_unstable_by(f64::total_cmp);
-        let nb = cfg.leaf_buckets.min(vals.len()).max(1);
+        let nb = LEAF_BUCKETS.min(vals.len()).max(1);
         let mut edges = Vec::with_capacity(nb + 1);
         for k in 0..=nb {
             edges.push(vals[(k * (vals.len() - 1)) / nb]);
@@ -397,7 +382,7 @@ mod tests {
     #[test]
     fn learns_cluster_structure() {
         let t = clustered(6000, 1);
-        let spn = SpnEstimator::new(&t, SpnConfig::default());
+        let spn = SpnEstimator::new(&t);
         // cluster-consistent query
         let q = Query::new(vec![
             Predicate { col: 0, op: Op::Eq, value: 2.0 },
@@ -419,7 +404,7 @@ mod tests {
     #[test]
     fn marginals_are_accurate() {
         let t = clustered(6000, 2);
-        let spn = SpnEstimator::new(&t, SpnConfig::default());
+        let spn = SpnEstimator::new(&t);
         let q = Query::new(vec![Predicate { col: 0, op: Op::Le, value: 0.0 }]);
         let (rq, _) = q.normalize(3).unwrap();
         let truth = exact_selectivity(&t, &q);
@@ -429,14 +414,14 @@ mod tests {
     #[test]
     fn unconstrained_is_one() {
         let t = clustered(1000, 3);
-        let spn = SpnEstimator::new(&t, SpnConfig::default());
+        let spn = SpnEstimator::new(&t);
         assert!((spn.estimate(&RangeQuery::unconstrained(3)) - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn model_size_positive_and_bounded() {
         let t = clustered(3000, 4);
-        let spn = SpnEstimator::new(&t, SpnConfig::default());
+        let spn = SpnEstimator::new(&t);
         assert!(spn.model_size_bytes() > 0);
         assert!(spn.model_size_bytes() < 4_000_000);
     }

@@ -7,21 +7,21 @@
 //! * the [`Gmm1d`] model — pdf, posteriors, argmax assignment (Eq. 5), all
 //!   scored by the one [`Scorer`] kernel that EM and the SGD trainer share,
 //!   exact per-component range mass `P̂_GMM(R)` (via `erf`), and sampling;
-//! * classic [`em`] fitting, IAM's one initialiser (the paper's VBGM init
+//! * classic `em` fitting, IAM's one initialiser (the paper's VBGM init
 //!   lost the q-error tail when measured: EXPERIMENTS.md, "Ablations");
 //! * [`vbgm`] — variational Bayesian GMM that picks the number of
 //!   components (paper §4.2); only the benchmark's `gmm.vbgm.fit_ms` probe
 //!   calls it;
-//! * [`sgd`] — the gradient-based maximum-likelihood trainer (Eq. 4) that
+//! * `sgd` — the gradient-based maximum-likelihood trainer (Eq. 4) that
 //!   lets GMMs share IAM's mini-batch training loop.
 
 #![deny(missing_docs)]
 
-pub mod em;
+mod em;
 pub mod math;
 pub mod model;
 pub mod prefix;
-pub mod sgd;
+mod sgd;
 pub mod vbgm;
 
 pub use em::fit_em;

@@ -1,13 +1,13 @@
 //! Numerical primitives: `erf`, normal pdf/cdf, log-sum-exp.
 
 /// `1/sqrt(2π)`.
-pub const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
+pub(crate) const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
 /// `sqrt(2)`.
-pub const SQRT_2: f64 = std::f64::consts::SQRT_2;
+pub(crate) const SQRT_2: f64 = std::f64::consts::SQRT_2;
 
 /// Error function via Abramowitz & Stegun 7.1.26 (|ε| ≤ 1.5 × 10⁻⁷),
 /// extended to the full line by odd symmetry.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     // coefficients of A&S 7.1.26
@@ -35,21 +35,22 @@ pub fn std_normal_cdf(z: f64) -> f64 {
 }
 
 /// Density of `N(mean, std²)` at `x`.
-#[inline]
-pub fn normal_pdf(x: f64, mean: f64, std: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn normal_pdf(x: f64, mean: f64, std: f64) -> f64 {
     let z = (x - mean) / std;
     std_normal_pdf(z) / std
 }
 
-/// Log-density of `N(mean, std²)` at `x`.
-#[inline]
-pub fn normal_log_pdf(x: f64, mean: f64, std: f64) -> f64 {
+/// Log-density of `N(mean, std²)` at `x`: the reference the scoring
+/// kernel ([`crate::Scorer`]) keeps the bits of.
+#[cfg(test)]
+pub(crate) fn normal_log_pdf(x: f64, mean: f64, std: f64) -> f64 {
     let z = (x - mean) / std;
     -0.5 * z * z - std.ln() - 0.918_938_533_204_672_7 // ln(sqrt(2π))
 }
 
 /// `P(lo ≤ X ≤ hi)` for `X ~ N(mean, std²)`; bounds may be infinite.
-pub fn normal_mass(lo: f64, hi: f64, mean: f64, std: f64) -> f64 {
+pub(crate) fn normal_mass(lo: f64, hi: f64, mean: f64, std: f64) -> f64 {
     if lo > hi {
         return 0.0;
     }
@@ -66,7 +67,7 @@ pub fn normal_mass(lo: f64, hi: f64, mean: f64, std: f64) -> f64 {
 }
 
 /// Numerically stable `log Σ exp(xs)`.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
+pub(crate) fn log_sum_exp(xs: &[f64]) -> f64 {
     let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     if m == f64::NEG_INFINITY {
         return f64::NEG_INFINITY;

@@ -1,7 +1,7 @@
 //! The 1-D Gaussian mixture model, its scoring kernel ([`Scorer`]) and its
 //! query-time operations.
 
-use crate::math::{log_sum_exp, normal_mass, normal_pdf};
+use crate::math::{log_sum_exp, normal_mass};
 use rand::{Rng, RngExt};
 
 /// The one GMM scoring kernel: `[ln φ_k, μ_k, σ_k, ln σ_k]` per component,
@@ -42,7 +42,7 @@ impl Scorer {
     /// Write `ln(φ_k N(x | μ_k, σ_k²))` for each of the `K` components into
     /// `out` and return their log-sum-exp, the log mixture density at `x`;
     /// `(out[k] − lse).exp()` is component `k`'s responsibility for `x`.
-    pub fn scores_into(&self, x: f64, out: &mut [f64]) -> f64 {
+    pub(crate) fn scores_into(&self, x: f64, out: &mut [f64]) -> f64 {
         assert_eq!(out.len(), self.0.len(), "one score slot per component");
         out.iter_mut().zip(&self.0).for_each(|(o, c)| *o = Self::score(c, x));
         log_sum_exp(out)
@@ -51,7 +51,7 @@ impl Scorer {
     /// [`Self::scores_into`] that also writes each component's
     /// standardised value `(x − μ_k) / σ_k` into `z` — the one the score
     /// was computed from, for callers that need it again (the SGD step).
-    pub fn scores_z_into(&self, x: f64, out: &mut [f64], z: &mut [f64]) -> f64 {
+    pub(crate) fn scores_z_into(&self, x: f64, out: &mut [f64], z: &mut [f64]) -> f64 {
         assert_eq!(out.len(), self.0.len(), "one score slot per component");
         assert_eq!(z.len(), self.0.len(), "one z slot per component");
         for ((o, zk), c) in out.iter_mut().zip(z.iter_mut()).zip(&self.0) {
@@ -110,8 +110,11 @@ impl Gmm1d {
     }
 
     /// Mixture density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        (0..self.k()).map(|k| self.weights[k] * normal_pdf(x, self.means[k], self.stds[k])).sum()
+    #[cfg(test)]
+    pub(crate) fn pdf(&self, x: f64) -> f64 {
+        let pdf =
+            |k: usize| self.weights[k] * crate::math::normal_pdf(x, self.means[k], self.stds[k]);
+        (0..self.k()).map(pdf).sum()
     }
 
     /// The scoring kernel over this mixture's parameters. The per-value
@@ -121,7 +124,8 @@ impl Gmm1d {
     }
 
     /// Log mixture density at `x` (log-sum-exp stable).
-    pub fn log_pdf(&self, x: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn log_pdf(&self, x: f64) -> f64 {
         self.scorer().scores_into(x, &mut vec![0.0; self.k()])
     }
 
@@ -181,7 +185,7 @@ impl Gmm1d {
     /// Variational fits routinely leave several near-duplicate components
     /// feeding on one mode; merging them recovers the effective component
     /// count without changing the mixture density materially.
-    pub fn merged_close(&self, threshold: f64) -> Gmm1d {
+    pub(crate) fn merged_close(&self, threshold: f64) -> Gmm1d {
         let mut w = self.weights.clone();
         let mut mu = self.means.clone();
         let mut var: Vec<f64> = self.stds.iter().map(|s| s * s).collect();

@@ -10,7 +10,7 @@
 //!
 //! Bitwise contract: cached entries store exactly
 //! `std_normal_cdf((grid[g] − mean_k) / std_k)` — the same expression
-//! [`normal_mass`](crate::math::normal_mass) evaluates — so
+//! `normal_mass` evaluates — so
 //! [`CdfPrefixTable::mass_into`] is **bit-identical** to
 //! [`Gmm1d::range_mass_exact`] for on-grid bounds, and falls back to the
 //! identical fresh computation for off-grid or infinite bounds. Golden
@@ -67,17 +67,6 @@ impl CdfPrefixTable {
     /// Number of mixture components the table was built for.
     pub fn k(&self) -> usize {
         self.means.len()
-    }
-
-    /// Number of grid points.
-    pub fn grid_len(&self) -> usize {
-        self.grid.len()
-    }
-
-    /// Component `c`'s cached CDF row over the grid (non-decreasing in
-    /// `[0, 1]`; callers may feed this to monotonicity invariants).
-    pub fn component_cdf(&self, c: usize) -> &[f64] {
-        &self.cdf[c * self.grid.len()..(c + 1) * self.grid.len()]
     }
 
     /// Resident bytes of the cached table (grid + CDF rows + params).
@@ -195,9 +184,8 @@ mod tests {
     fn component_rows_are_monotone_cdfs() {
         let g = gmm();
         let t = CdfPrefixTable::build(&g, &grid());
-        for c in 0..t.k() {
-            let row = t.component_cdf(c);
-            assert_eq!(row.len(), t.grid_len());
+        assert_eq!(t.cdf.len(), t.k() * t.grid.len());
+        for (c, row) in t.cdf.chunks(t.grid.len()).enumerate() {
             assert!(row.windows(2).all(|w| w[0] <= w[1]), "component {c} not monotone");
             assert!(row.iter().all(|&v| (0.0..=1.0).contains(&v)));
         }

@@ -18,7 +18,7 @@ use crate::model::{Gmm1d, Scorer};
 use rand::{Rng, RngExt};
 
 /// Draw a standard normal (Marsaglia polar); shared by model sampling.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u = 2.0 * rng.random::<f64>() - 1.0;
         let v = 2.0 * rng.random::<f64>() - 1.0;
@@ -29,24 +29,30 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
+/// Adam β₁ of the GMM trainer.
+const BETA1: f64 = 0.9;
+
+/// Adam β₂.
+const BETA2: f64 = 0.999;
+
+/// Adam ε.
+const EPS: f64 = 1e-8;
+
+/// Floor applied to σ to prevent collapse onto a point mass.
+const MIN_STD: f64 = 1e-6;
+
 /// Adam hyper-parameters for the GMM trainer.
 #[derive(Debug, Clone)]
 pub struct SgdConfig {
     /// Learning rate.
+    ///
+    /// Ledger: crates/core/src/train.rs
     pub lr: f64,
-    /// Adam β₁.
-    pub beta1: f64,
-    /// Adam β₂.
-    pub beta2: f64,
-    /// Adam ε.
-    pub eps: f64,
-    /// Floor applied to σ to prevent collapse onto a point mass.
-    pub min_std: f64,
 }
 
 impl Default for SgdConfig {
     fn default() -> Self {
-        SgdConfig { lr: 5e-3, beta1: 0.9, beta2: 0.999, eps: 1e-8, min_std: 1e-6 }
+        SgdConfig { lr: 5e-3 }
     }
 }
 
@@ -73,7 +79,7 @@ impl GmmSgdTrainer {
     pub fn from_init(init: &Gmm1d, cfg: SgdConfig) -> Self {
         let k = init.k();
         let logits = init.weights.iter().map(|w| w.max(1e-12).ln()).collect();
-        let log_stds = init.stds.iter().map(|s| s.max(cfg.min_std).ln()).collect();
+        let log_stds = init.stds.iter().map(|s| s.max(MIN_STD).ln()).collect();
         GmmSgdTrainer {
             logits,
             means: init.means.clone(),
@@ -104,7 +110,7 @@ impl GmmSgdTrainer {
         Gmm1d::new(
             self.weights(),
             self.means.clone(),
-            self.log_stds.iter().map(|l| l.exp().max(self.cfg.min_std)).collect(),
+            self.log_stds.iter().map(|l| l.exp().max(MIN_STD)).collect(),
         )
     }
 
@@ -116,7 +122,7 @@ impl GmmSgdTrainer {
         }
         let k = self.k();
         let weights = self.weights();
-        let stds: Vec<f64> = self.log_stds.iter().map(|l| l.exp().max(self.cfg.min_std)).collect();
+        let stds: Vec<f64> = self.log_stds.iter().map(|l| l.exp().max(MIN_STD)).collect();
         // `ln π_k` and `ln σ_k` once per step, not once per value
         let scorer = Scorer::new(&weights, &self.means, &stds);
 
@@ -140,7 +146,7 @@ impl GmmSgdTrainer {
 
         self.t += 1;
         let lr = self.cfg.lr;
-        let (b1, b2, eps) = (self.cfg.beta1, self.cfg.beta2, self.cfg.eps);
+        let (b1, b2, eps) = (BETA1, BETA2, EPS);
         let bc1 = 1.0 - b1.powi(self.t as i32);
         let bc2 = 1.0 - b2.powi(self.t as i32);
         for i in 0..3 * k {
@@ -177,8 +183,7 @@ mod tests {
         let d = data(&truth, 8000, 1);
         let init = Gmm1d::new(vec![0.5, 0.5], vec![-1.0, 1.0], vec![3.0, 3.0]);
         let nll_init = init.nll(&d);
-        let mut trainer =
-            GmmSgdTrainer::from_init(&init, SgdConfig { lr: 2e-2, ..Default::default() });
+        let mut trainer = GmmSgdTrainer::from_init(&init, SgdConfig { lr: 2e-2 });
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..1500 {
             let batch: Vec<f64> = (0..256).map(|_| d[rng.random_range(0..d.len())]).collect();
@@ -242,7 +247,7 @@ mod tests {
         let k = tr.k();
         let weights = tr.weights();
         let log_w: Vec<f64> = weights.iter().map(|w| w.ln()).collect();
-        let stds: Vec<f64> = tr.log_stds.iter().map(|l| l.exp().max(tr.cfg.min_std)).collect();
+        let stds: Vec<f64> = tr.log_stds.iter().map(|l| l.exp().max(MIN_STD)).collect();
 
         tr.grad.iter_mut().for_each(|g| *g = 0.0);
         let mut nll = 0.0;
@@ -267,7 +272,7 @@ mod tests {
 
         tr.t += 1;
         let lr = tr.cfg.lr;
-        let (b1, b2, eps) = (tr.cfg.beta1, tr.cfg.beta2, tr.cfg.eps);
+        let (b1, b2, eps) = (BETA1, BETA2, EPS);
         let bc1 = 1.0 - b1.powi(tr.t as i32);
         let bc2 = 1.0 - b2.powi(tr.t as i32);
         for i in 0..3 * k {

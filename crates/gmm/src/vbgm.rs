@@ -10,7 +10,7 @@
 use crate::model::Gmm1d;
 
 /// Digamma function ψ(x) via upward recurrence + asymptotic series.
-pub fn digamma(mut x: f64) -> f64 {
+pub(crate) fn digamma(mut x: f64) -> f64 {
     assert!(x > 0.0, "digamma domain");
     let mut result = 0.0;
     while x < 10.0 {
@@ -26,15 +26,21 @@ pub fn digamma(mut x: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct VbgmConfig {
     /// Upper bound on the number of components.
+    ///
+    /// Ledger: benchmark/src/probes.rs
     pub max_components: usize,
     /// Dirichlet concentration; small values prune aggressively.
+    // audit-allow(knob-ledger): VBGM exists only for benchmark/src/probes.rs, which keeps the defaults; the config goes with that probe
     pub alpha0: f64,
     /// VB-EM iterations.
+    // audit-allow(knob-ledger): VBGM exists only for benchmark/src/probes.rs, which keeps the defaults; the config goes with that probe
     pub iterations: usize,
     /// Components with expected weight below this fraction are dropped.
+    // audit-allow(knob-ledger): VBGM exists only for benchmark/src/probes.rs, which keeps the defaults; the config goes with that probe
     pub prune_weight: f64,
     /// Post-fit merge threshold for near-duplicate components (see
-    /// [`Gmm1d::merged_close`]); `0.0` disables merging.
+    /// `Gmm1d::merged_close`); `0.0` disables merging.
+    // audit-allow(knob-ledger): VBGM exists only for benchmark/src/probes.rs, which keeps the defaults; the config goes with that probe
     pub merge_threshold: f64,
 }
 

@@ -128,7 +128,7 @@ pub fn flatten_foj(star: &StarSchema, n: usize, seed: u64) -> (Table, FlatSchema
 
 impl FlatSchema {
     /// Flat column index of dimension `t`'s content column `ci`.
-    pub fn dim_col(&self, t: usize, ci: usize) -> usize {
+    pub(crate) fn dim_col(&self, t: usize, ci: usize) -> usize {
         self.dim_offsets[t] + 1 + ci
     }
 

@@ -24,4 +24,4 @@ pub mod workload;
 pub use flat::FlatSchema;
 pub use imdb::{synthetic_imdb, ImdbConfig};
 pub use star::{DimTable, StarSchema};
-pub use workload::{JoinQuery, JoinWorkloadGenerator, TablePredicate};
+pub use workload::{JoinQuery, JoinWorkloadGenerator};

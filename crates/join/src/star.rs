@@ -109,7 +109,7 @@ impl StarSchema {
 
     /// Exact-Weight sampling of the full outer join: returns, per sample,
     /// the hub row and one optional row id per dimension.
-    pub fn sample_foj(&self, n: usize, seed: u64) -> Vec<(u32, Vec<Option<u32>>)> {
+    pub(crate) fn sample_foj(&self, n: usize, seed: u64) -> Vec<(u32, Vec<Option<u32>>)> {
         let nmovies = self.hub.nrows();
         let mut rng = StdRng::seed_from_u64(seed);
         // movie weights = Π max(cnt, 1)

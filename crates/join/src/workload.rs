@@ -31,18 +31,6 @@ impl JoinQuery {
     }
 }
 
-/// A single-table predicate inside a join query (exported for harnesses
-/// that build join queries programmatically).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TablePredicate {
-    /// Dimension index, or `None` for the hub.
-    pub table: Option<usize>,
-    /// Column index within that table.
-    pub col: usize,
-    /// The constraint.
-    pub interval: Interval,
-}
-
 /// Seeded generator of join queries.
 pub struct JoinWorkloadGenerator<'s> {
     star: &'s StarSchema,
@@ -69,7 +57,7 @@ impl<'s> JoinWorkloadGenerator<'s> {
     }
 
     /// Generate one query with `min_preds..=max_preds` predicates.
-    pub fn gen_query_with(&mut self, min_preds: usize, max_preds: usize) -> JoinQuery {
+    pub(crate) fn gen_query_with(&mut self, min_preds: usize, max_preds: usize) -> JoinQuery {
         let ndims = self.star.dims.len();
         loop {
             // join graph: non-empty subset of dims

@@ -2,24 +2,32 @@
 
 use crate::Parameters;
 
+/// Exponential decay of the first moment (Kingma & Ba's default; neither
+/// the paper nor Naru tunes it).
+const BETA1: f32 = 0.9;
+
+/// Exponential decay of the second moment.
+const BETA2: f32 = 0.999;
+
+/// Numerical fuzz of the update's denominator.
+const EPS: f32 = 1e-8;
+
+/// Global gradient-norm clip: a step whose gradient norm exceeds it is
+/// scaled down to it.
+const CLIP_NORM: f32 = 5.0;
+
 /// Adam hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct AdamConfig {
     /// Learning rate.
+    ///
+    /// Ledger: crates/core/src/estimator.rs
     pub lr: f32,
-    /// Exponential decay for the first moment.
-    pub beta1: f32,
-    /// Exponential decay for the second moment.
-    pub beta2: f32,
-    /// Numerical fuzz.
-    pub eps: f32,
-    /// Optional global gradient-norm clip (0 disables).
-    pub clip_norm: f32,
 }
 
 impl Default for AdamConfig {
     fn default() -> Self {
-        AdamConfig { lr: 2e-3, beta1: 0.9, beta2: 0.999, eps: 1e-8, clip_norm: 5.0 }
+        AdamConfig { lr: 2e-3 }
     }
 }
 
@@ -48,25 +56,17 @@ impl Adam {
             self.v = vec![0.0; total];
             self.initialized = true;
         }
-        // optional global grad clipping
-        let scale = if self.cfg.clip_norm > 0.0 {
-            let mut norm_sq = 0.0f64;
-            model.visit_params(&mut |_, g| {
-                norm_sq += g.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>()
-            });
-            let norm = norm_sq.sqrt() as f32;
-            if norm > self.cfg.clip_norm {
-                self.cfg.clip_norm / norm
-            } else {
-                1.0
-            }
-        } else {
-            1.0
-        };
+        // global grad clipping
+        let mut norm_sq = 0.0f64;
+        model.visit_params(&mut |_, g| {
+            norm_sq += g.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>()
+        });
+        let norm = norm_sq.sqrt() as f32;
+        let scale = if norm > CLIP_NORM { CLIP_NORM / norm } else { 1.0 };
 
         self.t += 1;
         let lr = self.cfg.lr;
-        let (b1, b2, eps) = (self.cfg.beta1, self.cfg.beta2, self.cfg.eps);
+        let (b1, b2, eps) = (BETA1, BETA2, EPS);
         let bc1 = 1.0 - b1.powi(self.t as i32);
         let bc2 = 1.0 - b2.powi(self.t as i32);
         let (m, v) = (&mut self.m, &mut self.v);
@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn converges_on_quadratic() {
         let mut q = Quad { w: vec![-5.0], g: vec![0.0] };
-        let mut opt = Adam::new(AdamConfig { lr: 0.1, clip_norm: 0.0, ..Default::default() });
+        let mut opt = Adam::new(AdamConfig { lr: 0.1 });
         for _ in 0..500 {
             q.g[0] = 2.0 * (q.w[0] - 3.0);
             opt.step(&mut q);
@@ -128,10 +128,12 @@ mod tests {
     #[test]
     fn clipping_limits_update_magnitude() {
         let mut q = Quad { w: vec![0.0, 0.0], g: vec![1e6, 1e6] };
-        let mut opt = Adam::new(AdamConfig { lr: 0.1, clip_norm: 1.0, ..Default::default() });
+        let mut opt = Adam::new(AdamConfig { lr: 0.1 });
         opt.step(&mut q);
-        // with clipping the effective gradient norm is 1, so the Adam step is
-        // bounded by lr
+        // the first moment saw the gradient scaled to norm CLIP_NORM (each
+        // of the two entries CLIP_NORM / √2), and the step is bounded by lr
+        let clipped = CLIP_NORM / 2f32.sqrt();
+        assert!(opt.m.iter().all(|m| (m - (1.0 - BETA1) * clipped).abs() < 1e-5), "{:?}", opt.m);
         assert!(q.w.iter().all(|w| w.abs() <= 0.11), "{:?}", q.w);
     }
 

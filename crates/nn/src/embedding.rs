@@ -5,7 +5,7 @@ use crate::init::Initializer;
 /// An embedding table of `rows × dim`, typically `domain_size + 1` rows
 /// where the final row is the MASK token used by wildcard skipping.
 #[derive(Debug, Clone)]
-pub struct Embedding {
+pub(crate) struct Embedding {
     /// Number of rows (vocabulary size, including any MASK row).
     pub rows: usize,
     /// Embedding dimension.
@@ -33,7 +33,7 @@ impl Embedding {
     /// Gather the rows of a batch of ids into `out[offset + b*stride ..]`.
     /// `stride` is the full input row width of the downstream layer so
     /// multiple embeddings can write into one buffer.
-    pub fn gather(
+    pub(crate) fn gather(
         &self,
         ids: impl Iterator<Item = usize>,
         out: &mut [f32],
@@ -50,7 +50,7 @@ impl Embedding {
     /// `dx[offset + b*stride ..]` of the same batch of ids into `grad`, a
     /// caller-provided buffer shaped like the table (sharded training
     /// keeps one per shard).
-    pub fn scatter_grad(
+    pub(crate) fn scatter_grad(
         &self,
         ids: impl Iterator<Item = usize>,
         dx: &[f32],
@@ -71,11 +71,6 @@ impl Embedding {
     /// Visit (param, grad).
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         f(&mut self.table, &mut self.grad);
-    }
-
-    /// Scalar parameter count.
-    pub fn num_params(&self) -> usize {
-        self.table.len()
     }
 }
 

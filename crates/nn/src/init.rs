@@ -15,12 +15,12 @@ impl Initializer {
     }
 
     /// Uniform in `[-bound, bound]`.
-    pub fn uniform(&mut self, n: usize, bound: f32) -> Vec<f32> {
+    pub(crate) fn uniform(&mut self, n: usize, bound: f32) -> Vec<f32> {
         (0..n).map(|_| (self.rng.random::<f32>() * 2.0 - 1.0) * bound).collect()
     }
 
     /// Kaiming-uniform for a `fan_in`-input layer: `bound = sqrt(1/fan_in)`.
-    pub fn kaiming(&mut self, n: usize, fan_in: usize) -> Vec<f32> {
+    pub(crate) fn kaiming(&mut self, n: usize, fan_in: usize) -> Vec<f32> {
         let bound = (1.0 / fan_in.max(1) as f32).sqrt();
         self.uniform(n, bound)
     }

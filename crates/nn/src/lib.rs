@@ -6,10 +6,10 @@
 //! provides exactly the pieces IAM and the deep baselines need, in pure
 //! Rust `f32`:
 //!
-//! * [`linear::Linear`] — (optionally masked) affine layers with analytic
+//! * `linear::Linear` — (optionally masked) affine layers with analytic
 //!   gradients; layers hold parameters and gradients only, activations
 //!   live in the caller's scratch;
-//! * [`embedding::Embedding`] — learned per-column lookup tables with an
+//! * `embedding::Embedding` — learned per-column lookup tables with an
 //!   extra MASK row for wildcard skipping;
 //! * [`adam::Adam`] — the Adam optimiser over a flat parameter visitor;
 //! * [`made::MadeNet`] — MADE/ResMADE: degree-based autoregressive masks,
@@ -19,16 +19,14 @@
 
 #![deny(missing_docs)]
 
-pub mod adam;
-pub mod embedding;
+mod adam;
+mod embedding;
 pub mod init;
-pub mod linear;
-pub mod made;
+mod linear;
+mod made;
 pub mod mlp;
 
 pub use adam::{Adam, AdamConfig};
-pub use embedding::Embedding;
-pub use linear::Linear;
 pub use made::{FusedTables, InferScratch, MadeConfig, MadeNet};
 pub use mlp::{Mlp, MlpConfig};
 

@@ -84,7 +84,7 @@ const GW_OUTS: usize = 4;
 
 /// Fixed tree reduction of the lane accumulators; every kernel uses this
 /// same order so identical `(w, x)` pairs give identical results.
-#[inline(always)]
+#[cfg(test)]
 fn reduce_lanes(acc: [f32; LANES]) -> f32 {
     let mut s = acc;
     let mut width = LANES / 2;
@@ -97,26 +97,12 @@ fn reduce_lanes(acc: [f32; LANES]) -> f32 {
     s[0]
 }
 
-/// Lane-blocked dot product. The tail reuses the lane accumulators (lane
-/// `l` takes tail element `l`) so the result is a pure function of the
-/// element sequence, not of the caller. Dispatches to the AVX2 variant
-/// when the CPU supports it — bitwise identical by construction (see
-/// [`simd`]).
-#[inline(always)]
-pub(crate) fn dot_lanes(w: &[f32], x: &[f32]) -> f32 {
-    debug_assert_eq!(w.len(), x.len());
-    #[cfg(target_arch = "x86_64")]
-    if simd::enabled() {
-        // SAFETY: guarded by runtime AVX2 detection.
-        return unsafe { simd::dot_lanes_avx2(w, x) };
-    }
-    dot_lanes_scalar(w, x)
-}
-
-/// Portable scalar body of `dot_lanes`; also the reference the SIMD
-/// variant and the blocked kernels are tested against.
-#[inline(always)]
-fn dot_lanes_scalar(w: &[f32], x: &[f32]) -> f32 {
+/// Lane-blocked dot product, the reference the blocked kernels are tested
+/// against. The tail reuses the lane accumulators (lane `l` takes tail
+/// element `l`) so the result is a pure function of the element sequence,
+/// not of the caller.
+#[cfg(test)]
+fn dot_lanes(w: &[f32], x: &[f32]) -> f32 {
     let mut acc = [0.0f32; LANES];
     let mut i = 0;
     while i + LANES <= w.len() {
@@ -180,36 +166,16 @@ impl Vec8 for Scalar8 {
 /// `LANES == 8` is exactly one `__m256`. `_mm256_mul_ps` and
 /// `_mm256_add_ps` round each lane exactly like the scalar code, and no
 /// FMA is formed, so [`Avx2`] is [`super::Scalar8`] bit for bit — which
-/// `simd_kernels_match_scalar_bitwise` and the differential kernel test pin.
+/// `simd_kernels_match_scalar_bitwise` and the differential kernel tests pin.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{reduce_lanes, Bwd, Fwd, Layout, Vec8, LANES};
+    use super::{Bwd, Fwd, Layout, Vec8, LANES};
     use std::arch::x86_64::*;
 
     /// Whether the AVX2 paths may run (cached by the detection macro).
     #[inline(always)]
     pub(super) fn enabled() -> bool {
         std::is_x86_feature_detected!("avx2")
-    }
-
-    /// AVX2 [`super::dot_lanes`]. Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_lanes_avx2(w: &[f32], x: &[f32]) -> f32 {
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + LANES <= w.len() {
-            // SAFETY: `i + LANES <= len` bounds both 8-float loads.
-            let wv = _mm256_loadu_ps(w.as_ptr().add(i));
-            let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, xv));
-            i += LANES;
-        }
-        let mut lanes = [0.0f32; LANES];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        for (l, (wi, xi)) in w[i..].iter().zip(&x[i..]).enumerate() {
-            lanes[l] += wi * xi;
-        }
-        reduce_lanes(lanes)
     }
 
     /// One `__m256`. Only the AVX2-enabled kernels below construct it, so
@@ -740,7 +706,7 @@ fn backward_body<V: Vec8>(bw: &Bwd, gw: &mut [f32], dx: &mut [f32]) {
 /// Masked weights start at zero, the kernels never read them, and their
 /// gradients are never written, so Adam keeps them exactly zero.
 #[derive(Debug, Clone)]
-pub struct Linear {
+pub(crate) struct Linear {
     /// Input features.
     pub in_dim: usize,
     /// Output features.
@@ -768,7 +734,7 @@ impl Linear {
     /// `class[o]` is output `o`'s inference class (what
     /// [`Self::forward_classes`] selects by), and `group` the input group
     /// width of [`Self::forward_grouped`] (`in_dim` for a plain layer).
-    pub fn new_masked(
+    pub(crate) fn new_masked(
         in_dim: usize,
         out_dim: usize,
         mask: Vec<f32>,
@@ -808,7 +774,7 @@ impl Linear {
 
     /// Rebuild `packed` — forward and backward weights — from the current
     /// weights (training: once per optimiser step).
-    pub fn pack(&self, packed: &mut Packed) {
+    pub(crate) fn pack(&self, packed: &mut Packed) {
         self.pack_forward(packed);
         let lay = &self.layout;
         packed.bwd.clear();
@@ -824,7 +790,7 @@ impl Linear {
     }
 
     /// Rebuild only the forward weights of `packed` (inference).
-    pub fn pack_forward(&self, packed: &mut Packed) {
+    pub(crate) fn pack_forward(&self, packed: &mut Packed) {
         let lay = &self.layout;
         debug_assert!(lay.matches(self.mask.as_deref()), "packed layout does not match the mask");
         packed.fwd.clear();
@@ -887,7 +853,13 @@ impl Linear {
     /// group order. The MADE input layer runs this (one group per slot
     /// embedding), so the fused token tables, which cache the group
     /// scalars, replay it bitwise.
-    pub fn forward_grouped(&self, packed: &Packed, x: &[f32], batch: usize, out: &mut Vec<f32>) {
+    pub(crate) fn forward_grouped(
+        &self,
+        packed: &Packed,
+        x: &[f32],
+        batch: usize,
+        out: &mut Vec<f32>,
+    ) {
         debug_assert!(all_finite(x), "the blocked kernels need finite inputs");
         self.run_forward(packed, x, batch, &self.layout.blocks, 0..self.out_dim, out);
     }
@@ -900,7 +872,7 @@ impl Linear {
     /// column this way. Unlike the training entry points it does not assert
     /// finite inputs: a non-finite model (a poisoned weight) must reach the
     /// estimator's own invariant checks, which test every softmax.
-    pub fn forward_classes(
+    pub(crate) fn forward_classes(
         &self,
         packed: &Packed,
         x: &[f32],
@@ -912,18 +884,10 @@ impl Linear {
         self.run_forward(packed, x, batch, self.layout.class_blocks(classes), cols, out);
     }
 
-    /// One group's scalar contribution to output unit `o`: the lane-reduced
-    /// dot of weight row `o`'s `[offset, offset + x.len())` block against
-    /// `x`. This is exactly the scalar [`Self::forward_grouped`] adds for
-    /// that group: the plain reference the blocked table builder
-    /// ([`Self::group_tables`]) is pinned to.
-    pub fn group_dot(&self, o: usize, offset: usize, x: &[f32]) -> f32 {
-        let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-        dot_lanes(&row[offset..offset + x.len()], x)
-    }
-
-    /// Every output's group dot ([`Self::group_dot`]) against every row of
-    /// every input group: `rows[g]` holds rows of input group `g` (`group`
+    /// Every output's group dot against every row of every input group —
+    /// the lane-reduced dot of weight row `o`'s block for group `g` against
+    /// the row, exactly the scalar [`Self::forward_grouped`] adds for that
+    /// group: `rows[g]` holds rows of input group `g` (`group`
     /// floats each, the `group` given to [`Self::new_masked`]), and
     /// `tables[g]` receives `rows × out_dim`, output `o` in column `o`. The
     /// MADE input layer's token tables: group `g` is slot `g`'s embedding
@@ -931,13 +895,18 @@ impl Linear {
     ///
     /// Built on the forward blocks and `packed`'s forward weights (which
     /// must be current): a block's group dots come out eight outputs per
-    /// vector, in `dot_lanes`'s lanes and tree, so each is bitwise
-    /// `group_dot`'s. An output that sees none of group `g` reads `+0.0`,
-    /// which `group_dot` also gives for finite rows, its weights there
+    /// vector, in the lanes and tree of the scalar dot, so each is bitwise
+    /// that dot. An output that sees none of group `g` reads `+0.0`, which
+    /// the dot also gives for finite rows, its weights there
     /// being masked and so zero. Like [`Self::forward_classes`] it does not
     /// assert finite rows: inference builds its tables here, and a
     /// non-finite model must reach the estimator's own invariant checks.
-    pub fn group_tables(&self, packed: &Packed, rows: &[&[f32]], tables: &mut Vec<Vec<f32>>) {
+    pub(crate) fn group_tables(
+        &self,
+        packed: &Packed,
+        rows: &[&[f32]],
+        tables: &mut Vec<Vec<f32>>,
+    ) {
         let group = self.layout.group;
         assert_eq!(rows.len(), self.in_dim / group, "one row set per input group");
         assert_eq!(packed.fwd.len(), self.layout.fwd_idx.len(), "stale packed weights");
@@ -960,7 +929,7 @@ impl Linear {
     /// and write `dL/dx` into `dx`. `packed` must hold this layer's current
     /// weights ([`Self::pack`]). Masked `gw` entries are never written.
     #[allow(clippy::too_many_arguments)]
-    pub fn backward_into(
+    pub(crate) fn backward_into(
         &self,
         packed: &Packed,
         x: &[f32],
@@ -994,7 +963,7 @@ impl Linear {
 
     /// [`Self::backward_into`] the layer's own accumulators — the whole
     /// backward of a model that trains unsharded ([`crate::Mlp`]).
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         packed: &Packed,
         x: &[f32],
@@ -1019,11 +988,6 @@ impl Linear {
         f(&mut self.w, &mut self.gw);
         f(&mut self.b, &mut self.gb);
     }
-
-    /// Scalar parameter count (masked weights included; they are stored).
-    pub fn num_params(&self) -> usize {
-        self.w.len() + self.b.len()
-    }
 }
 
 /// Every layer's packed weights ([`Linear::pack`]) for their current
@@ -1041,7 +1005,7 @@ pub(crate) fn pack_layers(layers: &[Linear], mut packed: Vec<Packed>) -> Vec<Pac
 /// select over a slice (`if on { v } else { 0.0 }`), which the compiler
 /// vectorises.
 #[derive(Debug, Clone, Default)]
-pub struct Relu;
+pub(crate) struct Relu;
 
 impl Relu {
     /// The single activation predicate shared by the training and
@@ -1054,7 +1018,7 @@ impl Relu {
 
     /// In-place forward recording the activation pattern into `active`
     /// (training: one mask per layer per shard).
-    pub fn forward_masked(x: &mut [f32], active: &mut Vec<bool>) {
+    pub(crate) fn forward_masked(x: &mut [f32], active: &mut Vec<bool>) {
         active.clear();
         active.resize(x.len(), false);
         for (v, a) in x.iter_mut().zip(active.iter_mut()) {
@@ -1073,7 +1037,7 @@ impl Relu {
 
     /// In-place backward: zero the gradients of units `active` recorded
     /// as inactive.
-    pub fn backward_masked(dy: &mut [f32], active: &[bool]) {
+    pub(crate) fn backward_masked(dy: &mut [f32], active: &[bool]) {
         debug_assert_eq!(dy.len(), active.len());
         for (g, &on) in dy.iter_mut().zip(active) {
             *g = if on { *g } else { 0.0 };
@@ -1143,23 +1107,24 @@ mod tests {
 
     #[test]
     fn simd_kernels_match_scalar_bitwise() {
-        // the AVX2 dispatch must be invisible: same lanes, same per-lane
-        // op order, same tail and tree reduction — every length (full
-        // 8-blocks and ragged tails) must agree to the bit
-        let vals = |seed: u32, n: usize| -> Vec<f32> {
-            (0..n)
-                .map(|i| {
-                    (((i as u32).wrapping_mul(2654435761) ^ seed) % 1000) as f32 * 0.00317 - 1.2
-                })
-                .collect()
-        };
-        for n in [1usize, 7, 8, 9, 16, 23, 40, 48, 51, 64] {
-            let (w, x) = (vals(1, n), vals(100, n));
-            assert_eq!(
-                dot_lanes(&w, &x).to_bits(),
-                dot_lanes_scalar(&w, &x).to_bits(),
-                "dot_lanes drifted at n={n}"
-            );
+        // the AVX2 lanes must be invisible: every `Vec8` op rounds each
+        // lane as the scalar `*` and `+` do, so the kernels written against
+        // it agree to the bit
+        fn ops<V: Vec8>(a: &[f32; LANES], b: &[f32; LANES]) -> Vec<u32> {
+            let (va, vb) = (V::load(a), V::load(b));
+            let outs = [va.add(vb), va.mul(vb), V::splat(a[3]).mul(vb).add(V::zero())];
+            outs.iter().flat_map(|v| v.store()).map(f32::to_bits).collect()
+        }
+        #[cfg(target_arch = "x86_64")]
+        if simd::enabled() {
+            let val = |seed: u32, i: usize| {
+                (((i as u32).wrapping_mul(2654435761) ^ seed) % 1000) as f32 * 0.00317 - 1.2
+            };
+            for n in 0..16 {
+                let a = std::array::from_fn(|l| val(1, n * LANES + l));
+                let b = std::array::from_fn(|l| val(100, n * LANES + l));
+                assert_eq!(ops::<Scalar8>(&a, &b), ops::<simd::Avx2>(&a, &b), "block {n}");
+            }
         }
     }
 
@@ -1216,7 +1181,7 @@ mod tests {
                 let mut acc = l.b[o];
                 for g0 in (0..ni).step_by(group) {
                     let r = g0..g0 + group;
-                    acc += dot_lanes_scalar(&l.w[o * ni..][r.clone()], &x[b * ni..][r]);
+                    acc += dot_lanes(&l.w[o * ni..][r.clone()], &x[b * ni..][r]);
                 }
                 out.push(acc);
             }
@@ -1329,7 +1294,7 @@ mod tests {
 
     #[test]
     fn token_table_builder_matches_group_dot_bitwise() {
-        // the blocked table builder against the scalar group dot, for every
+        // the blocked table builder against the scalar dot, for every
         // (group, row, output): widths 8, 12 and 16 (a full lane set, a
         // ragged tail, two passes per lane), rows with −0.0, zeros and
         // negatives, row counts that run the 4-row pass and the tail
@@ -1365,7 +1330,7 @@ mod tests {
                     for o in 0..37 {
                         assert_eq!(
                             table[t * 37 + o].to_bits(),
-                            l.group_dot(o, g * e, x).to_bits(),
+                            dot_lanes(&l.w[o * l.in_dim..][g * e..(g + 1) * e], x).to_bits(),
                             "e {e}, group {g}, row {t}, output {o}"
                         );
                     }
@@ -1436,7 +1401,8 @@ mod tests {
                 for o in 0..9 {
                     let mut want = l.b[o];
                     for g in 0..4 {
-                        want += l.group_dot(o, g * 6, &xrow[g * 6..(g + 1) * 6]);
+                        let r = g * 6..(g + 1) * 6;
+                        want += dot_lanes(&l.w[o * 24..][r.clone()], &xrow[r]);
                     }
                     assert_eq!(
                         want.to_bits(),

@@ -37,20 +37,29 @@ use crate::Parameters;
 /// decomposition is a function of the batch size ALONE — never of the
 /// thread count — so the fixed-order shard reduction yields bitwise
 /// identical gradients for every `threads` value.
-pub const TRAIN_SHARD_ROWS: usize = 64;
+pub(crate) const TRAIN_SHARD_ROWS: usize = 64;
 
 /// Configuration of a [`MadeNet`].
 #[derive(Debug, Clone)]
 pub struct MadeConfig {
     /// Reduced domain size of each column, in autoregressive order.
+    ///
+    /// Ledger: crates/core/src/estimator.rs
     pub domain_sizes: Vec<usize>,
     /// Hidden layer widths, e.g. the paper's `[256, 128, 128, 256]`.
+    ///
+    /// Ledger: crates/core/src/estimator.rs
     pub hidden: Vec<usize>,
     /// Per-column embedding dimension.
+    ///
+    /// Ledger: crates/core/src/estimator.rs
     pub embed_dim: usize,
     /// Add residual skips between equal-width hidden layers (ResMADE).
+    // audit-allow(knob-ledger): every caller sets the default `true`, benchmark/src/probes.rs in a struct literal; the field goes with that probe
     pub residual: bool,
     /// Seed for weight init.
+    ///
+    /// Ledger: crates/core/src/estimator.rs
     pub seed: u64,
 }
 
@@ -93,7 +102,7 @@ impl InferScratch {
 /// per row collapses to O(nslots·h₀) adds, and the embedding gather is
 /// skipped entirely.
 ///
-/// The tables also hold the packed forward weights ([`Packed`]) of every
+/// The tables also hold the packed forward weights (`Packed`) of every
 /// later layer, which the blocked kernels of the column forward read.
 ///
 /// Tables are a pure function of the model's weights and embedding
@@ -101,7 +110,7 @@ impl InferScratch {
 /// of a training epoch). Training builds the same token tables once per
 /// optimiser step, next to its packed weights, and runs its layer-1
 /// forward from them ([`MadeNet::train_batch_sharded`]). One blocked
-/// builder ([`Linear::group_tables`]) serves both, and one sum
+/// builder (`Linear::group_tables`) serves both, and one sum
 /// (`table_sum`) reads them.
 #[derive(Debug, Clone)]
 pub struct FusedTables {
@@ -127,7 +136,7 @@ impl FusedTables {
 /// the gradient reduction order is independent of the thread count;
 /// buffers are allocated on first use and reused across batches.
 #[derive(Debug, Default)]
-pub struct TrainScratch {
+pub(crate) struct TrainScratch {
     bufs: Vec<Vec<f32>>,
     masks: Vec<Vec<bool>>,
     grads: Vec<Vec<f32>>,
@@ -366,13 +375,8 @@ impl MadeNet {
         self.cfg.domain_sizes[col]
     }
 
-    /// Total output width `Σ |A_i|`.
-    pub fn total_logits(&self) -> usize {
-        self.total_logits
-    }
-
     /// Byte-range of column `i`'s logits within an output row.
-    pub fn logit_range(&self, col: usize) -> std::ops::Range<usize> {
+    pub(crate) fn logit_range(&self, col: usize) -> std::ops::Range<usize> {
         let start = self.logit_offsets[col];
         start..start + self.cfg.domain_sizes[col]
     }
@@ -384,7 +388,7 @@ impl MadeNet {
     /// to `mask_token(col)` feeds the MASK embedding. This is the forward
     /// the training step runs; inference runs
     /// [`Self::forward_column_fused`], whose output is bitwise this one's
-    /// [`Self::logit_range`] slice.
+    /// `Self::logit_range` slice.
     pub fn forward(&self, inputs: &[usize], batch: usize, out: &mut Vec<f32>) {
         let mut bufs = Vec::new();
         let packed = pack_layers(&self.layers, Vec::new());
@@ -561,8 +565,8 @@ impl MadeNet {
     }
 
     /// Data-parallel training step. The mini-batch is split into fixed
-    /// [`TRAIN_SHARD_ROWS`]-row shards; each shard runs forward/backward
-    /// into its own gradient buffers ([`TrainScratch`]), shards are dealt
+    /// `TRAIN_SHARD_ROWS`-row shards; each shard runs forward/backward
+    /// into its own gradient buffers (`TrainScratch`), shards are dealt
     /// round-robin to `threads` scoped workers, and shard gradients are
     /// reduced into the model's accumulators in ascending shard order.
     ///
@@ -810,7 +814,7 @@ impl MadeNet {
     }
 
     /// Whether every masked weight is `0.0` — what the exactness argument
-    /// of the blocked kernels rests on ([`crate::linear`]). Training keeps
+    /// of the blocked kernels rests on (`crate::linear`). Training keeps
     /// it; a snapshot loader must check it.
     pub fn masked_weights_are_zero(&self) -> bool {
         self.layers.iter().all(Linear::masked_weights_are_zero)
@@ -939,7 +943,7 @@ mod tests {
         net.forward(&inputs, 5, &mut logits);
         let bias = &net.layers.last().unwrap().b[net.logit_range(0)];
         for b in 0..5 {
-            let row = &logits[b * net.total_logits()..][net.logit_range(0)];
+            let row = &logits[b * net.total_logits..][net.logit_range(0)];
             assert_eq!(bits(row), bits(bias), "row {b}");
         }
     }
@@ -982,7 +986,7 @@ mod tests {
         let (inputs, _) = masked_rows(&domains, rows, 61);
         let mut logits = Vec::new();
         net.forward(&inputs, rows, &mut logits);
-        let t = net.total_logits();
+        let t = net.total_logits;
         let mut shared = 0;
         for col in 0..n {
             let seg = |b: usize| bits(&logits[b * t..][net.logit_range(col)]);
@@ -1019,7 +1023,7 @@ mod tests {
         // the per-row loop over the reference forward's logits
         let mut logits = Vec::new();
         net.forward(&inputs, rows, &mut logits);
-        let t = net.total_logits();
+        let t = net.total_logits;
         let (mut want, mut probs, mut nll) = (vec![0.0f32; logits.len()], Vec::new(), 0.0f64);
         for b in 0..rows {
             for col in 0..n {
@@ -1095,7 +1099,7 @@ mod tests {
             data.push(b);
         }
         let mut net = tiny_net(vec![2, 2], 4);
-        let mut opt = Adam::new(AdamConfig { lr: 5e-3, ..Default::default() });
+        let mut opt = Adam::new(AdamConfig { lr: 5e-3 });
         let bs = 128;
         for epoch in 0..30 {
             let _ = epoch;
@@ -1161,7 +1165,7 @@ mod tests {
     fn full_forward_column(net: &MadeNet, inputs: &[usize], batch: usize, col: usize) -> Vec<f32> {
         let mut full = Vec::new();
         net.forward(inputs, batch, &mut full);
-        full.chunks_exact(net.total_logits())
+        full.chunks_exact(net.total_logits)
             .flat_map(|row| &row[net.logit_range(col)])
             .copied()
             .collect()
@@ -1289,7 +1293,7 @@ mod tests {
         let mut nll = 0.0f64;
         for b in 0..batch {
             for col in 0..n {
-                let seg = &logits[b * net.total_logits()..][net.logit_range(col)];
+                let seg = &logits[b * net.total_logits..][net.logit_range(col)];
                 let max = seg.iter().fold(f64::NEG_INFINITY, |m, &l| m.max(l as f64));
                 let lse = seg.iter().map(|&l| (l as f64 - max).exp()).sum::<f64>().ln() + max;
                 nll += lse - seg[targets[b * n + col]] as f64;
@@ -1489,7 +1493,7 @@ mod tests {
             data.push(1);
         } // P(0)=2/3
         let mut net = tiny_net(vec![2], 10);
-        let mut opt = Adam::new(AdamConfig { lr: 1e-2, ..Default::default() });
+        let mut opt = Adam::new(AdamConfig { lr: 1e-2 });
         for _ in 0..40 {
             for chunk in data.chunks_exact(90) {
                 net.train_batch(chunk, chunk, 90);

@@ -12,10 +12,16 @@ use crate::Parameters;
 #[derive(Debug, Clone)]
 pub struct MlpConfig {
     /// Input feature width.
+    ///
+    /// Ledger: crates/estimators/src/mscn.rs
     pub in_dim: usize,
     /// Hidden widths, e.g. `[256, 256]` (the paper's MSCN setting).
+    ///
+    /// Ledger: crates/estimators/src/mscn.rs
     pub hidden: Vec<usize>,
     /// Weight init seed.
+    ///
+    /// Ledger: crates/estimators/src/mscn.rs
     pub seed: u64,
 }
 
@@ -128,7 +134,7 @@ mod tests {
             ys.push(2.0 * a - b + 0.5);
         }
         let mut mlp = Mlp::new(&MlpConfig { in_dim: 2, hidden: vec![16], seed: 3 });
-        let mut opt = Adam::new(AdamConfig { lr: 1e-2, ..Default::default() });
+        let mut opt = Adam::new(AdamConfig { lr: 1e-2 });
         let mut last = f32::INFINITY;
         for _ in 0..300 {
             last = mlp.train_batch(&xs, &ys, 200);
@@ -146,7 +152,7 @@ mod tests {
         let xs: Vec<f32> = (-50..50).map(|i| i as f32 / 25.0).collect();
         let ys: Vec<f32> = xs.iter().map(|x| x.abs()).collect();
         let mut mlp = Mlp::new(&MlpConfig { in_dim: 1, hidden: vec![32, 32], seed: 4 });
-        let mut opt = Adam::new(AdamConfig { lr: 5e-3, ..Default::default() });
+        let mut opt = Adam::new(AdamConfig { lr: 5e-3 });
         let mut last = f32::INFINITY;
         for _ in 0..600 {
             last = mlp.train_batch(&xs, &ys, xs.len());

@@ -42,6 +42,8 @@ pub mod span;
 pub mod tracetree;
 
 pub use qerror::{QErrorTracker, QRecord};
-pub use registry::{fmt_bound, Counter, FloatGauge, Gauge, Histogram, HistogramSnapshot, Registry};
+pub use registry::{
+    escape_label, fmt_bound, Counter, FloatGauge, Gauge, Histogram, HistogramSnapshot, Registry,
+};
 pub use span::{SpanAgg, SpanGuard};
-pub use tracetree::{SpanRecord, TraceCtx, TraceIdGen};
+pub use tracetree::{fnv1a, SpanRecord, TraceCtx, TraceIdGen};

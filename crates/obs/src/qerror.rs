@@ -218,7 +218,8 @@ impl QErrorTracker {
 
     /// Per-column `(column, count, mean, max)` q-error aggregates, sorted
     /// by column name.
-    pub fn column_errors(&self) -> Vec<(String, u64, f64, f64)> {
+    #[cfg(test)]
+    pub(crate) fn column_errors(&self) -> Vec<(String, u64, f64, f64)> {
         let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         let mut v: Vec<(String, u64, f64, f64)> = inner
             .cols

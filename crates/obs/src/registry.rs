@@ -136,7 +136,7 @@ pub struct Histogram {
 impl Histogram {
     /// Build from upper bucket bounds (must be strictly increasing; a
     /// trailing `u64::MAX` catch-all is appended when missing).
-    pub fn with_bounds(bounds: &[u64]) -> Self {
+    pub(crate) fn with_bounds(bounds: &[u64]) -> Self {
         assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must be strictly increasing");
         let mut bounds = bounds.to_vec();
         if bounds.last() != Some(&u64::MAX) {
@@ -290,6 +290,19 @@ impl MetricId {
     }
 }
 
+/// Append `v` to `out` escaped as a Prometheus text-format label value
+/// (`\`, `"` and newline).
+pub fn escape_label(out: &mut String, v: &str) {
+    for c in v.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+}
+
 /// Render `name{labels…,extra…}` (no braces when both are empty).
 fn render_series(name: &str, labels: &[(String, String)], extra: &[(&str, &str)]) -> String {
     if labels.is_empty() && extra.is_empty() {
@@ -306,14 +319,7 @@ fn render_series(name: &str, labels: &[(String, String)], extra: &[(&str, &str)]
         first = false;
         s.push_str(k);
         s.push_str("=\"");
-        for c in v.chars() {
-            match c {
-                '\\' => s.push_str("\\\\"),
-                '"' => s.push_str("\\\""),
-                '\n' => s.push_str("\\n"),
-                c => s.push(c),
-            }
-        }
+        escape_label(&mut s, v);
         s.push('"');
     }
     s.push('}');

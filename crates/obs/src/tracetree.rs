@@ -58,7 +58,7 @@ impl TraceCtx {
 
     /// The same trace re-parented under `span_id` — what gets sent to a
     /// remote peer so its spans nest under the local RPC span.
-    pub fn child_of(&self, span_id: u64) -> TraceCtx {
+    pub(crate) fn child_of(&self, span_id: u64) -> TraceCtx {
         TraceCtx { trace_id: self.trace_id, parent_span: span_id }
     }
 }
@@ -138,7 +138,7 @@ pub fn set_process_label(label: &str) {
 }
 
 /// The current process label.
-pub fn process_label() -> String {
+pub(crate) fn process_label() -> String {
     proc_label().lock().unwrap_or_else(|p| p.into_inner()).clone()
 }
 
@@ -200,8 +200,10 @@ impl Drop for CtxGuard {
     }
 }
 
-/// FNV-1a of a byte string (label mixing for span-id allocation).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a-64 over a byte slice: the process-label mixing of span ids here,
+/// the framed-snapshot checksum of `iam-core` and the table placement of
+/// `iam-dist`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -296,7 +298,7 @@ impl SpanRecord {
     /// Render as one `{"event":"span",…}` JSONL line (no trailing newline).
     /// Schema: `trace` (32 hex chars), `span`/`parent` (decimal u64),
     /// `name`, `proc`, `start_us`, `dur_us`.
-    pub fn to_json_line(&self) -> String {
+    pub(crate) fn to_json_line(&self) -> String {
         format!(
             "{{\"event\":\"span\",\"trace\":\"{:032x}\",\"span\":{},\"parent\":{},\
              \"name\":\"{}\",\"proc\":\"{}\",\"start_us\":{},\"dur_us\":{}}}",

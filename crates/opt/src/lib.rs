@@ -12,9 +12,9 @@
 
 #![deny(missing_docs)]
 
-pub mod cardinality;
-pub mod executor;
-pub mod optimizer;
+mod cardinality;
+mod executor;
+mod optimizer;
 
 pub use cardinality::{
     ExactCardEstimator, FlatCardEstimator, IndependenceCardEstimator, JoinCardEstimator,

@@ -182,7 +182,7 @@ impl QueryCache {
     }
 
     /// True when the cache was built with capacity 0.
-    pub fn is_disabled(&self) -> bool {
+    pub(crate) fn is_disabled(&self) -> bool {
         self.shards.is_empty()
     }
 
@@ -230,7 +230,7 @@ impl QueryCache {
 
     /// Poisoned-lock recoveries since construction (each one dropped the
     /// contents of a single shard).
-    pub fn recoveries(&self) -> u64 {
+    pub(crate) fn recoveries(&self) -> u64 {
         self.recoveries.load(Relaxed)
     }
 

@@ -48,6 +48,6 @@ pub use cache::QueryCache;
 pub use error::ServeError;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use net::{parse_query, render_query, TcpFrontend, MAX_LINE_BYTES};
-pub use registry::{ModelRegistry, ModelVersion};
+pub use registry::ModelVersion;
 pub use service::{Client, ServeConfig, Service};
 pub use sql::execute_sql;

@@ -92,7 +92,7 @@ impl Metrics {
     }
 
     /// Count a client request (before any queue/cache interaction).
-    pub fn request(&self) {
+    pub(crate) fn request(&self) {
         self.requests.inc();
     }
 
@@ -107,22 +107,22 @@ impl Metrics {
     }
 
     /// Count a malformed query.
-    pub fn bad_query(&self) {
+    pub(crate) fn bad_query(&self) {
         self.bad_queries.inc();
     }
 
     /// Count a model hot-swap (or rollback).
-    pub fn model_swap(&self) {
+    pub(crate) fn model_swap(&self) {
         self.model_swaps.inc();
     }
 
     /// A request entered the queue.
-    pub fn enqueued(&self) {
+    pub(crate) fn enqueued(&self) {
         self.queue_depth.add(1);
     }
 
     /// `n` requests left the queue (coalesced into one batch).
-    pub fn dequeued(&self, n: usize) {
+    pub(crate) fn dequeued(&self, n: usize) {
         self.queue_depth.sub(n as i64);
     }
 
@@ -135,7 +135,7 @@ impl Metrics {
     }
 
     /// Record an end-to-end request latency.
-    pub fn latency(&self, d: Duration) {
+    pub(crate) fn latency(&self, d: Duration) {
         self.latency_us.observe(d.as_micros().min(u64::MAX as u128) as u64);
     }
 
@@ -158,7 +158,7 @@ impl Metrics {
     /// registry appended — for aggregators (the cluster worker) that merge
     /// several services into one exposition and must not repeat the global
     /// section per service.
-    pub fn render_prometheus_local(
+    pub(crate) fn render_prometheus_local(
         &self,
         cache_hits: u64,
         cache_misses: u64,

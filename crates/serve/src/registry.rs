@@ -4,7 +4,7 @@
 //! the `Arc` (a few ns under the read lock) and then run inference with no
 //! lock held, so a swap never blocks in-flight batches — they simply finish
 //! on the version they started with. Superseded versions are kept (bounded)
-//! for [`ModelRegistry::rollback`].
+//! for `ModelRegistry::rollback`.
 //!
 //! Loading a snapshot that fails to parse leaves the active version
 //! untouched — failed loads roll back for free because the swap only
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// How many superseded versions [`ModelRegistry`] retains for rollback.
-pub const HISTORY_LIMIT: usize = 4;
+pub(crate) const HISTORY_LIMIT: usize = 4;
 
 /// One immutable, shareable trained model plus its registry metadata.
 pub struct ModelVersion {
@@ -37,7 +37,7 @@ pub struct ModelVersion {
 }
 
 /// Thread-safe registry of model versions. All methods take `&self`.
-pub struct ModelRegistry {
+pub(crate) struct ModelRegistry {
     active: RwLock<Arc<ModelVersion>>,
     history: Mutex<Vec<Arc<ModelVersion>>>,
     next_id: AtomicU64,
@@ -90,11 +90,6 @@ impl ModelRegistry {
         self.read_active().clone()
     }
 
-    /// Id of the currently active version.
-    pub fn current_id(&self) -> u64 {
-        self.current().id
-    }
-
     /// Atomically activate `model` as a new version; the previous version
     /// moves to the rollback history. Returns the new version id.
     pub fn install(&self, model: IamEstimator, label: &str) -> u64 {
@@ -123,7 +118,7 @@ impl ModelRegistry {
     /// moves into the history, so two rollbacks in a row swap back and
     /// forth). The reactivated version keeps its original id — its old
     /// cache entries are valid again, because it is byte-identical.
-    pub fn rollback(&self) -> Result<u64, ServeError> {
+    pub(crate) fn rollback(&self) -> Result<u64, ServeError> {
         let mut h = self.lock_history();
         let prev = h.pop().ok_or(ServeError::NoPreviousVersion)?;
         let id = prev.id;
@@ -135,13 +130,8 @@ impl ModelRegistry {
         Ok(id)
     }
 
-    /// Number of superseded versions available to [`Self::rollback`].
-    pub fn history_len(&self) -> usize {
-        self.lock_history().len()
-    }
-
     /// Poisoned-lock recoveries since construction.
-    pub fn recoveries(&self) -> u64 {
+    pub(crate) fn recoveries(&self) -> u64 {
         self.recoveries.load(Relaxed)
     }
 }
@@ -169,13 +159,13 @@ mod tests {
     #[test]
     fn install_and_rollback_cycle() {
         let reg = ModelRegistry::new(tiny_model(1), "v1");
-        assert_eq!(reg.current_id(), 1);
+        assert_eq!(reg.current().id, 1);
         assert_eq!(reg.current().label, "v1");
 
         let id2 = reg.install(tiny_model(2), "v2");
         assert_eq!(id2, 2);
-        assert_eq!(reg.current_id(), 2);
-        assert_eq!(reg.history_len(), 1);
+        assert_eq!(reg.current().id, 2);
+        assert_eq!(reg.lock_history().len(), 1);
 
         // rollback reactivates v1 with its original id
         assert_eq!(reg.rollback().unwrap(), 1);
@@ -189,7 +179,7 @@ mod tests {
     fn rollback_without_history_errors() {
         let reg = ModelRegistry::new(tiny_model(3), "only");
         assert_eq!(reg.rollback(), Err(ServeError::NoPreviousVersion));
-        assert_eq!(reg.current_id(), 1, "failed rollback must not disturb the active model");
+        assert_eq!(reg.current().id, 1, "failed rollback must not disturb the active model");
     }
 
     #[test]
@@ -197,8 +187,8 @@ mod tests {
         let reg = ModelRegistry::new(tiny_model(4), "v1");
         let err = reg.load(&mut &b"not a snapshot"[..], "bad").unwrap_err();
         assert!(matches!(err, ServeError::Load(_)));
-        assert_eq!(reg.current_id(), 1);
-        assert_eq!(reg.history_len(), 0, "no history entry for a failed load");
+        assert_eq!(reg.current().id, 1);
+        assert_eq!(reg.lock_history().len(), 0, "no history entry for a failed load");
     }
 
     #[test]
@@ -232,8 +222,8 @@ mod tests {
 
         // every operation still works, and nothing was lost: the guarded
         // values are whole Arc swaps, valid even mid-panic
-        assert_eq!(reg.current_id(), 2);
-        assert_eq!(reg.history_len(), 1);
+        assert_eq!(reg.current().id, 2);
+        assert_eq!(reg.lock_history().len(), 1);
         assert_eq!(reg.rollback().unwrap(), 1);
         assert_eq!(reg.current().label, "v1");
         assert!(!reg.active.is_poisoned());
@@ -247,6 +237,6 @@ mod tests {
         for i in 0..(HISTORY_LIMIT + 3) {
             reg.install(tiny_model(8), &format!("v{}", i + 2));
         }
-        assert_eq!(reg.history_len(), HISTORY_LIMIT);
+        assert_eq!(reg.lock_history().len(), HISTORY_LIMIT);
     }
 }

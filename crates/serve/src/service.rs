@@ -44,24 +44,39 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Batch worker threads. `0` starts no workers — queued requests are
     /// never served (useful for deterministic overload/timeout tests).
+    ///
+    /// Ledger: crates/serve/tests/service.rs
     pub workers: usize,
     /// Maximum requests coalesced into one inference call.
+    ///
+    /// Ledger: crates/serve/tests/service.rs
     pub max_batch: usize,
     /// Bound of the request queue; a full queue rejects with
     /// [`ServeError::Overloaded`].
+    ///
+    /// Ledger: crates/serve/tests/service.rs
     pub queue_depth: usize,
     /// How long a worker holding a non-full batch waits for more requests
     /// before flushing it.
+    ///
+    /// Ledger: crates/serve/tests/service.rs
     pub flush_interval: Duration,
     /// Total result-cache entries (`0` disables the cache).
+    ///
+    /// Ledger: benchmark/src/workloads.rs
     pub cache_capacity: usize,
     /// Cache shards (rounded up to a power of two).
+    // audit-allow(knob-ledger): nothing sets it, but benchmark/src/probes.rs reads it to build its QueryCache; it goes with that probe
     pub cache_shards: usize,
     /// Default per-request timeout for [`Client::estimate`].
+    ///
+    /// Ledger: deploy
     pub request_timeout: Duration,
     /// Q-error reservoir capacity: how many estimate records are retained
     /// for later `REPORT` truth resolution. `0` (the default) disables
     /// accuracy tracking entirely.
+    ///
+    /// Ledger: crates/serve/tests/qerror.rs
     pub qerror_capacity: usize,
 }
 
@@ -232,7 +247,7 @@ impl Service {
     }
 
     /// Reactivate the previously active version (see
-    /// [`ModelRegistry::rollback`]). The cache is cleared even though old
+    /// `ModelRegistry::rollback`). The cache is cleared even though old
     /// entries would still be valid — simpler than resurrecting them.
     pub fn rollback_model(&self) -> Result<u64, ServeError> {
         let id = self.inner.registry.rollback()?;

@@ -9,7 +9,7 @@ use crate::SqlError;
 
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Identifier or keyword (`SELECT`, `my_table`, `c12`, …).
     Ident(String),
     /// Numeric literal (always finite; `NaN`/`inf` literals are rejected).
@@ -61,7 +61,7 @@ impl std::fmt::Display for Token {
 /// Lex `input` into `(token, byte_offset)` pairs. Panic-free on arbitrary
 /// input: unknown characters and malformed numbers come back as
 /// [`SqlError`]s naming the offending byte offset.
-pub fn lex(input: &str) -> Result<Vec<(Token, usize)>, SqlError> {
+pub(crate) fn lex(input: &str) -> Result<Vec<(Token, usize)>, SqlError> {
     let mut out = Vec::new();
     let bytes = input.as_bytes();
     let mut i = 0usize;

@@ -33,11 +33,10 @@
 
 #![deny(missing_docs)]
 
-pub mod lexer;
+mod lexer;
 pub mod lower;
-pub mod parser;
+mod parser;
 
-pub use lexer::{lex, Token};
 pub use lower::{explain, lower_single_table, resolve_target, CardSource};
 pub use parser::{parse, Agg, CmpOp, ColRef, Cond, JoinClause, Select, Statement};
 

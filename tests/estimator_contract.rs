@@ -7,7 +7,6 @@ use iam_data::synth::Dataset;
 use iam_data::{
     exact_selectivity, RangeQuery, SelectivityEstimator, Table, WorkloadConfig, WorkloadGenerator,
 };
-use iam_estimators::spn::SpnConfig;
 use iam_estimators::{
     mscn::MscnConfig, ChowLiuNet, KdeEstimator, Mhist, MscnLite, Postgres1d, QuickSelLite,
     SamplingEstimator, SpnEstimator,
@@ -35,7 +34,7 @@ fn all_estimators(t: &Table) -> Vec<(Box<dyn SelectivityEstimator>, bool)> {
         (Box::new(Mhist::new(t, 256)), true),
         (Box::new(ChowLiuNet::new(t)), true),
         (Box::new(KdeEstimator::new(t, 500, 2)), true),
-        (Box::new(SpnEstimator::new(t, SpnConfig::default())), true),
+        (Box::new(SpnEstimator::new(t)), true),
         (
             Box::new(MscnLite::fit(t, &train, MscnConfig { epochs: 10, ..Default::default() })),
             false, // learned regressor: not structurally monotone
