@@ -3,7 +3,7 @@
 
 use crate::{BenchScale, EstimatorRow};
 use iam_core::{neurocard_lite, IamEstimator};
-use iam_data::{ErrorSummary, RangeQuery, SelectivityEstimator, Table};
+use iam_data::{q_error, ErrorSummary, RangeQuery, SelectivityEstimator, Table};
 use iam_estimators::{mscn::MscnConfig, MscnLite, SpnEstimator};
 use iam_join::flat::{exact_card, flatten_foj, FlatSchema};
 use iam_join::imdb::{synthetic_imdb, ImdbConfig};
@@ -11,13 +11,6 @@ use iam_join::star::StarSchema;
 use iam_join::workload::{JoinQuery, JoinWorkloadGenerator};
 use iam_opt::IndependenceCardEstimator;
 use std::time::Instant;
-
-/// Q-error over cardinalities, floored at 1 row (join convention).
-pub(crate) fn q_error_card(truth: f64, est: f64) -> f64 {
-    let t = truth.max(1.0);
-    let e = est.max(1.0);
-    (t / e).max(e / t)
-}
 
 /// A prepared join experiment.
 pub struct JoinExperiment {
@@ -68,7 +61,7 @@ impl JoinExperiment {
         let errs: Vec<f64> = self
             .eval
             .iter()
-            .map(|(q, truth)| q_error_card(*truth, self.schema.estimate_card(est, q)))
+            .map(|(q, truth)| q_error(*truth, self.schema.estimate_card(est, q), 1))
             .collect();
         let ms = started.elapsed().as_secs_f64() * 1000.0 / self.eval.len().max(1) as f64;
         (ErrorSummary::from_errors(&errs).expect("nonempty"), ms)
@@ -85,7 +78,7 @@ impl JoinExperiment {
             .iter()
             .map(|(q, truth)| {
                 use iam_opt::JoinCardEstimator;
-                q_error_card(*truth, pg.card(q, true, &q.join_dims))
+                q_error(*truth, pg.card(q, true, &q.join_dims), 1)
             })
             .collect();
         let ms = started.elapsed().as_secs_f64() * 1000.0 / self.eval.len().max(1) as f64;
@@ -171,12 +164,14 @@ pub fn run_join_lineup(exp: &JoinExperiment) -> JoinLineup {
 mod tests {
     use super::*;
 
+    /// Cardinalities are q-errored by the selectivity rule with one row
+    /// as the table: the floor `1 / 1` is one row.
     #[test]
     fn q_error_card_floors_at_one_row() {
-        assert_eq!(q_error_card(0.0, 0.0), 1.0);
-        assert_eq!(q_error_card(10.0, 10.0), 1.0);
-        assert!((q_error_card(0.0, 5.0) - 5.0).abs() < 1e-12);
-        assert!((q_error_card(100.0, 10.0) - 10.0).abs() < 1e-12);
+        assert_eq!(q_error(0.0, 0.0, 1), 1.0);
+        assert_eq!(q_error(10.0, 10.0, 1), 1.0);
+        assert!((q_error(0.0, 5.0, 1) - 5.0).abs() < 1e-12);
+        assert!((q_error(100.0, 10.0, 1) - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -430,7 +430,7 @@ mod tests {
         let plain = IamEstimator::fit(&t, cfg);
         let bytes = |e: &IamEstimator| {
             let mut buf = Vec::new();
-            e.save(&mut buf).unwrap();
+            e.save_framed(&mut buf).unwrap();
             buf
         };
         assert!(bytes(&probed) == bytes(&plain), "estimates between epochs changed the model");

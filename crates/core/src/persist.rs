@@ -1,8 +1,11 @@
 //! Model persistence: save a trained [`IamEstimator`] to a compact binary
 //! snapshot and load it back for inference.
 //!
-//! The format is self-contained and dependency-free (little-endian, magic
-//! `IAM2`; an older `IAM1` snapshot is a `BadFormat`): the configuration,
+//! There is one snapshot format, the framed envelope of
+//! [`IamEstimator::save_framed`] / [`IamEstimator::load_framed`]: magic,
+//! length, payload, checksum. The payload is self-contained and
+//! dependency-free (little-endian, magic `IAM2`; an older `IAM1` payload is
+//! a `BadFormat`, and so is any byte after the parameters): the configuration,
 //! the per-column handlers (ordinal dictionaries, reducer parameters,
 //! factorisation bases) and the AR network's parameters as one flat tensor
 //! in `Parameters::visit_params` order — network reconstruction is
@@ -257,8 +260,8 @@ fn read_reducer<R: Read>(r: &mut R) -> Result<Reducer, PersistError> {
 // --- estimator round-trip --------------------------------------------------
 
 impl IamEstimator {
-    /// Serialise a trained estimator.
-    pub fn save<W: Write>(&self, w: &mut W) -> Result<(), PersistError> {
+    /// Serialise the `IAM2` payload of a [`Self::save_framed`] snapshot.
+    fn save<W: Write>(&self, w: &mut W) -> Result<(), PersistError> {
         w.write_all(MAGIC)?;
         // config (everything needed to rebuild the net + inference behaviour)
         let c = &self.cfg;
@@ -313,8 +316,9 @@ impl IamEstimator {
         Ok(())
     }
 
-    /// Deserialise an estimator saved by [`Self::save`].
-    pub fn load<R: Read>(r: &mut R) -> Result<IamEstimator, PersistError> {
+    /// Deserialise the `IAM2` payload of a [`Self::load_framed`] snapshot,
+    /// leaving `r` just past the network parameters.
+    fn load<R: Read>(r: &mut R) -> Result<IamEstimator, PersistError> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -427,15 +431,6 @@ impl IamEstimator {
         if flat.iter().any(|x| !x.is_finite()) {
             return Err(bad("non-finite network parameter"));
         }
-        // older snapshots end with one trailer byte: the fused-table
-        // precision tag (0/1/2) they were served at. They hold the full f32
-        // parameters either way and tables are rebuilt from those, so the
-        // tag is validated and dropped; any other byte is garbage, not
-        // silently accepted
-        let mut trailer = [0u8; 1];
-        if r.read(&mut trailer)? != 0 && trailer[0] > 2 {
-            return Err(bad("bad snapshot trailer byte"));
-        }
         let mut est = IamEstimator::from_parts(cfg, schema, nrows, &name);
         let mut cursor = 0usize;
         let mut overflow = false;
@@ -464,8 +459,8 @@ impl IamEstimator {
     }
 
     /// Serialise into a self-delimiting **framed** envelope:
-    /// `IAMF` magic, little-endian payload length, the [`Self::save`]
-    /// payload, and an FNV-1a-64 checksum of the payload. The frame makes a
+    /// `IAMF` magic, little-endian payload length, the `IAM2` payload, and
+    /// an FNV-1a-64 checksum of the payload. The frame makes a
     /// snapshot safe to ship over a byte stream — a receiver can tell a
     /// complete, uncorrupted snapshot from a torn or bit-flipped one
     /// *before* attempting to install it (see `iam-dist` snapshot
@@ -473,17 +468,14 @@ impl IamEstimator {
     pub fn save_framed<W: Write>(&self, w: &mut W) -> Result<(), PersistError> {
         let mut payload = Vec::new();
         self.save(&mut payload)?;
-        w.write_all(FRAME_MAGIC)?;
-        w_u64(w, payload.len() as u64)?;
-        w.write_all(&payload)?;
-        w_u64(w, fnv1a(&payload))?;
-        Ok(())
+        Ok(write_envelope(w, &payload)?)
     }
 
     /// Deserialise a [`Self::save_framed`] envelope, verifying the length
     /// bound and checksum before parsing the payload. Truncated input,
-    /// implausible length prefixes, and checksum mismatches all fail
-    /// cleanly with the active bytes untouched.
+    /// implausible length prefixes, checksum mismatches and bytes left
+    /// after the payload's parameters all fail cleanly with the active
+    /// bytes untouched.
     pub fn load_framed<R: Read>(r: &mut R) -> Result<IamEstimator, PersistError> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
@@ -504,8 +496,22 @@ impl IamEstimator {
         if fnv1a(&payload) != want {
             return Err(PersistError::BadFormat("snapshot checksum mismatch"));
         }
-        Self::load(&mut payload.as_slice())
+        let mut rest = payload.as_slice();
+        let est = Self::load(&mut rest)?;
+        if !rest.is_empty() {
+            return Err(PersistError::BadFormat("bytes after the network parameters"));
+        }
+        Ok(est)
     }
+}
+
+/// Write `payload` inside the `IAMF` envelope: magic, length, payload,
+/// checksum.
+fn write_envelope<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+    w.write_all(FRAME_MAGIC)?;
+    w_u64(w, payload.len() as u64)?;
+    w.write_all(payload)?;
+    w_u64(w, fnv1a(payload))
 }
 
 /// FNV-1a-64, the framed-snapshot checksum.
@@ -529,15 +535,32 @@ mod tests {
         }
     }
 
+    /// A fitted estimator and its framed snapshot.
     fn saved(table: &iam_data::Table) -> (IamEstimator, Vec<u8>) {
         let est = IamEstimator::fit(table, cfg());
         let mut buf = Vec::new();
-        est.save(&mut buf).unwrap();
+        est.save_framed(&mut buf).unwrap();
         (est, buf)
     }
 
+    /// Wrap `payload` in a valid envelope, so the payload parser is what
+    /// gets tested.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_envelope(&mut out, payload).unwrap();
+        out
+    }
+
+    /// The payload of a framed snapshot.
+    fn payload(framed: &[u8]) -> &[u8] {
+        &framed[12..framed.len() - 8]
+    }
+
+    /// The envelope's length says where the payload ends and the payload's
+    /// own lengths say where the parameters end; a byte between the two is
+    /// refused, whatever its value.
     #[test]
-    fn legacy_trailer_byte_is_validated_and_ignored() {
+    fn bytes_after_the_parameters_are_rejected() {
         let table = Dataset::Twi.generate(2500, 3);
         let (est, buf) = saved(&table);
         let mut gen = WorkloadGenerator::new(&table, WorkloadConfig::default(), 8);
@@ -546,27 +569,19 @@ mod tests {
         let bits = |e: &IamEstimator| -> Vec<u64> {
             e.estimate_batch_shared(&queries, 1).iter().map(|v| v.to_bits()).collect()
         };
-        // the writer emits no trailer
-        let bare = IamEstimator::load(&mut buf.as_slice()).unwrap();
-        assert_eq!(bits(&bare), bits(&est));
+        let loaded = IamEstimator::load_framed(&mut buf.as_slice()).unwrap();
+        assert_eq!(bits(&loaded), bits(&est));
 
-        // a snapshot the previous format wrote at any precision (tag 0/1/2)
-        // holds the same f32 parameters and loads to the same bits
-        for tag in 0..=2u8 {
-            let mut legacy = buf.clone();
-            legacy.push(tag);
-            let loaded = IamEstimator::load(&mut legacy.as_slice()).unwrap();
-            assert_eq!(bits(&loaded), bits(&bare), "trailer tag {tag}");
-        }
-
-        // any other byte after the parameters is rejected, not misread
-        for junk in [3u8, 7, 0xFF] {
-            let mut bad = buf.clone();
-            bad.push(junk);
-            assert!(matches!(
-                IamEstimator::load(&mut bad.as_slice()),
-                Err(PersistError::BadFormat("bad snapshot trailer byte"))
-            ));
+        for junk in [&[0u8][..], &[1], &[2], &[3], &[0xFF], &[0, 0, 0, 0]] {
+            let mut bad = payload(&buf).to_vec();
+            bad.extend_from_slice(junk);
+            assert!(
+                matches!(
+                    IamEstimator::load_framed(&mut frame(&bad).as_slice()),
+                    Err(PersistError::BadFormat("bytes after the network parameters"))
+                ),
+                "trailing {junk:?}"
+            );
         }
     }
 
@@ -575,7 +590,7 @@ mod tests {
         let table = Dataset::Twi.generate(4000, 1);
         let (est, buf) = saved(&table);
 
-        let loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
+        let loaded = IamEstimator::load_framed(&mut buf.as_slice()).unwrap();
         assert_eq!(loaded.name(), est.name());
         assert_eq!(loaded.model_size_bytes(), est.model_size_bytes());
 
@@ -592,7 +607,7 @@ mod tests {
     fn loaded_model_can_resume_training() {
         let table = Dataset::Twi.generate(3000, 2);
         let (_, buf) = saved(&table);
-        let mut loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
+        let mut loaded = IamEstimator::load_framed(&mut buf.as_slice()).unwrap();
         loaded.train_epochs(&table, 1);
         assert_eq!(loaded.stats.len(), 1);
         assert!(loaded.stats[0].ar_loss.is_finite());
@@ -617,9 +632,9 @@ mod tests {
             assert!(!net.masked_weights_are_zero());
         });
         let mut buf = Vec::new();
-        est.save(&mut buf).unwrap();
+        est.save_framed(&mut buf).unwrap();
         assert!(matches!(
-            IamEstimator::load(&mut buf.as_slice()),
+            IamEstimator::load_framed(&mut buf.as_slice()),
             Err(PersistError::BadFormat("non-zero masked network weight"))
         ));
     }
@@ -628,16 +643,18 @@ mod tests {
     fn garbage_input_is_rejected() {
         assert!(IamEstimator::load(&mut &b"NOPE"[..]).is_err());
         assert!(IamEstimator::load(&mut &b"IAM1\x01\x02"[..]).is_err());
+        assert!(IamEstimator::load_framed(&mut &b"NOPE"[..]).is_err());
     }
 
     /// `IAM1` held two more config words; such a snapshot is refused by
     /// its magic, never read with the new layout.
     #[test]
     fn iam1_snapshot_is_rejected_as_bad_format() {
-        let (_, mut buf) = saved(&Dataset::Twi.generate(1200, 4));
-        buf[..4].copy_from_slice(b"IAM1");
+        let (_, buf) = saved(&Dataset::Twi.generate(1200, 4));
+        let mut old = payload(&buf).to_vec();
+        old[..4].copy_from_slice(b"IAM1");
         assert!(matches!(
-            IamEstimator::load(&mut buf.as_slice()),
+            IamEstimator::load_framed(&mut frame(&old).as_slice()),
             Err(PersistError::BadFormat("missing IAM2 magic"))
         ));
     }
@@ -647,6 +664,7 @@ mod tests {
     #[test]
     fn gmm_weights_without_finite_positive_sum_are_rejected() {
         let (est, buf) = saved(&Dataset::Twi.generate(2500, 3));
+        let buf = payload(&buf);
         let g = est
             .schema
             .handlers
@@ -660,10 +678,10 @@ mod tests {
         g.weights.iter().for_each(|w| weights.extend_from_slice(&w.to_le_bytes()));
         let at = buf.windows(weights.len()).position(|w| w == weights).unwrap() + 8;
         for w in [0.0, f64::MAX] {
-            let mut bad = buf.clone();
+            let mut bad = buf.to_vec();
             bad[at..at + 8 * g.k()].chunks_mut(8).for_each(|c| c.copy_from_slice(&w.to_le_bytes()));
             assert!(matches!(
-                IamEstimator::load(&mut bad.as_slice()),
+                IamEstimator::load_framed(&mut frame(&bad).as_slice()),
                 Err(PersistError::BadFormat("degenerate GMM parameters"))
             ));
         }
@@ -720,8 +738,8 @@ mod tests {
             let c = IamConfig { reducer: kind, ..cfg() };
             let est = IamEstimator::fit(&table, c);
             let mut buf = Vec::new();
-            est.save(&mut buf).unwrap();
-            let loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
+            est.save_framed(&mut buf).unwrap();
+            let loaded = IamEstimator::load_framed(&mut buf.as_slice()).unwrap();
             let mut gen = WorkloadGenerator::new(&table, WorkloadConfig::default(), 4);
             for q in gen.gen_queries(5) {
                 let (rq, _) = q.normalize(2).unwrap();

@@ -37,12 +37,6 @@ pub(crate) struct TrainProbes {
     pub epoch_ms: Arc<Histogram>,
     /// Effective worker-thread count of the training pipeline.
     pub threads: Arc<Gauge>,
-    /// Last epoch's wall time in the GMM-step phase (ms).
-    pub gmm_phase_ms: Arc<FloatGauge>,
-    /// Last epoch's wall time in the batch-encoding phase (ms).
-    pub encode_phase_ms: Arc<FloatGauge>,
-    /// Last epoch's wall time in the AR forward/backward phase (ms).
-    pub ar_phase_ms: Arc<FloatGauge>,
 }
 
 pub(crate) fn train() -> &'static TrainProbes {
@@ -58,9 +52,6 @@ pub(crate) fn train() -> &'static TrainProbes {
             rows_per_sec: r.float_gauge("iam_train_rows_per_sec", &[]),
             epoch_ms: r.histogram("iam_train_epoch_ms", &[], &EPOCH_MS_BOUNDS),
             threads: r.gauge("iam_train_threads", &[]),
-            gmm_phase_ms: r.float_gauge("iam_train_gmm_phase_ms", &[]),
-            encode_phase_ms: r.float_gauge("iam_train_encode_phase_ms", &[]),
-            ar_phase_ms: r.float_gauge("iam_train_ar_phase_ms", &[]),
         }
     })
 }

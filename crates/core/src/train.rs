@@ -233,23 +233,15 @@ pub(crate) fn train_epoch(
     let mut ar_loss_sum = 0.0f64;
     let mut gmm_loss_sum = 0.0f64;
     let mut batches = 0usize;
-    let (mut gmm_secs, mut encode_secs, mut ar_secs) = (0.0f64, 0.0f64, 0.0f64);
 
     for chunk in order.chunks(bs) {
         // 1) GMM gradient step per reduced column (joint training)
         if cfg.joint_training {
-            // audit-allow(loop-instant): feeds the per-epoch phase-time
-            // accumulators; batch granularity, not per-row
-            let t0 = std::time::Instant::now();
             let _span = iam_obs::span!("train.gmm_step");
             gmm_loss_sum += gmm_chunk_step(table, schema, gmm_trainers, chunk, threads);
-            gmm_secs += t0.elapsed().as_secs_f64();
         }
 
         // 2) encode the batch with the current reducers
-        // audit-allow(loop-instant): feeds the per-epoch phase-time
-        // accumulators; batch granularity, not per-row
-        let t0 = std::time::Instant::now();
         {
             let _span = iam_obs::span!("train.encode");
             targets.resize(chunk.len() * nslots, 0);
@@ -276,16 +268,11 @@ pub(crate) fn train_epoch(
                 threads,
             );
         }
-        encode_secs += t0.elapsed().as_secs_f64();
 
         // 3) AR step
-        // audit-allow(loop-instant): feeds the per-epoch phase-time
-        // accumulators; batch granularity, not per-row
-        let t0 = std::time::Instant::now();
         let _span = iam_obs::span!("train.ar_step");
         ar_loss_sum += net.train_batch_sharded(&inputs, &targets, chunk.len(), threads) as f64;
         opt.step(net);
-        ar_secs += t0.elapsed().as_secs_f64();
         batches += 1;
     }
 
@@ -304,9 +291,6 @@ pub(crate) fn train_epoch(
     p.rows_per_sec.set(stats.rows_per_sec());
     p.epoch_ms.observe((stats.seconds * 1000.0) as u64);
     p.threads.set(threads as i64);
-    p.gmm_phase_ms.set(gmm_secs * 1000.0);
-    p.encode_phase_ms.set(encode_secs * 1000.0);
-    p.ar_phase_ms.set(ar_secs * 1000.0);
     stats
 }
 

@@ -1,7 +1,7 @@
 //! Property test: persistence is lossless for estimation.
 //!
 //! For arbitrary small trained models — random data, reducer kind, mixture
-//! size, net shape, seeds — `save` → `load` must reproduce the original
+//! size, net shape, seeds — `save_framed` → `load_framed` must reproduce the original
 //! estimator's answers **bitwise** (deterministic shared inference derives
 //! its sampling seeds from persisted state, so any drift in config,
 //! handlers, or weights would surface as a differing estimate).
@@ -43,8 +43,8 @@ proptest! {
         let est = IamEstimator::fit(&table, cfg);
 
         let mut buf = Vec::new();
-        est.save(&mut buf).unwrap();
-        let loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
+        est.save_framed(&mut buf).unwrap();
+        let loaded = IamEstimator::load_framed(&mut buf.as_slice()).unwrap();
 
         prop_assert_eq!(loaded.name(), est.name());
         prop_assert_eq!(loaded.model_size_bytes(), est.model_size_bytes());

@@ -1,21 +1,24 @@
 //! Prometheus-exposition plumbing for the cluster metrics plane.
 //!
 //! Workers answer [`Msg::Stats`](crate::proto::Msg::Stats) with one text
-//! exposition covering their process-global registry plus every hosted
-//! table's service registry; the coordinator scrapes all workers and
-//! merges the replies into a single cluster exposition. Both sides lean
-//! on two pure helpers here:
+//! exposition that `iam_obs::render_prometheus` writes from their
+//! registries: every hosted table's service registry under a
+//! `table="<name>"` label, plus the process-global registry. The
+//! coordinator scrapes all workers and merges the replies into a single
+//! cluster exposition. Those replies arrive as text from other processes,
+//! so the coordinator — and only the coordinator — uses two pure helpers
+//! here:
 //!
 //! * `inject_label` rewrites every sample line to carry an extra label
-//!   (`table="trips"` on the worker, `worker="2"` on the coordinator), so
-//!   merged series from different origins stay distinguishable;
+//!   (`worker="2"`), so merged series from different workers stay
+//!   distinguishable;
 //! * `merge_expositions` regroups expositions by metric family — the
 //!   Prometheus text format wants each family as one group under one
 //!   `# TYPE` header, and every worker ships the same families.
 //!
 //! Both helpers keep order stable (first occurrence wins), so merged
-//! output is deterministic given deterministic inputs — the registry
-//! renders from a `BTreeMap`, so that holds end to end.
+//! output is deterministic given deterministic inputs — the renderer
+//! writes families and series in sorted order, so that holds end to end.
 
 use crate::coordinator::Coordinator;
 use iam_serve::net::{Conn, Listener};

@@ -151,14 +151,15 @@ impl WorkerState {
         let tables = self.lock_tables();
         let mut names: Vec<&String> = tables.keys().collect();
         names.sort();
-        let mut parts: Vec<String> = names
+        let labels: Vec<[(&str, &str); 1]> =
+            names.iter().map(|n| [("table", n.as_str())]).collect();
+        let mut parts: Vec<(&Registry, &[(&str, &str)])> = names
             .iter()
-            .map(|name| {
-                crate::stats::inject_label(&tables[*name].metrics_prometheus_local(), "table", name)
-            })
+            .zip(&labels)
+            .map(|(name, label)| (tables[*name].metrics_registry(), &label[..]))
             .collect();
-        parts.push(Registry::global().render_prometheus());
-        crate::stats::merge_expositions(&parts)
+        parts.push((Registry::global(), &[]));
+        iam_obs::render_prometheus(&parts)
     }
 
     fn lock_tables(&self) -> std::sync::MutexGuard<'_, HashMap<String, Service>> {
@@ -267,5 +268,63 @@ fn handle_connection(conn: &Conn, state: &WorkerState) -> Result<(), DistError> 
         if stopping {
             return Ok(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iam_core::IamConfig;
+    use iam_data::synth::Dataset;
+    use std::collections::BTreeSet;
+
+    fn type_lines(prom: &str) -> Vec<&str> {
+        prom.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()).collect()
+    }
+
+    /// A worker hosting two tables writes each family once, and every
+    /// family of a hosted service carries both tables' labels, first.
+    #[test]
+    fn two_table_stats_reply_has_one_group_per_family_and_both_table_labels() {
+        let table = Dataset::Twi.generate(300, 5);
+        let cfg = IamConfig {
+            components: 3,
+            hidden: vec![12, 12],
+            embed_dim: 4,
+            epochs: 1,
+            samples: 32,
+            seed: 13,
+            ..IamConfig::default()
+        };
+        let mut bytes = Vec::new();
+        IamEstimator::fit(&table, cfg).save_framed(&mut bytes).unwrap();
+        let worker = WorkerHandle::spawn("127.0.0.1:0", WorkerConfig::default()).unwrap();
+        for t in ["a", "b"] {
+            let load =
+                Msg::LoadSnapshot { table: t.into(), label: "v1".into(), bytes: bytes.clone() };
+            assert!(matches!(worker.state.handle(load), Msg::LoadAck { .. }));
+        }
+        let Msg::StatsReply { prom } = worker.state.handle(Msg::Stats) else {
+            panic!("Stats must be answered with StatsReply");
+        };
+        let families = type_lines(&prom);
+        let unique: BTreeSet<&str> = families.iter().copied().collect();
+        assert_eq!(unique.len(), families.len(), "a family has two groups:\n{prom}");
+
+        let hosted = worker.state.lock_tables()["a"].metrics_registry().render_prometheus();
+        let service_families = type_lines(&hosted);
+        for f in ["iam_serve_requests_total", "iam_serve_cache_hits_total", "iam_qerror_milli"] {
+            assert!(service_families.contains(&f), "{f} missing from a service registry");
+        }
+        for f in service_families {
+            for t in ["a", "b"] {
+                let labelled = format!("{{table=\"{t}\"");
+                assert!(
+                    prom.lines().any(|l| l.starts_with(f) && l.contains(&labelled)),
+                    "{f} has no series labelled table={t}:\n{prom}"
+                );
+            }
+        }
+        worker.stop();
     }
 }

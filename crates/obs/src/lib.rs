@@ -6,7 +6,9 @@
 //! * [`registry`] — a shard-friendly metrics registry: [`Counter`],
 //!   [`Gauge`], [`FloatGauge`] and fixed-bucket [`Histogram`] instruments
 //!   behind `Arc` handles (relaxed atomics on the hot path, a lock only at
-//!   registration), with Prometheus text exposition. [`Registry::global`]
+//!   registration), with one Prometheus text renderer
+//!   ([`render_prometheus`]) that writes several registries as one
+//!   exposition, each under its own labels. [`Registry::global`]
 //!   hosts the process-wide probes; subsystems that need isolation (the
 //!   serving layer, tests) instantiate their own.
 //! * [`span`](mod@span) — hierarchical wall-time spans
@@ -43,7 +45,8 @@ pub mod tracetree;
 
 pub use qerror::{QErrorTracker, QRecord};
 pub use registry::{
-    escape_label, fmt_bound, Counter, FloatGauge, Gauge, Histogram, HistogramSnapshot, Registry,
+    escape_label, render_prometheus, Counter, FloatGauge, Gauge, Histogram, HistogramSnapshot,
+    Registry,
 };
 pub use span::{SpanAgg, SpanGuard};
 pub use tracetree::{fnv1a, SpanRecord, TraceCtx, TraceIdGen};

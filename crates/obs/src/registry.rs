@@ -7,8 +7,9 @@
 //! process-wide via [`Registry::global`], which is where the `iam-core`
 //! training/inference probes live.
 //!
-//! Snapshots have one format: Prometheus text exposition
-//! ([`Registry::render_prometheus`]).
+//! Snapshots have one format and one writer: Prometheus text exposition
+//! ([`render_prometheus`], which takes `(registry, labels)` parts;
+//! [`Registry::render_prometheus`] is its one-registry case).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
@@ -236,7 +237,7 @@ impl HistogramSnapshot {
 
 /// Render a bucket bound for display: the `u64::MAX` catch-all reads as
 /// `+Inf`, every other bound as its integer value.
-pub fn fmt_bound(b: u64) -> String {
+fn fmt_bound(b: u64) -> String {
     if b == u64::MAX {
         "+Inf".into()
     } else {
@@ -264,8 +265,7 @@ impl Instrument {
 }
 
 /// `name` plus sorted label pairs — the registry key. Ordering groups all
-/// series of one metric family together, which is what the Prometheus
-/// renderer needs for its `# TYPE` headers.
+/// series of one metric family together.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct MetricId {
     name: String,
@@ -283,11 +283,6 @@ impl MetricId {
         labels.sort();
         MetricId { name: name.to_string(), labels }
     }
-
-    /// `name` or `name{k="v",…}`.
-    fn render(&self) -> String {
-        render_series(&self.name, &self.labels, &[])
-    }
 }
 
 /// Append `v` to `out` escaped as a Prometheus text-format label value
@@ -303,27 +298,91 @@ pub fn escape_label(out: &mut String, v: &str) {
     }
 }
 
-/// Render `name{labels…,extra…}` (no braces when both are empty).
-fn render_series(name: &str, labels: &[(String, String)], extra: &[(&str, &str)]) -> String {
-    if labels.is_empty() && extra.is_empty() {
-        return name.to_string();
+/// Append one sample line, `name{k="v",…} value` (no braces without labels).
+fn push_sample<'a>(
+    out: &mut String,
+    name: &str,
+    labels: impl IntoIterator<Item = (&'a str, &'a str)>,
+    value: &str,
+) {
+    out.push_str(name);
+    let mut open = false;
+    for (k, v) in labels {
+        out.push(if open { ',' } else { '{' });
+        open = true;
+        out.push_str(k);
+        out.push_str("=\"");
+        escape_label(out, v);
+        out.push('"');
     }
-    let mut s = String::from(name);
-    s.push('{');
-    let mut first = true;
-    for (k, v) in labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).chain(extra.iter().copied())
-    {
-        if !first {
-            s.push(',');
+    if open {
+        out.push('}');
+    }
+    out.push(' ');
+    out.push_str(value);
+    out.push('\n');
+}
+
+/// Prometheus text exposition of several registries as one. Each part
+/// pairs a registry with labels that every one of its series carries
+/// (`table="trips"` for a hosted service's registry, none for the global
+/// one). Each metric family is written once, families sorted by name,
+/// under one `# TYPE` header (the first part's type), with its series in
+/// part order. A series' labels are its part's, then its own (sorted),
+/// then `le` for histogram buckets. Histograms render as cumulative
+/// `_bucket{le=…}` series with `_sum`/`_count`, the catch-all bucket
+/// labelled `le="+Inf"`.
+pub fn render_prometheus(parts: &[(&Registry, &[(&str, &str)])]) -> String {
+    // copy the handles out, so no two registry locks are ever held at once
+    // (a registry may appear in more than one part)
+    let entries: Vec<Vec<(MetricId, Instrument)>> = parts
+        .iter()
+        .map(|(r, _)| {
+            let metrics = r.metrics.read().expect("registry poisoned");
+            metrics.iter().map(|(id, m)| (id.clone(), m.clone())).collect()
+        })
+        .collect();
+    // family name → (part, series) in part order
+    let mut families: BTreeMap<&str, Vec<(usize, &MetricId, &Instrument)>> = BTreeMap::new();
+    for (part, list) in entries.iter().enumerate() {
+        for (id, m) in list {
+            families.entry(id.name.as_str()).or_default().push((part, id, m));
         }
-        first = false;
-        s.push_str(k);
-        s.push_str("=\"");
-        escape_label(&mut s, v);
-        s.push('"');
     }
-    s.push('}');
-    s
+    let mut out = String::new();
+    for (name, series) in families {
+        out.push_str("# TYPE ");
+        out.push_str(name);
+        out.push(' ');
+        out.push_str(series[0].2.type_name());
+        out.push('\n');
+        for (part, id, m) in series {
+            let own = id.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+            let labels: Vec<(&str, &str)> = parts[part].1.iter().copied().chain(own).collect();
+            let value = match m {
+                Instrument::Counter(c) => c.get().to_string(),
+                Instrument::Gauge(g) => g.get().to_string(),
+                Instrument::FloatGauge(g) => fmt_f64(g.get()),
+                Instrument::Histogram(h) => {
+                    let snap = h.snapshot();
+                    let bucket = format!("{name}_bucket");
+                    let mut cum = 0u64;
+                    for (b, c) in snap.bounds.iter().zip(&snap.counts) {
+                        cum += c;
+                        let le = fmt_bound(*b);
+                        let with_le = labels.iter().copied().chain([("le", le.as_str())]);
+                        push_sample(&mut out, &bucket, with_le, &cum.to_string());
+                    }
+                    let sum = snap.sum.to_string();
+                    push_sample(&mut out, &format!("{name}_sum"), labels.iter().copied(), &sum);
+                    push_sample(&mut out, &format!("{name}_count"), labels, &cum.to_string());
+                    continue;
+                }
+            };
+            push_sample(&mut out, name, labels, &value);
+        }
+    }
+    out
 }
 
 /// A set of named instruments with shard-friendly handles.
@@ -399,68 +458,10 @@ impl Registry {
         }
     }
 
-    /// Prometheus text exposition: `# TYPE` header per metric family, one
-    /// sample per line, histograms as cumulative `_bucket{le=…}` series
-    /// with `_sum`/`_count`, the catch-all bucket labelled `le="+Inf"`.
+    /// Prometheus text exposition of this registry alone: the
+    /// one-registry case of [`render_prometheus`].
     pub fn render_prometheus(&self) -> String {
-        let metrics = self.metrics.read().expect("registry poisoned");
-        let mut out = String::new();
-        let mut last_family: Option<String> = None;
-        for (id, m) in metrics.iter() {
-            if last_family.as_deref() != Some(id.name.as_str()) {
-                out.push_str("# TYPE ");
-                out.push_str(&id.name);
-                out.push(' ');
-                out.push_str(m.type_name());
-                out.push('\n');
-                last_family = Some(id.name.clone());
-            }
-            match m {
-                Instrument::Counter(c) => {
-                    out.push_str(&id.render());
-                    out.push(' ');
-                    out.push_str(&c.get().to_string());
-                    out.push('\n');
-                }
-                Instrument::Gauge(g) => {
-                    out.push_str(&id.render());
-                    out.push(' ');
-                    out.push_str(&g.get().to_string());
-                    out.push('\n');
-                }
-                Instrument::FloatGauge(g) => {
-                    out.push_str(&id.render());
-                    out.push(' ');
-                    out.push_str(&fmt_f64(g.get()));
-                    out.push('\n');
-                }
-                Instrument::Histogram(h) => {
-                    let snap = h.snapshot();
-                    let mut cum = 0u64;
-                    for (b, c) in snap.bounds.iter().zip(&snap.counts) {
-                        cum += c;
-                        let le = fmt_bound(*b);
-                        out.push_str(&render_series(
-                            &format!("{}_bucket", id.name),
-                            &id.labels,
-                            &[("le", le.as_str())],
-                        ));
-                        out.push(' ');
-                        out.push_str(&cum.to_string());
-                        out.push('\n');
-                    }
-                    out.push_str(&render_series(&format!("{}_sum", id.name), &id.labels, &[]));
-                    out.push(' ');
-                    out.push_str(&snap.sum.to_string());
-                    out.push('\n');
-                    out.push_str(&render_series(&format!("{}_count", id.name), &id.labels, &[]));
-                    out.push(' ');
-                    out.push_str(&cum.to_string());
-                    out.push('\n');
-                }
-            }
-        }
-        out
+        render_prometheus(&[(self, &[])])
     }
 }
 
@@ -572,6 +573,39 @@ mod tests {
         assert!(prom.contains("iam_loss 1.5"));
         // every non-comment line is `series value`
         assert!(prom.lines().filter(|l| !l.starts_with('#')).all(|l| l.rsplit_once(' ').is_some()));
+    }
+
+    /// Two registries sharing families under different part labels: one
+    /// `# TYPE` per family, series in part order, and each series' labels
+    /// in the order part, own, `le`, with the part's value escaped.
+    #[test]
+    fn render_merges_registries_under_part_labels() {
+        let (a, b) = (Registry::new(), Registry::new());
+        a.counter("iam_req_total", &[("kind", "x")]).add(2);
+        b.counter("iam_req_total", &[]).add(5);
+        a.histogram("iam_lat_us", &[("op", "get")], &[10]).observe(3);
+        b.histogram("iam_lat_us", &[], &[10]).observe(30);
+        b.gauge("iam_depth", &[]).set(4);
+        let prom = render_prometheus(&[(&a, &[("table", "a\"1\"")]), (&b, &[("table", "b\\")])]);
+        assert_eq!(
+            prom,
+            "# TYPE iam_depth gauge\n\
+             iam_depth{table=\"b\\\\\"} 4\n\
+             # TYPE iam_lat_us histogram\n\
+             iam_lat_us_bucket{table=\"a\\\"1\\\"\",op=\"get\",le=\"10\"} 1\n\
+             iam_lat_us_bucket{table=\"a\\\"1\\\"\",op=\"get\",le=\"+Inf\"} 1\n\
+             iam_lat_us_sum{table=\"a\\\"1\\\"\",op=\"get\"} 3\n\
+             iam_lat_us_count{table=\"a\\\"1\\\"\",op=\"get\"} 1\n\
+             iam_lat_us_bucket{table=\"b\\\\\",le=\"10\"} 0\n\
+             iam_lat_us_bucket{table=\"b\\\\\",le=\"+Inf\"} 1\n\
+             iam_lat_us_sum{table=\"b\\\\\"} 30\n\
+             iam_lat_us_count{table=\"b\\\\\"} 1\n\
+             # TYPE iam_req_total counter\n\
+             iam_req_total{table=\"a\\\"1\\\"\",kind=\"x\"} 2\n\
+             iam_req_total{table=\"b\\\\\"} 5\n"
+        );
+        // one registry, no part labels: the plain exposition
+        assert_eq!(render_prometheus(&[(&b, &[])]), b.render_prometheus());
     }
 
     #[test]

@@ -412,23 +412,22 @@ impl<'a> TraceTree<'a> {
     }
 
     /// Folded-stacks dump of this tree: one `name;…;name self_µs` line per
-    /// path with nonzero self time, `proc:name` frames, sorted by path —
-    /// the flamegraph view of one distributed request.
+    /// span, `proc:name` frames, sorted by path — the flamegraph view of
+    /// one distributed request.
     pub fn folded_stacks(&self) -> String {
+        let mut lines = self.self_times();
+        lines.sort();
+        render_folded(lines)
+    }
+
+    /// `(path, self µs)` for every span of the tree, in walk order.
+    fn self_times(&self) -> Vec<(String, u64)> {
         let mut lines: Vec<(String, u64)> = Vec::new();
         let mut stack: Vec<String> = Vec::new();
         for &root in &self.roots {
             self.fold_into(root, &mut stack, &mut lines);
         }
-        lines.sort();
-        let mut out = String::new();
-        for (path, us) in lines {
-            out.push_str(&path);
-            out.push(' ');
-            out.push_str(&us.to_string());
-            out.push('\n');
-        }
-        out
+        lines
     }
 
     fn fold_into(&self, idx: usize, stack: &mut Vec<String>, lines: &mut Vec<(String, u64)>) {
@@ -446,31 +445,30 @@ impl<'a> TraceTree<'a> {
     }
 }
 
-/// Folded stacks across every trace in `records`, concatenated in trace-id
-/// order (each trace folds independently; identical paths from different
-/// traces stay on separate lines only if their values differ — they are
-/// merged by summing otherwise).
-pub fn folded_stacks(records: &[SpanRecord]) -> String {
-    use std::collections::BTreeMap;
-    let mut merged: BTreeMap<String, u64> = BTreeMap::new();
-    for id in TraceTree::trace_ids(records) {
-        let tree = TraceTree::build(records, id);
-        for line in tree.folded_stacks().lines() {
-            if let Some((path, us)) = line.rsplit_once(' ') {
-                if let Ok(us) = us.parse::<u64>() {
-                    *merged.entry(path.to_string()).or_insert(0) += us;
-                }
-            }
-        }
-    }
+/// One `path µs` line per entry.
+fn render_folded(lines: impl IntoIterator<Item = (String, u64)>) -> String {
     let mut out = String::new();
-    for (path, us) in merged {
+    for (path, us) in lines {
         out.push_str(&path);
         out.push(' ');
         out.push_str(&us.to_string());
         out.push('\n');
     }
     out
+}
+
+/// Folded stacks across every trace in `records`: each trace folds
+/// independently, and a path's self time is summed over every span on it,
+/// in every trace. Sorted by path.
+pub fn folded_stacks(records: &[SpanRecord]) -> String {
+    let mut merged: std::collections::BTreeMap<String, u64> = Default::default();
+    for id in TraceTree::trace_ids(records) {
+        for (path, us) in TraceTree::build(records, id).self_times() {
+            let total = merged.entry(path).or_insert(0);
+            *total = total.saturating_add(us);
+        }
+    }
+    render_folded(merged)
 }
 
 #[cfg(test)]

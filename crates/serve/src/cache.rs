@@ -15,11 +15,13 @@
 //! a cache may always forget, recovery is clear-and-continue: the shard's
 //! contents are dropped (its LRU links may be mid-mutation), the poison
 //! flag is cleared, and the access proceeds on the now-empty shard.
-//! Recoveries are counted and surfaced through the service metrics.
+//! Recoveries are counted on a counter handle the service shares with its
+//! model registry and exposes as `iam_serve_lock_recoveries_total`. Hits
+//! and misses are counted by the service, where it reads the cache.
 
+use iam_obs::Counter;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 const NIL: usize = usize::MAX;
 
@@ -136,32 +138,32 @@ impl Shard {
 pub struct QueryCache {
     shards: Vec<Mutex<Shard>>,
     mask: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    recoveries: AtomicU64,
+    recoveries: Arc<Counter>,
 }
 
 impl QueryCache {
     /// `capacity` total entries spread over `shards` shards (both rounded
     /// up: shards to a power of two, per-shard capacity to ≥1).
     pub fn new(capacity: usize, shards: usize) -> Self {
+        Self::with_recoveries(capacity, shards, Arc::default())
+    }
+
+    /// [`QueryCache::new`], counting poisoned-shard recoveries on
+    /// `recoveries`.
+    pub(crate) fn with_recoveries(
+        capacity: usize,
+        shards: usize,
+        recoveries: Arc<Counter>,
+    ) -> Self {
         if capacity == 0 {
-            return QueryCache {
-                shards: Vec::new(),
-                mask: 0,
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                recoveries: AtomicU64::new(0),
-            };
+            return QueryCache { shards: Vec::new(), mask: 0, recoveries };
         }
         let nshards = shards.clamp(1, 256).next_power_of_two();
         let per_shard = capacity.div_ceil(nshards).max(1);
         QueryCache {
             shards: (0..nshards).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
             mask: nshards - 1,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
+            recoveries,
         }
     }
 
@@ -175,7 +177,7 @@ impl QueryCache {
                 let mut g = poisoned.into_inner();
                 g.clear();
                 m.clear_poison();
-                self.recoveries.fetch_add(1, Relaxed);
+                self.recoveries.inc();
                 g
             }
         }
@@ -195,17 +197,11 @@ impl QueryCache {
     }
 
     /// Look up `key`, but only accept a value computed under `version`.
-    /// Counts a hit or miss either way (disabled caches count nothing).
     pub fn get(&self, key: u64, version: u64) -> Option<f64> {
         if self.is_disabled() {
             return None;
         }
-        let got = self.lock_shard(self.shard(key)).get(key, version);
-        match got {
-            Some(_) => self.hits.fetch_add(1, Relaxed),
-            None => self.misses.fetch_add(1, Relaxed),
-        };
-        got
+        self.lock_shard(self.shard(key)).get(key, version)
     }
 
     /// Insert (or refresh) `key → value`, tagged with `version`.
@@ -216,22 +212,11 @@ impl QueryCache {
         self.lock_shard(self.shard(key)).insert(key, version, value);
     }
 
-    /// Drop every entry (called on model swap). Hit/miss counters survive.
+    /// Drop every entry (called on model swap).
     pub fn clear(&self) {
         for s in &self.shards {
             self.lock_shard(s).clear();
         }
-    }
-
-    /// `(hits, misses)` since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits.load(Relaxed), self.misses.load(Relaxed))
-    }
-
-    /// Poisoned-lock recoveries since construction (each one dropped the
-    /// contents of a single shard).
-    pub(crate) fn recoveries(&self) -> u64 {
-        self.recoveries.load(Relaxed)
     }
 
     /// Entries currently resident (sums shard sizes; O(shards)).
@@ -255,7 +240,6 @@ mod tests {
         assert_eq!(c.get(42, 1), None);
         c.insert(42, 1, 0.25);
         assert_eq!(c.get(42, 1), Some(0.25));
-        assert_eq!(c.stats(), (1, 1));
     }
 
     #[test]
@@ -310,7 +294,7 @@ mod tests {
         assert!(c.is_disabled());
         c.insert(1, 1, 0.5);
         assert_eq!(c.get(1, 1), None);
-        assert_eq!(c.stats(), (0, 0), "disabled cache records nothing");
+        assert!(c.is_empty());
     }
 
     #[test]
@@ -333,7 +317,7 @@ mod tests {
         assert!(!c.shards[0].is_poisoned());
         c.insert(3, 1, 0.3);
         assert_eq!(c.get(3, 1), Some(0.3));
-        assert_eq!(c.recoveries(), 1);
+        assert_eq!(c.recoveries.get(), 1);
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Service metrics: a thin facade over the [`iam_obs`] registry.
 //!
-//! Every instrument lives in a **per-service** [`iam_obs::Registry`] (so two
-//! services in one process — common in tests — never share counters), with
-//! the handles cached here so the hot path is a relaxed atomic op, never a
-//! registry lookup. [`Metrics::snapshot`] keeps the historical plain-text
-//! `STATS` view; [`Metrics::render_prometheus`] adds Prometheus text
-//! exposition covering this service *and* the process-global registry where
-//! the `iam-core` training/inference probes report.
+//! Every number the service reports — the cache's hit/miss accounting,
+//! lock-poison recoveries and the q-error tracker included — is an
+//! instrument in a **per-service** [`iam_obs::Registry`] (so two services
+//! in one process — common in tests — never share counters), with the
+//! handles cached here so the hot path is a relaxed atomic op, never a
+//! registry lookup. [`Metrics::snapshot`] fills the plain-text `STATS`
+//! view from those handles; [`Metrics::render_prometheus`] writes this
+//! service's registry *and* the process-global registry, where the
+//! `iam-core` training/inference probes report, as one exposition.
 
-use iam_obs::{Counter, Gauge, Histogram, Registry};
+use iam_obs::{Counter, Gauge, Histogram, QErrorTracker, Registry};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -36,10 +38,20 @@ const LATENCY_BOUNDS_US: [u64; 15] = [
 /// call). The last bucket is a catch-all.
 const BATCH_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, u64::MAX];
 
+/// Seed driving the q-error reservoir's deterministic eviction.
+const QERROR_SEED: u64 = 0xA11E_57E0;
+
 /// Shared, thread-safe service metrics. All mutators take `&self`.
 pub struct Metrics {
     registry: Registry,
+    /// Served-accuracy tracking; its instruments live in `registry`.
+    pub(crate) qerror: QErrorTracker,
     requests: Arc<Counter>,
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
+    /// Poisoned-lock recoveries, shared with the cache and the model
+    /// registry, which count them.
+    pub(crate) lock_recoveries: Arc<Counter>,
     overloaded: Arc<Counter>,
     timeouts: Arc<Counter>,
     bad_queries: Arc<Counter>,
@@ -51,17 +63,16 @@ pub struct Metrics {
     batch_size: Arc<Histogram>,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Metrics {
-    /// Fresh, all-zero metrics backed by a private registry.
-    pub fn new() -> Self {
+    /// Fresh, all-zero metrics backed by a private registry, with a q-error
+    /// reservoir of `qerror_capacity` records (0 disables it).
+    pub fn new(qerror_capacity: usize) -> Self {
         let registry = Registry::new();
+        let qerror = QErrorTracker::new(qerror_capacity, QERROR_SEED, &registry);
         let requests = registry.counter("iam_serve_requests_total", &[]);
+        let cache_hits = registry.counter("iam_serve_cache_hits_total", &[]);
+        let cache_misses = registry.counter("iam_serve_cache_misses_total", &[]);
+        let lock_recoveries = registry.counter("iam_serve_lock_recoveries_total", &[]);
         let overloaded = registry.counter("iam_serve_rejected_overloaded_total", &[]);
         let timeouts = registry.counter("iam_serve_timeouts_total", &[]);
         let bad_queries = registry.counter("iam_serve_bad_queries_total", &[]);
@@ -73,7 +84,11 @@ impl Metrics {
         let batch_size = registry.histogram("iam_serve_batch_size", &[], &BATCH_BOUNDS);
         Metrics {
             registry,
+            qerror,
             requests,
+            cache_hits,
+            cache_misses,
+            lock_recoveries,
             overloaded,
             timeouts,
             bad_queries,
@@ -96,6 +111,15 @@ impl Metrics {
         self.requests.inc();
     }
 
+    /// Count one lookup of an enabled cache.
+    pub(crate) fn cache_lookup(&self, hit: bool) {
+        if hit {
+            self.cache_hits.inc();
+        } else {
+            self.cache_misses.inc();
+        }
+    }
+
     /// Count a rejected submission (queue full).
     pub fn overloaded(&self) {
         self.overloaded.inc();
@@ -116,12 +140,16 @@ impl Metrics {
         self.model_swaps.inc();
     }
 
-    /// A request entered the queue.
+    /// A request is about to enter the queue. Counted *before* the send,
+    /// so a worker's [`Metrics::dequeued`] can never overtake it and the
+    /// gauge never reads below 0; a send that fails is undone with
+    /// `dequeued(1)`.
     pub(crate) fn enqueued(&self) {
         self.queue_depth.add(1);
     }
 
-    /// `n` requests left the queue (coalesced into one batch).
+    /// `n` requests left the queue (coalesced into one batch), or one
+    /// counted request never entered it.
     pub(crate) fn dequeued(&self, n: usize) {
         self.queue_depth.sub(n as i64);
     }
@@ -139,56 +167,35 @@ impl Metrics {
         self.latency_us.observe(d.as_micros().min(u64::MAX as u128) as u64);
     }
 
-    /// Prometheus text exposition of this service's registry, the cache's
-    /// hit/miss accounting (the cache keeps its own counters), lock-poison
-    /// recoveries (counted by the cache and registry themselves), and the
-    /// process-global registry (training/inference probes).
-    pub fn render_prometheus(
-        &self,
-        cache_hits: u64,
-        cache_misses: u64,
-        lock_recoveries: u64,
-    ) -> String {
-        let mut out = self.render_prometheus_local(cache_hits, cache_misses, lock_recoveries);
-        out.push_str(&Registry::global().render_prometheus());
-        out
+    /// Resolve a truth report against the q-error reservoir.
+    pub(crate) fn report_true_count(&self, qid: u64, true_count: u64) -> Option<f64> {
+        self.qerror.report(&self.registry, qid, true_count)
     }
 
-    /// Like [`Metrics::render_prometheus`] but without the process-global
-    /// registry appended — for aggregators (the cluster worker) that merge
-    /// several services into one exposition and must not repeat the global
-    /// section per service.
-    pub(crate) fn render_prometheus_local(
-        &self,
-        cache_hits: u64,
-        cache_misses: u64,
-        lock_recoveries: u64,
-    ) -> String {
-        let mut out = self.registry.render_prometheus();
-        out.push_str("# TYPE iam_serve_cache_hits_total counter\n");
-        out.push_str(&format!("iam_serve_cache_hits_total {cache_hits}\n"));
-        out.push_str("# TYPE iam_serve_cache_misses_total counter\n");
-        out.push_str(&format!("iam_serve_cache_misses_total {cache_misses}\n"));
-        out.push_str("# TYPE iam_serve_lock_recoveries_total counter\n");
-        out.push_str(&format!("iam_serve_lock_recoveries_total {lock_recoveries}\n"));
-        out
+    /// Prometheus text exposition of this service's registry and the
+    /// process-global registry (training/inference probes), one family
+    /// per `# TYPE` line.
+    pub fn render_prometheus(&self) -> String {
+        iam_obs::render_prometheus(&[(&self.registry, &[]), (Registry::global(), &[])])
     }
 
     /// Capture a point-in-time view of every counter and histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let lat = self.latency_us.snapshot();
         let bat = self.batch_size.snapshot();
+        let (_, qerror_reports, qerror_unmatched) = self.qerror.counts();
+        let qe = self.qerror.histogram_snapshot();
         MetricsSnapshot {
             requests: self.requests.get(),
-            cache_hits: 0,
-            cache_misses: 0,
-            lock_recoveries: 0,
+            cache_hits: self.cache_hits.get(),
+            cache_misses: self.cache_misses.get(),
+            lock_recoveries: self.lock_recoveries.get(),
             overloaded: self.overloaded.get(),
             timeouts: self.timeouts.get(),
             bad_queries: self.bad_queries.get(),
             batches: self.batches.get(),
             batched_queries: self.batched_queries.get(),
-            queue_depth: self.queue_depth.get().max(0),
+            queue_depth: self.queue_depth.get(),
             model_swaps: self.model_swaps.get(),
             replies: lat.count(),
             latency_p50_us: lat.quantile(0.50),
@@ -198,18 +205,17 @@ impl Metrics {
             mean_batch: bat.mean(),
             max_batch: bat.max,
             batch_buckets: bat.bounds.iter().zip(&bat.counts).map(|(&b, &c)| (b, c)).collect(),
-            qerror_reports: 0,
-            qerror_unmatched: 0,
-            qerror_p50_milli: 0,
-            qerror_p95_milli: 0,
-            qerror_p99_milli: 0,
-            qerror_buckets: Vec::new(),
+            qerror_reports,
+            qerror_unmatched,
+            qerror_p50_milli: qe.quantile(0.50),
+            qerror_p95_milli: qe.quantile(0.95),
+            qerror_p99_milli: qe.quantile(0.99),
+            qerror_buckets: qe.bounds.iter().zip(&qe.counts).map(|(&b, &c)| (b, c)).collect(),
         }
     }
 }
 
-/// A point-in-time view of [`Metrics`], plus cache accounting filled in by
-/// the service (the cache keeps its own hit/miss counters).
+/// A point-in-time view of [`Metrics`].
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     /// Client requests received (including cache hits and rejections).
@@ -218,8 +224,7 @@ pub struct MetricsSnapshot {
     pub cache_hits: u64,
     /// Cache lookups that missed (and went to the queue).
     pub cache_misses: u64,
-    /// Poisoned-lock recoveries (cache shards + registry), filled in by the
-    /// service like the cache accounting above.
+    /// Poisoned-lock recoveries (cache shards + model registry).
     pub lock_recoveries: u64,
     /// Submissions rejected with `Overloaded`.
     pub overloaded: u64,
@@ -343,7 +348,7 @@ mod tests {
 
     #[test]
     fn percentiles_from_buckets() {
-        let m = Metrics::new();
+        let m = Metrics::new(0);
         // 90 fast replies (≤50µs), 10 slow (≤5ms)
         for _ in 0..90 {
             m.latency(Duration::from_micros(10));
@@ -361,7 +366,7 @@ mod tests {
 
     #[test]
     fn batch_accounting() {
-        let m = Metrics::new();
+        let m = Metrics::new(0);
         m.batch(16, 12);
         m.batch(4, 4);
         let s = m.snapshot();
@@ -374,22 +379,32 @@ mod tests {
         assert_eq!(s.batch_buckets[2], (4, 1));
     }
 
+    /// The gauge is counted before the send and undone after a failed one,
+    /// so it is never negative and needs no clamp: `STATS` and `STATS PROM`
+    /// read the same value, whatever it is.
     #[test]
     fn queue_gauge_never_renders_negative() {
-        let m = Metrics::new();
-        m.dequeued(3); // worker raced ahead of the client's increment
-        assert_eq!(m.snapshot().queue_depth, 0);
+        let m = Metrics::new(0);
+        let depth = |m: &Metrics| {
+            let prom = m.render_prometheus();
+            let line = prom.lines().find(|l| l.starts_with("iam_serve_queue_depth ")).unwrap();
+            (m.snapshot().queue_depth, line.rsplit_once(' ').unwrap().1.parse::<i64>().unwrap())
+        };
         m.enqueued();
         m.enqueued();
-        m.enqueued();
-        assert_eq!(m.snapshot().queue_depth, 0);
-        m.enqueued();
-        assert_eq!(m.snapshot().queue_depth, 1);
+        assert_eq!(depth(&m), (2, 2));
+        m.dequeued(1); // a send that found the queue full is undone
+        m.dequeued(1); // a worker took the other request
+        assert_eq!(depth(&m), (0, 0));
+        // were a dequeue ever to overtake its enqueue, both views would
+        // show it rather than one of them hiding it
+        m.dequeued(1);
+        assert_eq!(depth(&m), (-1, -1));
     }
 
     #[test]
     fn render_is_line_oriented() {
-        let s = Metrics::new().snapshot().render();
+        let s = Metrics::new(0).snapshot().render();
         assert!(s.lines().all(|l| l.split(' ').count() == 2));
         assert!(s.contains("requests_total 0"));
         assert!(s.contains("batch_size_bucket_inf 0"));
@@ -397,15 +412,15 @@ mod tests {
 
     #[test]
     fn empty_percentile_is_zero() {
-        let s = Metrics::new().snapshot();
+        let s = Metrics::new(0).snapshot();
         assert_eq!(s.latency_p50_us, 0);
         assert_eq!(s.latency_p99_us, 0);
     }
 
     #[test]
     fn services_do_not_share_instruments() {
-        let a = Metrics::new();
-        let b = Metrics::new();
+        let a = Metrics::new(0);
+        let b = Metrics::new(0);
         a.request();
         a.request();
         b.request();
@@ -415,11 +430,14 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_covers_service_and_cache() {
-        let m = Metrics::new();
+        let m = Metrics::new(0);
         m.request();
         m.batch(4, 4);
         m.latency(Duration::from_micros(120));
-        let prom = m.render_prometheus(7, 3, 2);
+        (0..7).for_each(|_| m.cache_lookup(true));
+        (0..3).for_each(|_| m.cache_lookup(false));
+        m.lock_recoveries.add(2);
+        let prom = m.render_prometheus();
         assert!(prom.contains("# TYPE iam_serve_requests_total counter"), "{prom}");
         assert!(prom.contains("iam_serve_requests_total 1"), "{prom}");
         assert!(prom.contains("iam_serve_cache_hits_total 7"), "{prom}");
@@ -431,5 +449,7 @@ mod tests {
         // snapshot totals agree with the exposition
         assert!(prom.contains("iam_serve_batch_size_sum 4"), "{prom}");
         assert!(prom.contains("iam_serve_batch_size_count 1"), "{prom}");
+        let s = m.snapshot();
+        assert_eq!((s.cache_hits, s.cache_misses, s.lock_recoveries), (7, 3, 2));
     }
 }

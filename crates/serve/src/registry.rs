@@ -8,17 +8,20 @@
 //!
 //! Loading a snapshot that fails to parse leaves the active version
 //! untouched — failed loads roll back for free because the swap only
-//! happens after a fully validated [`IamEstimator::load`].
+//! happens after a fully validated [`IamEstimator::load_framed`] (length
+//! cap and checksum first, then the payload).
 //!
 //! Both locks recover from poisoning rather than propagating the panic to
 //! every later caller. Unlike the query cache there is nothing to discard:
 //! each critical section only ever swaps or pushes fully formed
 //! `Arc<ModelVersion>` values, so the protected state is valid even if the
 //! holder panicked mid-section. Recovery is therefore take-and-continue;
-//! occurrences are counted and surfaced through the service metrics.
+//! occurrences are counted on the service's lock-recovery counter, which
+//! the query cache shares.
 
 use crate::error::ServeError;
 use iam_core::IamEstimator;
+use iam_obs::Counter;
 use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -41,18 +44,19 @@ pub(crate) struct ModelRegistry {
     active: RwLock<Arc<ModelVersion>>,
     history: Mutex<Vec<Arc<ModelVersion>>>,
     next_id: AtomicU64,
-    recoveries: AtomicU64,
+    recoveries: Arc<Counter>,
 }
 
 impl ModelRegistry {
-    /// Create a registry serving `model` as version 1.
-    pub fn new(model: IamEstimator, label: &str) -> Self {
+    /// Create a registry serving `model` as version 1, counting poisoned
+    /// lock recoveries on `recoveries`.
+    pub fn new(model: IamEstimator, label: &str, recoveries: Arc<Counter>) -> Self {
         let v = Arc::new(ModelVersion { id: 1, label: label.to_string(), model });
         ModelRegistry {
             active: RwLock::new(v),
             history: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(2),
-            recoveries: AtomicU64::new(0),
+            recoveries,
         }
     }
 
@@ -64,7 +68,7 @@ impl ModelRegistry {
     fn read_active(&self) -> RwLockReadGuard<'_, Arc<ModelVersion>> {
         self.active.read().unwrap_or_else(|poisoned| {
             self.active.clear_poison();
-            self.recoveries.fetch_add(1, Relaxed);
+            self.recoveries.inc();
             poisoned.into_inner()
         })
     }
@@ -72,7 +76,7 @@ impl ModelRegistry {
     fn write_active(&self) -> RwLockWriteGuard<'_, Arc<ModelVersion>> {
         self.active.write().unwrap_or_else(|poisoned| {
             self.active.clear_poison();
-            self.recoveries.fetch_add(1, Relaxed);
+            self.recoveries.inc();
             poisoned.into_inner()
         })
     }
@@ -80,7 +84,7 @@ impl ModelRegistry {
     fn lock_history(&self) -> MutexGuard<'_, Vec<Arc<ModelVersion>>> {
         self.history.lock().unwrap_or_else(|poisoned| {
             self.history.clear_poison();
-            self.recoveries.fetch_add(1, Relaxed);
+            self.recoveries.inc();
             poisoned.into_inner()
         })
     }
@@ -107,10 +111,11 @@ impl ModelRegistry {
         id
     }
 
-    /// Parse a persisted snapshot and hot-swap it in. On a parse failure the
-    /// active version is untouched (the error carries the reason).
+    /// Parse a framed snapshot ([`IamEstimator::save_framed`]) and
+    /// hot-swap it in. On a parse failure the active version is untouched
+    /// (the error carries the reason).
     pub fn load<R: Read>(&self, r: &mut R, label: &str) -> Result<u64, ServeError> {
-        let model = IamEstimator::load(r).map_err(|e| ServeError::Load(e.to_string()))?;
+        let model = IamEstimator::load_framed(r).map_err(|e| ServeError::Load(e.to_string()))?;
         Ok(self.install(model, label))
     }
 
@@ -128,11 +133,6 @@ impl ModelRegistry {
         };
         h.push(old);
         Ok(id)
-    }
-
-    /// Poisoned-lock recoveries since construction.
-    pub(crate) fn recoveries(&self) -> u64 {
-        self.recoveries.load(Relaxed)
     }
 }
 
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn install_and_rollback_cycle() {
-        let reg = ModelRegistry::new(tiny_model(1), "v1");
+        let reg = ModelRegistry::new(tiny_model(1), "v1", Arc::default());
         assert_eq!(reg.current().id, 1);
         assert_eq!(reg.current().label, "v1");
 
@@ -177,14 +177,14 @@ mod tests {
 
     #[test]
     fn rollback_without_history_errors() {
-        let reg = ModelRegistry::new(tiny_model(3), "only");
+        let reg = ModelRegistry::new(tiny_model(3), "only", Arc::default());
         assert_eq!(reg.rollback(), Err(ServeError::NoPreviousVersion));
         assert_eq!(reg.current().id, 1, "failed rollback must not disturb the active model");
     }
 
     #[test]
     fn failed_load_keeps_active_version() {
-        let reg = ModelRegistry::new(tiny_model(4), "v1");
+        let reg = ModelRegistry::new(tiny_model(4), "v1", Arc::default());
         let err = reg.load(&mut &b"not a snapshot"[..], "bad").unwrap_err();
         assert!(matches!(err, ServeError::Load(_)));
         assert_eq!(reg.current().id, 1);
@@ -195,8 +195,8 @@ mod tests {
     fn successful_load_swaps() {
         let m = tiny_model(5);
         let mut buf = Vec::new();
-        m.save(&mut buf).unwrap();
-        let reg = ModelRegistry::new(tiny_model(6), "v1");
+        m.save_framed(&mut buf).unwrap();
+        let reg = ModelRegistry::new(tiny_model(6), "v1", Arc::default());
         let id = reg.load(&mut buf.as_slice(), "loaded").unwrap();
         assert_eq!(id, 2);
         assert_eq!(reg.current().label, "loaded");
@@ -204,7 +204,7 @@ mod tests {
 
     #[test]
     fn poisoned_locks_recover_with_state_intact() {
-        let reg = ModelRegistry::new(tiny_model(9), "v1");
+        let reg = ModelRegistry::new(tiny_model(9), "v1", Arc::default());
         reg.install(tiny_model(10), "v2");
 
         // poison both the active RwLock and the history Mutex
@@ -228,12 +228,12 @@ mod tests {
         assert_eq!(reg.current().label, "v1");
         assert!(!reg.active.is_poisoned());
         assert!(!reg.history.is_poisoned());
-        assert!(reg.recoveries() >= 2, "both locks should have recovered");
+        assert!(reg.recoveries.get() >= 2, "both locks should have recovered");
     }
 
     #[test]
     fn history_is_bounded() {
-        let reg = ModelRegistry::new(tiny_model(7), "v1");
+        let reg = ModelRegistry::new(tiny_model(7), "v1", Arc::default());
         for i in 0..(HISTORY_LIMIT + 3) {
             reg.install(tiny_model(8), &format!("v{}", i + 2));
         }

@@ -80,9 +80,6 @@ pub struct ServeConfig {
     pub qerror_capacity: usize,
 }
 
-/// Seed driving the q-error reservoir's deterministic eviction.
-const QERROR_SEED: u64 = 0xA11E_57E0;
-
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
@@ -116,55 +113,9 @@ struct ServiceInner {
     registry: ModelRegistry,
     cache: QueryCache,
     metrics: Metrics,
-    qerror: iam_obs::QErrorTracker,
     tx: SyncSender<Request>,
     rx: Mutex<Receiver<Request>>,
     shutdown: AtomicBool,
-}
-
-impl ServiceInner {
-    /// Poisoned-lock recoveries across the cache shards and the registry.
-    fn lock_recoveries(&self) -> u64 {
-        self.cache.recoveries() + self.registry.recoveries()
-    }
-
-    /// Metrics snapshot with the cache's hit/miss accounting, the
-    /// lock-recovery count, and the q-error view merged in.
-    fn snapshot(&self) -> MetricsSnapshot {
-        let mut s = self.metrics.snapshot();
-        let (hits, misses) = self.cache.stats();
-        s.cache_hits = hits;
-        s.cache_misses = misses;
-        s.lock_recoveries = self.lock_recoveries();
-        let (_, reports, unmatched) = self.qerror.counts();
-        s.qerror_reports = reports;
-        s.qerror_unmatched = unmatched;
-        let h = self.qerror.histogram_snapshot();
-        s.qerror_p50_milli = h.quantile(0.50);
-        s.qerror_p95_milli = h.quantile(0.95);
-        s.qerror_p99_milli = h.quantile(0.99);
-        s.qerror_buckets = h.bounds.iter().zip(&h.counts).map(|(&b, &c)| (b, c)).collect();
-        s
-    }
-
-    /// Resolve a truth report against the q-error reservoir.
-    fn report_true_count(&self, qid: u64, true_count: u64) -> Option<f64> {
-        self.qerror.report(self.metrics.registry(), qid, true_count)
-    }
-
-    /// Prometheus exposition: service registry + cache accounting + the
-    /// process-global registry (core training/inference probes).
-    fn prometheus(&self) -> String {
-        let (hits, misses) = self.cache.stats();
-        self.metrics.render_prometheus(hits, misses, self.lock_recoveries())
-    }
-
-    /// Exposition without the process-global registry — for aggregators
-    /// that merge several services and append the global section once.
-    fn prometheus_local(&self) -> String {
-        let (hits, misses) = self.cache.stats();
-        self.metrics.render_prometheus_local(hits, misses, self.lock_recoveries())
-    }
 }
 
 /// A running estimation service. Dropping it without calling
@@ -179,14 +130,16 @@ impl Service {
     /// Start a service over `model` (registered as version 1).
     pub fn start(model: IamEstimator, label: &str, cfg: ServeConfig) -> Service {
         let (tx, rx) = sync_channel::<Request>(cfg.queue_depth.max(1));
-        let metrics = Metrics::new();
-        let qerror =
-            iam_obs::QErrorTracker::new(cfg.qerror_capacity, QERROR_SEED, metrics.registry());
+        let metrics = Metrics::new(cfg.qerror_capacity);
+        let recoveries = &metrics.lock_recoveries;
         let inner = Arc::new(ServiceInner {
-            registry: ModelRegistry::new(model, label),
-            cache: QueryCache::new(cfg.cache_capacity, cfg.cache_shards),
+            registry: ModelRegistry::new(model, label, Arc::clone(recoveries)),
+            cache: QueryCache::with_recoveries(
+                cfg.cache_capacity,
+                cfg.cache_shards,
+                Arc::clone(recoveries),
+            ),
             metrics,
-            qerror,
             tx,
             rx: Mutex::new(rx),
             shutdown: AtomicBool::new(false),
@@ -237,8 +190,9 @@ impl Service {
         self.swap_model(model, label)
     }
 
-    /// Load a persisted snapshot and hot-swap it in. A snapshot that fails
-    /// to parse leaves the active version (and the cache) untouched.
+    /// Load a framed snapshot ([`IamEstimator::save_framed`]) and hot-swap
+    /// it in. A snapshot that fails its checksum or does not parse leaves
+    /// the active version (and the cache) untouched.
     pub fn load_model<R: Read>(&self, r: &mut R, label: &str) -> Result<u64, ServeError> {
         let id = self.inner.registry.load(r, label)?;
         self.inner.cache.clear();
@@ -264,21 +218,20 @@ impl Service {
 
     /// Point-in-time metrics (cache accounting included).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.snapshot()
+        self.inner.metrics.snapshot()
     }
 
     /// Prometheus text exposition of the service's metrics (plus the
     /// process-global training/inference probes).
     pub fn metrics_prometheus(&self) -> String {
-        self.inner.prometheus()
+        self.inner.metrics.render_prometheus()
     }
 
-    /// Exposition of this service's own registry and cache accounting
-    /// only, with no process-global section — cluster workers merge one of
-    /// these per table under a `table` label and append the global
-    /// registry once.
-    pub fn metrics_prometheus_local(&self) -> String {
-        self.inner.prometheus_local()
+    /// The registry holding every instrument of this service — for
+    /// aggregators (the cluster worker) that render several services, each
+    /// under its own labels, with the process-global registry once.
+    pub fn metrics_registry(&self) -> &iam_obs::Registry {
+        self.inner.metrics.registry()
     }
 
     /// Resolve a reported true count against the q-error reservoir (see
@@ -286,12 +239,12 @@ impl Service {
     /// qid's record was sampled, `None` otherwise (or when tracking is
     /// disabled).
     pub fn report_true_count(&self, qid: u64, true_count: u64) -> Option<f64> {
-        self.inner.report_true_count(qid, true_count)
+        self.inner.metrics.report_true_count(qid, true_count)
     }
 
     /// The q-error reservoir's current records, sorted by qid.
     pub fn qerror_records(&self) -> Vec<iam_obs::QRecord> {
-        self.inner.qerror.records()
+        self.inner.metrics.qerror.records()
     }
 
     /// Stop accepting requests, drain everything already queued, join the
@@ -301,7 +254,7 @@ impl Service {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        self.inner.snapshot()
+        self.inner.metrics.snapshot()
     }
 }
 
@@ -368,7 +321,11 @@ impl Client {
                 continue;
             }
             let key = q.canonical_key();
-            if let Some(v) = inner.cache.get(key, version.id) {
+            let cached = inner.cache.get(key, version.id);
+            if !inner.cache.is_disabled() {
+                inner.metrics.cache_lookup(cached.is_some());
+            }
+            if let Some(v) = cached {
                 inner.metrics.latency(start.elapsed());
                 out[i] = Some(Ok(v));
                 continue;
@@ -376,16 +333,18 @@ impl Client {
             let (reply_tx, reply_rx) = sync_channel(1);
             let req =
                 Request { query: q.clone(), key, enqueued: start, deadline, ctx, reply: reply_tx };
+            // counted before the send: the worker that takes the request
+            // may count it out before `try_send` even returns
+            inner.metrics.enqueued();
             match inner.tx.try_send(req) {
-                Ok(()) => {
-                    inner.metrics.enqueued();
-                    pending.push((i, reply_rx));
-                }
+                Ok(()) => pending.push((i, reply_rx)),
                 Err(TrySendError::Full(_)) => {
+                    inner.metrics.dequeued(1);
                     inner.metrics.overloaded();
                     out[i] = Some(Err(ServeError::Overloaded));
                 }
                 Err(TrySendError::Disconnected(_)) => {
+                    inner.metrics.dequeued(1);
                     out[i] = Some(Err(ServeError::ShuttingDown));
                 }
             }
@@ -461,24 +420,24 @@ impl Client {
 
     /// Point-in-time metrics (cache accounting included).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.snapshot()
+        self.inner.metrics.snapshot()
     }
 
     /// Prometheus text exposition of the service's metrics (plus the
     /// process-global training/inference probes).
     pub fn metrics_prometheus(&self) -> String {
-        self.inner.prometheus()
+        self.inner.metrics.render_prometheus()
     }
 
     /// Resolve a reported true count against the q-error reservoir; the
     /// `REPORT` line-protocol command lands here.
     pub fn report_true_count(&self, qid: u64, true_count: u64) -> Option<f64> {
-        self.inner.report_true_count(qid, true_count)
+        self.inner.metrics.report_true_count(qid, true_count)
     }
 
     /// The q-error reservoir's current records, sorted by qid.
     pub fn qerror_records(&self) -> Vec<iam_obs::QRecord> {
-        self.inner.qerror.records()
+        self.inner.metrics.qerror.records()
     }
 }
 
@@ -603,10 +562,10 @@ fn process_batch(inner: &ServiceInner, batch: &mut Vec<Request>, scratch: &mut B
 
     // sample accuracy records before any reply leaves: a client that
     // learns its qid from the reply must be able to REPORT immediately
-    if inner.qerror.enabled() {
+    if inner.metrics.qerror.enabled() {
         let nrows = version.model.nrows() as u64;
         for (req, &slot) in live.iter().zip(slots.iter()) {
-            inner.qerror.record(iam_obs::QRecord {
+            inner.metrics.qerror.record(iam_obs::QRecord {
                 qid: req.key,
                 predicate: crate::net::render_query(&req.query),
                 cols: (0..req.query.cols.len())

@@ -115,13 +115,15 @@ fn overloaded_queue_rejects_without_blocking() {
                 );
             });
         }
-        // wait until both fillers are queued
+        // wait until both fillers are queued: the gauge counts a request
+        // just before its send, so give the second send a moment to land
         let client = service.client();
         let t0 = Instant::now();
         while client.metrics().queue_depth < 2 {
             assert!(t0.elapsed() < Duration::from_secs(2), "fillers never enqueued");
             std::thread::sleep(Duration::from_millis(5));
         }
+        std::thread::sleep(Duration::from_millis(50));
         let t1 = Instant::now();
         assert_eq!(
             client.estimate_timeout(&queries[2], Duration::from_millis(500)),
@@ -378,6 +380,48 @@ fn wrong_arity_is_a_bad_query() {
     assert_eq!(snap.bad_queries, 1);
 }
 
+/// Clients submit through the queue while a thread polls the registry's
+/// queue-depth gauge: a worker may take a request before its submitter's
+/// `try_send` returns, so the gauge is counted before the send, and it
+/// must never read below 0.
+#[test]
+fn queue_depth_gauge_never_reads_negative_under_load() {
+    let service = Service::start(
+        tiny_model(12),
+        "v1",
+        ServeConfig { workers: 2, max_batch: 4, cache_capacity: 0, ..ServeConfig::default() },
+    );
+    let queries = workload(12, 16);
+    let gauge = service.metrics_registry().gauge("iam_serve_queue_depth", &[]);
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let lowest = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut lowest = 0;
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                lowest = lowest.min(gauge.get());
+            }
+            lowest
+        });
+        let clients: Vec<_> = (0..6)
+            .map(|t| {
+                let client = service.client();
+                let queries = &queries;
+                s.spawn(move || {
+                    for i in 0..150 {
+                        client.estimate(&queries[(i + t) % queries.len()]).expect("estimate");
+                    }
+                })
+            })
+            .collect();
+        clients.into_iter().for_each(|c| c.join().unwrap());
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        reader.join().unwrap()
+    });
+    assert_eq!(lowest, 0, "the queue-depth gauge read {lowest}");
+    let snap = service.shutdown();
+    assert_eq!((snap.queue_depth, snap.requests), (0, 900));
+}
+
 /// Pull one `series value` sample out of a Prometheus text exposition.
 fn prom_value(prom: &str, series: &str) -> u64 {
     prom.lines()
@@ -433,6 +477,8 @@ fn concurrent_totals_consistent_across_expositions() {
     assert_eq!(snap.overloaded, 0, "{snap:?}");
     // the service's totals are exactly the sum of what the client threads saw
     assert_eq!(snap.replies, total_ok);
+    // a disabled cache is never read, so it counts neither hits nor misses
+    assert_eq!((snap.cache_hits, snap.cache_misses), (0, 0), "{snap:?}");
 
     // the Prometheus view and the STATS snapshot agree sample for sample
     assert_eq!(prom_value(&prom, "iam_serve_requests_total"), snap.requests);
